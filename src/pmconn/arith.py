@@ -1,9 +1,9 @@
-"""Exact arithmetic in Z/p^nZ with integer lifts and p-adic valuations.
+"""Exact arithmetic in Z/p^nZ: the ring context, p-adic valuations, and the
+factorial and binomial coefficients of divided powers.
 
-Everything downstream (Laurent coefficients, connection matrices, divided
-power coefficients) is built on the two types here.  Values are immutable
-and carry their ring context, so mixing moduli is a hard error instead of
-a silent wrap-around.
+Residues are plain ints in [0, p^n).  The ring context travels with the
+containers built on them (Laurent polynomials, connections, operators),
+which refuse to mix moduli instead of wrapping around silently.
 """
 
 from __future__ import annotations
@@ -45,81 +45,6 @@ class RingCtx:
     def modulus(self):
         return self.p ** self.n
 
-    def elt(self, value):
-        return ModularInt(value % self.modulus, self)
-
-    def zero(self):
-        return self.elt(0)
-
-    def one(self):
-        return self.elt(1)
-
-
-def _check_ctx(a, b):
-    if a.ctx != b.ctx:
-        raise ValueError(f"ring context mismatch: {a.ctx} vs {b.ctx}")
-
-
-@dataclass(frozen=True)
-class ModularInt:
-    """Canonical representative in [0, p^n) of a residue mod p^n."""
-
-    value: int
-    ctx: RingCtx
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.ctx.modulus:
-            raise ValueError("representative out of range")
-
-    def lift(self):
-        """The canonical integer lift in [0, p^n)."""
-        return self.value
-
-    def __add__(self, other):
-        _check_ctx(self, other)
-        return self.ctx.elt(self.value + other.value)
-
-    def __sub__(self, other):
-        _check_ctx(self, other)
-        return self.ctx.elt(self.value - other.value)
-
-    def __neg__(self):
-        return self.ctx.elt(-self.value)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.ctx.elt(self.value * other)
-        _check_ctx(self, other)
-        return self.ctx.elt(self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return self.value != 0
-
-    def is_unit(self):
-        return self.value % self.ctx.p != 0
-
-    def inverse(self):
-        if not self.is_unit():
-            raise ZeroDivisionError(f"{self.value} is not a unit mod {self.ctx.p}^{self.ctx.n}")
-        return self.ctx.elt(pow(self.value, -1, self.ctx.modulus))
-
-
-def val_p(x):
-    """Largest e <= n with p^e | lift(x); returns n for x = 0 by convention."""
-    if isinstance(x, ModularInt):
-        p, n, v = x.ctx.p, x.ctx.n, x.value
-    else:
-        raise TypeError("val_p expects a ModularInt")
-    if v == 0:
-        return n
-    e = 0
-    while v % p == 0:
-        v //= p
-        e += 1
-    return min(e, n)
-
 
 def int_val_p(v, p):
     """p-adic valuation of a nonzero integer (unbounded)."""
@@ -155,23 +80,18 @@ def binom_int(i, l):
     return num // math.factorial(l)
 
 
-def binom(i, l, ctx):
-    """C(i, l) reduced mod p^n; i may be negative."""
-    return ctx.elt(binom_int(i, l))
-
-
 def pd_product_coeff(a, b, ctx):
     """Coefficient in x^[a] * x^[b] = C(a+b, a) x^[a+b], componentwise.
 
     a and b are multi-indices of equal length; the result is the product of
-    the componentwise binomials C(a_i + b_i, a_i) mod p^n.
+    the componentwise binomials C(a_i + b_i, a_i) mod p^n, as an int.
     """
     if len(a) != len(b):
         raise ValueError("multi-index length mismatch")
     c = 1
     for ai, bi in zip(a, b):
         c *= binom_int(ai + bi, ai)
-    return ctx.elt(c)
+    return c % ctx.modulus
 
 
 @lru_cache(maxsize=None)

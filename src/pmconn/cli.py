@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -509,17 +508,6 @@ SUITES = {
 # -- runners ----------------------------------------------------------------
 
 
-def _run_cases(cases, jobs):
-    if jobs > 1:
-        # imported here so a serial run does not load the pool machinery
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda c: c[1](), cases))
-    else:
-        results = [fn() for _, fn in cases]
-    return results
-
-
 def cmd_check(opts):
     if opts.suite not in SUITES:
         print(f"unknown suite {opts.suite!r}; choose from "
@@ -527,7 +515,7 @@ def cmd_check(opts):
         return 2
     t0 = time.time()
     anchor, cases = SUITES[opts.suite](opts)
-    results = _run_cases(cases, opts.jobs)
+    results = [fn() for _, fn in cases]
     wall = time.time() - t0
     failures = []
     for idx, ((name, _), res) in enumerate(zip(cases, results)):
@@ -640,16 +628,8 @@ def cmd_descend(opts):
     return 0
 
 
-def _add_common(sp):
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+def _add_format(sp):
     sp.add_argument("--format", choices=("json", "md"), default="md")
-    sp.add_argument("--jobs", type=int,
-                    default=int(os.environ.get("PMCONN_JOBS", "1")))
 
 
 def main(argv=None):
@@ -660,21 +640,25 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="cmd", required=True)
     sp = sub.add_parser("check", help="run a verification suite")
     sp.add_argument("suite")
-    _add_common(sp)
+    for flag in ("--p", "--n", "--m", "--d"):
+        sp.add_argument(flag, type=int, default=None)
+    sp.add_argument("--seed", type=int, default=0)
+    _add_format(sp)
     sp.set_defaults(fn=cmd_check)
     sp = sub.add_parser("cohomology", help="cohomology of a connection file")
     sp.add_argument("file")
-    _add_common(sp)
+    sp.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    _add_format(sp)
     sp.set_defaults(fn=cmd_cohomology)
     sp = sub.add_parser("raise", help="level-raise a connection along a lift")
     sp.add_argument("file")
     sp.add_argument("lift")
-    _add_common(sp)
+    _add_format(sp)
     sp.set_defaults(fn=cmd_raise)
     sp = sub.add_parser("descend", help="rank-1 descent with gauge witness")
     sp.add_argument("file")
     sp.add_argument("--lift", default=None)
-    _add_common(sp)
+    _add_format(sp)
     sp.set_defaults(fn=cmd_descend)
     opts = parser.parse_args(argv)
     return opts.fn(opts)

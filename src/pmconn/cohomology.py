@@ -19,8 +19,8 @@ from .connection import internal_hom
 from .frobenius import (gauge_intertwiner_lattice, level_raise,
                         twist_decompose, _vec_to_matrix, _window_exponents)
 from .laurent import LaurentPoly
-from .linalg import (homology_divisors, lattice_basis_matrix,
-                     mat_inverse_unimodular, mat_mul, snf_int, solve_exact)
+from .linalg import (components, homology_divisors, mat_identity, mat_mul,
+                     snf_int, solve_exact)
 
 
 @dataclass
@@ -57,25 +57,10 @@ def weight_components(C, D):
     appearing in the connection matrices."""
     weights = _window_exponents(C.d, D)
     shifts = _theta_shifts(C)
-    parent = {w: w for w in weights}
-
-    def find(w):
-        while parent[w] != w:
-            parent[w] = parent[parent[w]]
-            w = parent[w]
-        return w
-
-    for w in weights:
-        for u in shifts:
-            w2 = tuple(a + b for a, b in zip(w, u))
-            if w2 in parent:
-                ra, rb = find(w), find(w2)
-                if ra != rb:
-                    parent[rb] = ra
-    comps = {}
-    for w in weights:
-        comps.setdefault(find(w), []).append(w)
-    return [sorted(ws) for ws in comps.values()]
+    present = set(weights)
+    links = ((w, w2) for w in weights for u in shifts
+             if (w2 := tuple(a + b for a, b in zip(w, u))) in present)
+    return [sorted(ws) for ws in components(weights, links)]
 
 
 def _form_basis(weights, rank, d, q):
@@ -165,10 +150,11 @@ def compute_H(C, i, D, stability=True):
             A_full, leaks = _boundary_matrix(C, src, mid)
             keep = [c for c in range(len(src)) if not leaks[c]]
             A = [[A_full[r][c] for c in keep] for r in range(len(mid))]
-        H = homology_divisors(A, B, [n] * len(mid), [n] * len(out_basis), p, n)
-        if H.exponents:
+        divisors = homology_divisors(A, B, [n] * len(mid),
+                                     [n] * len(out_basis), p, n)
+        if divisors:
             entries.append({"w": min(comp), "weights": comp,
-                            "divisors": sorted(H.exponents)})
+                            "divisors": divisors})
     entries.sort(key=lambda e: e["w"])
     free_rank = sum(1 for e in entries for x in e["divisors"] if x == n)
     stable = True
@@ -202,13 +188,12 @@ def hom_space(C1, C2, D):
     nv = C1.rank * C2.rank * len(exps)
     if not basis:
         return []
-    P = [[basis[j][i] for j in range(len(basis))] for i in range(nv)]
-    G = lattice_basis_matrix(P)
+    # the kernel basis is a basis of the intertwiner lattice L; H = L / p^n Z^nv
+    G = [[v[i] for v in basis] for i in range(nv)]
     rel = [[ctx.modulus if i == j else 0 for j in range(nv)] for i in range(nv)]
     X = solve_exact(G, rel)
     U, Dg, V = snf_int(X)
-    Uinv = mat_inverse_unimodular(U)
-    gens = mat_mul(G, Uinv)
+    gens = mat_mul(G, solve_exact(U, mat_identity(nv)))
     out = []
     for t in range(nv):
         dt = Dg[t][t]

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .arith import RingCtx
 from .laurent import LaurentPoly, ContextMismatch
+from .linalg import mat_identity, solve_exact
 
 
 # -- matrix helpers over the Laurent ring ------------------------------------
@@ -335,25 +336,21 @@ def is_quasi_nilpotent(C, cap=None):
 
 def _longest_path(edges, root):
     """Number of edges on the longest path from root in an acyclic graph."""
-    memo = {}
-
-    def depth(node):
-        if node in memo:
-            return memo[node]
-        memo[node] = 0  # placeholder; graph is acyclic when we get here
-        best = 0
-        for nb in edges.get(node, ()):
-            best = max(best, 1 + depth(nb))
-        memo[node] = best
-        return best
-
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 10000))
-    try:
-        return depth(root)
-    finally:
-        sys.setrecursionlimit(old)
+    depth = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in depth:
+            stack.pop()
+            continue
+        todo = [nb for nb in edges.get(node, ()) if nb not in depth]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        depth[node] = max((1 + depth[nb] for nb in edges.get(node, ())),
+                          default=0)
+    return depth[root]
 
 
 def _find_cycle(edges):
@@ -388,28 +385,23 @@ def _find_cycle(edges):
 
 # -- coordinate change --------------------------------------------------------
 
-def _unimodular_inverse_int(A):
-    from .linalg import mat_inverse_unimodular
-    return mat_inverse_unimodular([list(r) for r in A])
-
-
 def coordinate_change(C, A, units):
     """Transform along the torus automorphism t'_j = c_j prod_i t_i^{A_ji}.
 
-    A must be in GL_d(Z); units are the c_j as elements of Z/p^n.  In the
-    logarithmic basis the matrices transform by Theta'_j = sum_i B_ij
-    Theta_i (B = A^{-1}), with coefficients rewritten in the t' coordinates.
+    A must be in GL_d(Z) (ValueError otherwise); units are the c_j as
+    integers, read mod p^n.  In the logarithmic basis the matrices transform
+    by Theta'_j = sum_i B_ij Theta_i (B = A^{-1}), with coefficients
+    rewritten in the t' coordinates.
     """
     d = C.d
     if len(A) != d or any(len(r) != d for r in A):
         raise ValueError("transform matrix of wrong shape")
-    B = _unimodular_inverse_int(A)
-    cs = [u if not hasattr(u, "value") else u.value for u in units]
+    B = solve_exact([list(r) for r in A], mat_identity(d))
     mod = C.ctx.modulus
-    for c in cs:
+    for c in units:
         if c % C.ctx.p == 0:
             raise ValueError("scaling factors must be units")
-    cinv = [pow(c, -1, mod) for c in cs]
+    cinv = [pow(c, -1, mod) for c in units]
 
     def subst(f):
         acc = {}

@@ -249,7 +249,7 @@ class PDElement:
         for a, c1 in self.terms:
             for b, c2 in other.terms:
                 k = tuple(x + y for x, y in zip(a, b))
-                c = c1 * c2 * pd_product_coeff(a, b, self.ctx).value
+                c = c1 * c2 * pd_product_coeff(a, b, self.ctx)
                 if c.is_zero():
                     continue
                 if sum(k) > K:
@@ -356,7 +356,7 @@ def check_taylor_inverse(C, e, K):
         for a in _sub_indices(k):
             b = tuple(x - y for x, y in zip(k, a))
             sign = -1 if sum(a) % 2 else 1
-            c = sign * pd_product_coeff(a, b, C.ctx).value
+            c = sign * pd_product_coeff(a, b, C.ctx)
             v = C.theta_power_apply_dt(k, tuple(e))
             total = [tt + vv * c for tt, vv in zip(total, v)]
         target = list(e) if sum(k) == 0 else list(zero_vec)

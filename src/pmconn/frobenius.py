@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .connection import Connection, gauge, mat_det, mat_id
 from .laurent import ContextMismatch, FrobLift, LaurentPoly, frob_substitute
-from .linalg import kernel_lattice
+from .linalg import kernel_lattice, mat_mul, snf_int
 
 
 def level_raise(C, F):
@@ -209,36 +209,16 @@ def verify_pullback_iso(C_up, C_down, F, D):
            for r1, r2 in zip(M1, M2) for a, b in zip(r1, r2)):
         return {"found": True, "witness": ident, "obstruction": None}
     exps, basis = gauge_intertwiner_lattice(LR, C_down, D)
-    p = ctx.p
-    candidates = []
-    for vec in basis:
-        if any(c % ctx.modulus for c in vec):
-            candidates.append([c % ctx.modulus for c in vec])
-    for vec in candidates:
-        g = _vec_to_matrix(vec, exps, r, r, ctx, d)
-        if mat_det(g).is_unit():
-            return {"found": True, "witness": g, "obstruction": None}
+    candidates = [[c % ctx.modulus for c in vec] for vec in basis
+                  if any(c % ctx.modulus for c in vec)]
     if r == 1:
-        # reduce the solution lattice mod p and look for any monomial in its
-        # span; absence is a certificate of non-isomorphism on the window
-        red = []
-        for vec in candidates:
-            rv = [c % p for c in vec]
-            if any(rv):
-                red.append(rv)
-        pivots = _row_reduce_mod_p(red, p)
-        for k, e in enumerate(exps):
-            target = [0] * len(exps)
-            target[k] = 1
-            if _in_span_mod_p(pivots, target, p):
-                # a monomial lies in the mod-p span: lift it
-                lift = _lift_solution(candidates, pivots, target, p, ctx.modulus,
-                                      len(exps))
-                if lift is not None:
-                    g = _vec_to_matrix(lift, exps, 1, 1, ctx, d)
-                    if mat_det(g).is_unit():
-                        return {"found": True, "witness": g,
-                                "obstruction": None}
+        # a gauge unit is c*t^v mod p, so it exists iff some monomial lies in
+        # the mod-p span of the solutions; absence is a certificate of
+        # non-isomorphism on the window
+        lift = _unit_in_span(candidates, ctx.p, ctx.modulus)
+        if lift is not None:
+            return {"found": True, "obstruction": None,
+                    "witness": _vec_to_matrix(lift, exps, 1, 1, ctx, d)}
         return {"found": False, "witness": None,
                 "obstruction": {
                     "kind": "no-unit-in-solution-span",
@@ -246,56 +226,36 @@ def verify_pullback_iso(C_up, C_down, F, D):
                     "detail": "no monomial lies in the mod-p span of the "
                               "intertwiner space, so no gauge unit exists "
                               "with support in the window"}}
+    for vec in candidates:
+        g = _vec_to_matrix(vec, exps, r, r, ctx, d)
+        if mat_det(g).is_unit():
+            return {"found": True, "witness": g, "obstruction": None}
     return {"found": False, "witness": None,
             "obstruction": {"kind": "no-invertible-candidate", "window": D}}
 
 
-def _row_reduce_mod_p(vectors, p):
-    """Row-reduce over F_p; returns list of (pivot index, row)."""
-    pivots = []
-    for v in vectors:
-        v = v[:]
-        for (j, row) in pivots:
-            if v[j] % p:
-                c = v[j] % p
-                v = [(x - c * y) % p for x, y in zip(v, row)]
-        j = next((k for k, x in enumerate(v) if x % p), None)
-        if j is not None:
-            inv = pow(v[j], -1, p)
-            v = [(x * inv) % p for x in v]
-            pivots.append((j, v))
-    return pivots
+def _unit_in_span(vectors, p, modulus):
+    """An integer combination of vectors, reduced mod modulus, that is
+    congruent mod p to a standard basis vector e_k, for the first k that
+    allows one; None when no e_k lies in the span mod p.
 
-
-def _in_span_mod_p(pivots, target, p):
-    v = target[:]
-    for (j, row) in pivots:
-        if v[j] % p:
-            c = v[j] % p
-            v = [(x - c * y) % p for x, y in zip(v, row)]
-    return not any(x % p for x in v)
-
-
-def _lift_solution(candidates, pivots, target, p, modulus, nv):
-    """Find a combination of candidate vectors that is a monomial mod p."""
-    for vec in candidates:
-        if any(vec) and _is_monomial_mod_p(vec, p):
-            return [c % modulus for c in vec]
-    # pairwise combinations
-    for i in range(len(candidates)):
-        for j in range(len(candidates)):
-            if i == j:
-                continue
-            for c in range(1, p):
-                work = [(a + c * b) % modulus
-                        for a, b in zip(candidates[i], candidates[j])]
-                if any(work) and _is_monomial_mod_p(work, p):
-                    return work
+    With U K V = D for the matrix K whose columns are the vectors, e_k lies
+    in the span mod p iff p | (U e_k)_t at every t with p | d_t, and then
+    K V z with z_t = (U e_k)_t / d_t mod p is congruent to e_k.
+    """
+    if not vectors:
+        return None
+    nv, c = len(vectors[0]), len(vectors)
+    K = [[v[i] for v in vectors] for i in range(nv)]
+    U, D, V = snf_int(K)
+    diag = [D[t][t] if t < c else 0 for t in range(nv)]
+    for k in range(nv):
+        if any(U[t][k] % p for t in range(nv) if diag[t] % p == 0):
+            continue
+        z = [[U[t][k] * pow(diag[t], -1, p) % p
+              if t < nv and diag[t] % p else 0] for t in range(c)]
+        return [row[0] % modulus for row in mat_mul(K, mat_mul(V, z))]
     return None
-
-
-def _is_monomial_mod_p(vec, p):
-    return sum(1 for c in vec if c % p) == 1
 
 
 # -- essential image and descent ----------------------------------------------

@@ -14,7 +14,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .arith import RingCtx, ModularInt
+from .arith import RingCtx
 
 
 class ContextMismatch(ValueError):
@@ -42,7 +42,7 @@ class LaurentPoly:
         mod = ctx.modulus
         items = []
         for e, c in mapping.items():
-            c = int(c.value if isinstance(c, ModularInt) else c) % mod
+            c = int(c) % mod
             if c:
                 if len(e) != d:
                     raise ValueError(f"exponent {e} has wrong arity for d={d}")
@@ -116,10 +116,9 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, ModularInt)):
-            c = other.value if isinstance(other, ModularInt) else other
+        if isinstance(other, int):
             return LaurentPoly.from_dict(
-                self.ctx, self.d, {e: cc * c for e, cc in self.terms})
+                self.ctx, self.d, {e: c * other for e, c in self.terms})
         self._chk(other)
         a, b = self.terms, other.terms
         if len(a) * len(b) > _PACKED_MIN_PAIRS:

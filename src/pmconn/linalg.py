@@ -1,5 +1,5 @@
-"""Integer matrix utilities: Smith normal form, kernel lattices, and finite
-p-group quotients.
+"""Integer matrix utilities: Smith normal form, kernel lattices, exact
+solves, homology of finite p-group complexes, and connected components.
 
 Homology over Z/p^nZ is computed on integer lifts so that no valuation is
 lost to premature reduction.  Groups that appear are always killed by a power
@@ -31,10 +31,6 @@ def mat_mul(A, B):
                         acc[j] += a * Bk[j]
         out.append(acc)
     return out
-
-
-def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v) if a and x) for row in A]
 
 
 def snf_int(M):
@@ -106,8 +102,10 @@ def snf_int(M):
 def kernel_lattice(M, row_moduli):
     """Basis of the lattice {x in Z^c : (Mx)_j == 0 mod row_moduli[j]}.
 
-    Returns a list of basis column vectors (length c).  The lattice always
-    has full rank c because it contains lcm(row_moduli) * Z^c.
+    Returns exactly c basis column vectors (length c).  The lattice has full
+    rank c because it contains lcm(row_moduli) * Z^c, and the integer kernel
+    of [M | diag(row_moduli)] projects isomorphically onto it, so the
+    projected kernel basis is a basis of the lattice.
     """
     r = len(M)
     c = len(M[0]) if r else 0
@@ -126,35 +124,11 @@ def kernel_lattice(M, row_moduli):
     return basis
 
 
-def lattice_basis_matrix(P):
-    """Square basis matrix G of the full-rank lattice spanned by the columns
-    of P (b x k, k >= b), as a list of b column vectors."""
-    b = len(P)
-    U, D, V = snf_int(P)
-    rank = sum(1 for t in range(min(b, len(P[0]))) if D[t][t])
-    if rank != b:
-        raise ValueError("lattice is not of full rank")
-    # column lattice of P equals U^{-1} * diag(d_t) Z^b; invert U by SNF data:
-    # U is unimodular, invert exactly via adjugate-free Gaussian steps.
-    Uinv = mat_inverse_unimodular(U)
-    G = [[Uinv[i][t] * D[t][t] for t in range(b)] for i in range(b)]
-    return G  # b x b, columns are basis vectors
-
-
-def mat_inverse_unimodular(U):
-    """Exact inverse of a unimodular integer matrix, via its own SNF."""
-    k = len(U)
-    P, D, Q = snf_int(U)
-    for t in range(k):
-        if abs(D[t][t]) != 1:
-            raise ValueError("matrix is not unimodular")
-    # U = P^{-1} D Q^{-1}, hence U^{-1} = Q D^{-1} P with D^{-1} = D
-    Dinv = [[D[i][j] if i == j else 0 for j in range(k)] for i in range(k)]
-    return mat_mul(mat_mul(Q, Dinv), P)
-
-
 def solve_exact(G, W):
-    """Solve G X = W for integer X, G square nonsingular; errors if inexact."""
+    """Solve G X = W for integer X, G square.
+
+    Raises ValueError when G is singular or the solution is not integral.
+    """
     b = len(G)
     U, D, V = snf_int(G)
     # G = U^{-1} D V^{-1}, so X = V D^{-1} U W
@@ -163,6 +137,8 @@ def solve_exact(G, W):
     Y = []
     for t in range(b):
         dt = D[t][t]
+        if dt == 0:
+            raise ValueError("matrix is singular")
         row = []
         for j in range(cols):
             q, rem = divmod(UW[t][j], dt)
@@ -186,82 +162,45 @@ def diagonal_p_exponents(D, p, cap):
     return sorted(out)
 
 
-class FiniteQuotient:
-    """The finite p-group L / span(W), for a full-rank lattice L in Z^b.
-
-    Stores enough structure to push elements and maps through: H is
-    isomorphic to the direct sum of Z/d_t over the diagonal of the SNF of
-    X = G^{-1} W, via coordinates z = U_X * G^{-1} * v.
-    """
-
-    def __init__(self, G, W, p, cap):
-        self.p = p
-        self.cap = cap
-        self.G = G  # b x b lattice basis (columns)
-        self.b = len(G)
-        X = solve_exact(G, W)
-        UX, DX, VX = snf_int(X)
-        self.UX = UX
-        self.orders = []
-        for t in range(self.b):
-            d = DX[t][t] if t < min(len(DX), len(DX[0]) if DX else 0) else 0
-            if d == 0:
-                raise ValueError("quotient is not finite")
-            self.orders.append(p ** min(int_val_p(d, p) if d not in (1, -1) else 0, cap))
-        self.exponents = sorted(
-            min(int_val_p(DX[t][t], p), cap)
-            for t in range(self.b) if DX[t][t] not in (1, -1))
-        self.exponents = [e for e in self.exponents if e > 0]
-
-    def coords(self, v):
-        """Coordinates of a lattice vector v in the cyclic decomposition."""
-        y = solve_exact(self.G, [[x] for x in v])
-        z = mat_vec(self.UX, [row[0] for row in y])
-        return [zi % o if o > 1 else 0 for zi, o in zip(z, self.orders)]
-
-
-def induced_map_divisors(H1, H2, T, p, cap):
-    """Kernel and cokernel p-exponent lists of the map H1 -> H2 induced by
-    the integer matrix T on ambient lattices (must map L1 into L2 + rel)."""
-    # matrix of the induced map in cyclic coordinates
-    s1, s2 = H1.b, H2.b
-    TG = mat_mul(T, H1.G)
-    cols = []
-    for j in range(s1):
-        v = [TG[i][j] for i in range(len(TG))]
-        cols.append(H2.coords(v))
-    Phi = [[cols[j][i] for j in range(s1)] for i in range(s2)]
-    # cokernel: Z^{s2} / (Phi columns + diag(orders2))
-    rel2 = [[H2.orders[i] if i == j else 0 for j in range(s2)] for i in range(s2)]
-    Wc = [Phi[i] + rel2[i] for i in range(s2)]
-    _, Dc, _ = snf_int(Wc)
-    coker = diagonal_p_exponents(Dc, p, cap)
-    # kernel: {z mod orders1 : Phi z == 0 mod orders2}
-    K = kernel_lattice(Phi, [H2.orders[i] for i in range(s2)])
-    P = [[K[j][i] for j in range(len(K))] for i in range(s1)]
-    G = lattice_basis_matrix(P)
-    rel1 = [[H1.orders[i] if i == j else 0 for j in range(s1)] for i in range(s1)]
-    Hk = FiniteQuotient(G, rel1, p, cap)
-    return Hk.exponents, coker
-
-
 def homology_divisors(A, B, orders_mid, orders_out, p, cap):
-    """Elementary divisor p-exponents of ker(B)/im(A) for a complex
+    """Sorted elementary divisor p-exponents of ker(B)/im(A) for a complex
 
         free -> (+) Z/p^orders_mid -> (+) Z/p^orders_out
 
-    given by integer matrices A (mid x a) and B (out x mid).  Returns the
-    FiniteQuotient (whose .exponents is the divisor list)."""
+    given by integer matrices A (mid x a) and B (out x mid).  On integer
+    lifts the group is L / span(A, diag(p^orders_mid)), L the kernel lattice
+    of B; writing that span in a basis of L and diagonalizing it once gives
+    the divisors.
+    """
     b = len(orders_mid)
-    if len(B) == 0:
-        K = mat_identity(b)
-        Kcols = [[K[i][j] for i in range(b)] for j in range(b)]
-    else:
-        Kcols = kernel_lattice(B, [p ** o for o in orders_out])
-    P = [[col[i] for col in Kcols] for i in range(b)]
-    G = lattice_basis_matrix(P)
-    rel = [[p ** orders_mid[i] if i == j else 0 for j in range(b)]
-           for i in range(b)]
-    a = len(A[0]) if A and A[0] else 0
-    W = [list(A[i]) + rel[i] if a else list(rel[i]) for i in range(b)]
-    return FiniteQuotient(G, W, p, cap)
+    W = [list(A[i]) + [p ** orders_mid[i] if j == i else 0 for j in range(b)]
+         for i in range(b)]
+    if B:
+        K = kernel_lattice(B, [p ** o for o in orders_out])
+        W = solve_exact([[v[i] for v in K] for i in range(b)], W)
+    _, D, _ = snf_int(W)
+    return diagonal_p_exponents(D, p, cap)
+
+
+def components(items, links):
+    """Connected components of items under the pairs (a, b) in links.
+
+    Members keep the order of items, and components come in the order of
+    their first members.
+    """
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+    comps = {}
+    for x in items:
+        comps.setdefault(find(x), []).append(x)
+    return list(comps.values())

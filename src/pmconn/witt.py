@@ -22,7 +22,8 @@ from fractions import Fraction
 
 from .arith import RingCtx, int_val_p
 from .laurent import LaurentPoly, parse_poly, format_poly
-from .linalg import diagonal_p_exponents, homology_divisors, snf_int
+from .linalg import (components, diagonal_p_exponents, homology_divisors,
+                     snf_int)
 
 
 class NotNilpotent(ValueError):
@@ -473,49 +474,12 @@ def weight_cohomology(C, D):
     p, n = C.p, C.n
     gens = _window_gens(p, n, D)
     index = {key: k for k, (key, _, _) in enumerate(gens)}
-    orders = [o for _, o, _ in gens]
-    weights = [w for _, _, w in gens]
-    images = []
-    leaks = []
-    for key, _, _ in gens:
-        omega = C.nabla(_gen_vector(key, p, n))
-        coords = _form_coords(omega)
-        images.append(coords)
-        leaks.append(any(k not in index for k in coords))
-    # weight components under the shifts produced by f
-    parent = list(range(len(gens)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for col, coords in enumerate(images):
-        for k in coords:
-            if k in index:
-                ra, rb = find(col), find(index[k])
-                if ra != rb:
-                    parent[rb] = ra
-    comps = {}
-    for k in range(len(gens)):
-        comps.setdefault(find(k), []).append(k)
+    images, leaks = _images(C, gens, index)
     out = []
-    for members in comps.values():
-        pos = {k: i for i, k in enumerate(members)}
-        B = [[0] * len(members) for _ in members]
-        for k in members:
-            for key, c in images[k].items():
-                if key in index and index[key] in pos:
-                    B[pos[index[key]]][pos[k]] += c
-        ords = [orders[k] for k in members]
-        h0 = homology_divisors([[] for _ in members], B, ords, ords, p, n)
-        cols_ok = [k for k in members if not leaks[k]]
-        A = [[images[k].get(gens[i][0], 0) for k in cols_ok]
-             for i in members]
-        h1 = homology_divisors(A, [], ords, ords, p, n)
-        out.append({"weights": sorted(weights[k] for k in members),
-                    "h0": h0.exponents, "h1": h1.exponents,
+    for members in components(range(len(gens)), _links(images, index)):
+        h0, h1 = _cluster_h(images, leaks, members, gens, index, p, n)
+        out.append({"weights": sorted(gens[k][2] for k in members),
+                    "h0": h0, "h1": h1,
                     "frac_gens": sum(1 for k in members
                                      if gens[k][0][1] > 0)})
     out.sort(key=lambda e: e["weights"][0])
@@ -540,6 +504,12 @@ def _images(C, gens, index):
     return images, leaks
 
 
+def _links(images, index):
+    """Generator pairs joined by a term of nabla inside the window."""
+    return ((col, index[key]) for col, coords in enumerate(images)
+            for key in coords if key in index)
+
+
 def _cluster_h(images, leaks, members, gens, index, p, n):
     pos = {k: i for i, k in enumerate(members)}
     B = [[0] * len(members) for _ in members]
@@ -552,7 +522,7 @@ def _cluster_h(images, leaks, members, gens, index, p, n):
     cols_ok = [k for k in members if not leaks[k]]
     A = [[images[k].get(gens[i][0], 0) for k in cols_ok] for i in members]
     h1 = homology_divisors(A, [], ords, ords, p, n)
-    return h0.exponents, h1.exponents
+    return h0, h1
 
 
 def witt_compare(C, D):
@@ -579,32 +549,11 @@ def witt_compare(C, D):
     index2 = {key: k for k, (key, _, _) in enumerate(gens2)}
     img1, leak1 = _images(C, gens1, index1)
     img2, leak2 = _images(C2, gens2, index2)
-    parent = list(range(len(gens1)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for col in range(len(gens1)):
-        for key in img1[col]:
-            if key in index1:
-                union(col, index1[key])
-        for key in img2[col]:
-            if key in index2:
-                union(col, index2[key])
-    clusters = {}
-    for k in range(len(gens1)):
-        clusters.setdefault(find(k), []).append(k)
+    clusters = components(range(len(gens1)), itertools.chain(
+        _links(img1, index1), _links(img2, index2)))
     report = {"p": p, "n": n, "m": m, "window": D, "nilpotent": True,
               "components": [], "pass": True}
-    for members in clusters.values():
+    for members in clusters:
         h0a, h1a = _cluster_h(img1, leak1, members, gens1, index1, p, n)
         h0b, h1b = _cluster_h(img2, leak2, members, gens2, index2, p, n)
         fg = sum(1 for k in members if gens1[k][0][1] > 0)

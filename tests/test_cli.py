@@ -40,14 +40,6 @@ def test_check_respects_grid_flags(capsys):
         if "cases_list" in rep else rep["cases"] > 0
 
 
-def test_check_parallel_matches_serial(capsys):
-    _, serial, _ = run(capsys, "check", "tau", "--seed", "3",
-                       "--format", "json")
-    _, parallel, _ = run(capsys, "check", "tau", "--seed", "3",
-                         "--format", "json", "--jobs", "4")
-    assert serial == parallel
-
-
 def _write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,8 @@ from pmconn.laurent import LaurentPoly, parse_poly
 from pmconn.connection import (Connection, gauge, iota, tensor, dual,
                                internal_hom, is_quasi_nilpotent,
                                coordinate_change, ExtensionPresentation,
-                               check_presentation, mat_id, mat_det)
+                               check_presentation, mat_id, mat_det,
+                               _longest_path)
 
 
 def _rand_poly(rng, ctx, d, terms, deg=2):
@@ -153,6 +155,26 @@ def test_coordinate_change_preserves_integrability():
     units = [1, 2]
     C2 = coordinate_change(C, A, units)
     assert C2.is_integrable() == C.is_integrable()
+
+
+def test_coordinate_change_rejects_non_invertible_transforms():
+    ctx = RingCtx(3, 2)
+    C = Connection.trivial(ctx, 2, 0)
+    for A in ([[1, 2], [2, 4]], [[2, 0], [0, 1]]):  # singular; det 2
+        with pytest.raises(ValueError):
+            coordinate_change(C, A, [1, 1])
+
+
+def test_longest_path_is_iterative_on_deep_chains():
+    n = 20000
+    edges = {k: [k + 1] for k in range(n)}
+    edges[n] = []
+    limit = sys.getrecursionlimit()
+    assert _longest_path(edges, 0) == n
+    assert sys.getrecursionlimit() == limit
+    # diamond with a long and a short branch
+    edges = {"a": ["b", "c"], "b": ["d"], "c": ["e"], "e": ["d"], "d": []}
+    assert _longest_path(edges, "a") == 3
 
 
 def test_check_presentation_classifications():

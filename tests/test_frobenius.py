@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,8 @@ from pmconn.connection import (Connection, gauge, is_quasi_nilpotent,
                                mat_matmul, mat_inverse)
 from pmconn.frobenius import (level_raise, LiftChain, psi, twist_decompose,
                               gauge_intertwiner_lattice, verify_pullback_iso,
-                              essential_image_rank1, descend_rank1)
+                              essential_image_rank1, descend_rank1,
+                              _unit_in_span)
 
 
 def _rand_poly(rng, ctx, d, terms, deg=2):
@@ -144,3 +146,39 @@ def test_verify_pullback_iso_positive():
     down = level_raise(C, F)
     rep = verify_pullback_iso(C, down, F, 8)
     assert rep["found"]
+
+
+def test_verify_pullback_iso_rank1_span_search():
+    # the target differs from the level-raise by a non-monomial gauge unit,
+    # so the witness comes from the mod-p span of the intertwiners
+    ctx = RingCtx(3, 2)
+    F = FrobLift.pure(ctx, 1)
+    C = Connection.rank1(ctx, 1, 1, [parse_poly("3*t1^1", ctx, 1)])
+    LR = level_raise(C, F)
+    down = gauge(LR, [[parse_poly("2*t1^-1 + 3*t1^1", ctx, 1)]])
+    assert down.theta != LR.theta
+    rep = verify_pullback_iso(C, down, F, 4)
+    assert rep["found"]
+    assert rep["witness"][0][0].is_unit()
+    assert gauge(LR, rep["witness"]).theta == down.theta
+    # theta = t is not theta_LR plus a logarithmic derivative of a unit
+    other = Connection.rank1(ctx, 1, 0, [parse_poly("1*t1^1", ctx, 1)])
+    rep = verify_pullback_iso(C, other, F, 4)
+    assert not rep["found"]
+    assert rep["obstruction"]["kind"] == "no-unit-in-solution-span"
+
+
+def test_unit_in_span_needs_three_vectors():
+    # mod 2 only v1 + v2 + v3 = (1, 0, 0, 0) is a monomial: no single
+    # vector and no pair combination is one
+    vecs = [[0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, 0]]
+    p, modulus = 2, 4
+    lift = _unit_in_span(vecs, p, modulus)
+    assert [x % p for x in lift] == [1, 0, 0, 0]
+    combos = {tuple(sum(c * v[i] for c, v in zip(cs, vecs)) % modulus
+                    for i in range(4))
+              for cs in itertools.product(range(modulus), repeat=3)}
+    assert tuple(lift) in combos
+    # the span {0, 110, 011, 101} mod 2 holds no monomial
+    assert _unit_in_span([[1, 1, 0], [0, 1, 1]], 2, 4) is None
+    assert _unit_in_span([], 2, 4) is None

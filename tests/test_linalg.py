@@ -1,12 +1,11 @@
-import random
+import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmconn.linalg import (mat_identity, mat_mul, mat_vec, snf_int,
-                           kernel_lattice, lattice_basis_matrix,
-                           mat_inverse_unimodular, solve_exact,
-                           diagonal_p_exponents, FiniteQuotient,
-                           induced_map_divisors, homology_divisors)
+from pmconn.linalg import (mat_identity, mat_mul, snf_int, kernel_lattice,
+                           solve_exact, diagonal_p_exponents,
+                           homology_divisors, components)
 
 
 def int_mats(rows, cols, bound=20):
@@ -26,10 +25,10 @@ def test_snf_decomposition(args):
         for j in range(len(D[0])):
             if i != j:
                 assert D[i][j] == 0
-    # transforms are unimodular
-    Ui = mat_inverse_unimodular(U)
+    # transforms are unimodular: their inverses are integral
+    Ui = solve_exact(U, mat_identity(r))
     assert mat_mul(U, Ui) == mat_identity(r)
-    Vi = mat_inverse_unimodular(V)
+    Vi = solve_exact(V, mat_identity(3))
     assert mat_mul(V, Vi) == mat_identity(3)
 
 
@@ -41,10 +40,11 @@ def test_kernel_lattice_is_exact(M, p, n):
     basis = kernel_lattice(M, moduli)
     # every basis vector really lies in the kernel mod the row moduli
     for v in basis:
-        w = mat_vec(M, v)
-        assert all(x % q == 0 for x, q in zip(w, moduli))
-    # the lattice is full rank and contains p^n Z^4
-    G = lattice_basis_matrix([[v[i] for v in basis] for i in range(4)])
+        w = mat_mul(M, [[x] for x in v])
+        assert all(x[0] % q == 0 for x, q in zip(w, moduli))
+    # exactly 4 vectors: a basis of a full-rank lattice containing p^n Z^4
+    assert len(basis) == 4
+    G = [[v[i] for v in basis] for i in range(4)]
     pnI = [[p ** n if i == j else 0 for j in range(4)] for i in range(4)]
     X = solve_exact(G, pnI)
     assert mat_mul(G, X) == pnI
@@ -59,13 +59,23 @@ def test_diagonal_p_exponents():
 
 def test_finite_quotient_orders():
     # Z^2 / <(2,0),(0,8)> over p=2 with cap 3: orders 2^1 and 2^3
-    G = mat_identity(2)
-    W = [[2, 0], [0, 8]]
-    q = FiniteQuotient(G, W, 2, 3)
-    assert q.exponents == [1, 3]
-    # coords of (1, 1) have orders dividing the cyclic orders
-    z = q.coords([1, 1])
-    assert all(zi % o == zi or o == 1 for zi, o in zip(z, q.orders))
+    assert homology_divisors([[2, 0], [0, 8]], [], [3, 3], [], 2, 3) == [1, 3]
+    assert homology_divisors([[2, 0], [0, 8]], [], [3, 3], [], 2, 2) == [1, 2]
+
+
+def test_solve_exact_rejects_singular_and_inexact():
+    assert solve_exact([[2, 1], [1, 1]], mat_identity(2)) == [[1, -1],
+                                                              [-1, 2]]
+    with pytest.raises(ValueError):
+        solve_exact([[1, 2], [2, 4]], mat_identity(2))
+    with pytest.raises(ValueError):
+        solve_exact([[2, 0], [0, 1]], mat_identity(2))
+
+
+def test_components_keep_item_order():
+    links = [("c", "a"), ("e", "d"), ("d", "e")]
+    assert components("abcde", links) == [["a", "c"], ["b"], ["d", "e"]]
+    assert components([], []) == []
 
 
 def test_homology_of_known_complex():
@@ -74,14 +84,14 @@ def test_homology_of_known_complex():
     p, n = 3, 3
     H = homology_divisors([[p]], [], [n], [], p, n)
     # middle term Z/p^n modulo pZ/p^n: group of order p
-    assert H.exponents == [1]
+    assert H == [1]
 
 
 def test_homology_exact_complex_vanishes():
     # identity boundary in: everything is a boundary
     p, n = 2, 4
     H = homology_divisors([[1]], [], [n], [], p, n)
-    assert H.exponents == []
+    assert H == []
 
 
 def test_homology_kernel_cut():
@@ -89,21 +99,62 @@ def test_homology_kernel_cut():
     p, n = 2, 3
     zero_in = [[0]]
     H = homology_divisors(zero_in, [[p ** (n - 1)]], [n], [n], p, n)
-    assert H.exponents == [n - 1]
+    assert H == [n - 1]
 
 
-@settings(max_examples=20)
-@given(st.integers(min_value=0, max_value=10 ** 6))
-def test_induced_zero_and_identity_maps(seed):
-    rng = random.Random(seed)
-    p, n = 2, 3
-    exps = sorted(rng.randrange(1, n + 1) for _ in range(3))
-    G = mat_identity(3)
-    W = [[p ** exps[i] if i == j else 0 for j in range(3)] for i in range(3)]
-    H = FiniteQuotient(G, W, p, n)
-    ker_id, coker_id = induced_map_divisors(H, H, mat_identity(3), p, n)
-    assert (ker_id, coker_id) == ([], [])
-    zero = [[0] * 3 for _ in range(3)]
-    ker_z, coker_z = induced_map_divisors(H, H, zero, p, n)
-    assert sorted(ker_z) == exps
-    assert sorted(coker_z) == exps
+# -- brute-force oracle ---------------------------------------------------------
+
+
+def _elements(orders, p):
+    return itertools.product(*[range(p ** o) for o in orders])
+
+
+def _span(cols, orders, p):
+    """The subgroup of (+) Z/p^orders generated by cols, by closure."""
+    group = {tuple(0 for _ in orders)}
+    for col in cols:
+        multiples = {tuple(c * x % p ** o for x, o in zip(col, orders))
+                     for c in range(p ** max(orders))}
+        group = {tuple((a + b) % p ** o for a, b, o in zip(g, m, orders))
+                 for g in group for m in multiples}
+    return group
+
+
+def _in_kernel(B, x, out_orders, p):
+    return all(sum(b * xi for b, xi in zip(row, x)) % p ** t == 0
+               for row, t in zip(B, out_orders))
+
+
+@st.composite
+def tiny_complexes(draw):
+    """free -> (+) Z/p^mid -> (+) Z/p^out with mixed orders on both sides,
+    at most 5 middle generators and at most 1024 middle elements."""
+    p = draw(st.sampled_from([2, 3]))
+    top = 3 if p == 2 else 2
+    mid = draw(st.lists(st.integers(1, top), min_size=1, max_size=5))
+    while p ** sum(mid) > 1024:
+        mid.pop()
+    out = draw(st.lists(st.integers(1, top), max_size=3))
+    # B[j][i] must kill p^mid[i] modulo p^out[j] to be well defined
+    B = [[draw(st.integers(0, p ** t - 1)) * p ** max(0, t - o) for o in mid]
+         for t in out]
+    ker = [x for x in _elements(mid, p) if _in_kernel(B, x, out, p)]
+    picks = draw(st.lists(st.integers(0, len(ker) - 1), max_size=3))
+    A = [[ker[k][i] for k in picks] for i in range(len(mid))]
+    return p, mid, out, A, B, ker
+
+
+@settings(max_examples=80, deadline=None)
+@given(tiny_complexes())
+def test_homology_divisors_match_brute_force(cx):
+    # |{x in ker B : p^k x in im A}| / |im A| = |H[p^k]| = p^{sum min(e, k)}
+    # for every k pins down the whole multiset of exponents e of H
+    p, mid, out, A, B, ker = cx
+    divisors = homology_divisors(A, B, mid, out, p, max(mid))
+    image = _span([[row[j] for row in A] for j in range(len(A[0]))],
+                  mid, p)
+    for k in range(max(mid) + 1):
+        killed = sum(1 for x in ker
+                     if tuple(p ** k * xi % p ** o
+                              for xi, o in zip(x, mid)) in image)
+        assert killed == len(image) * p ** sum(min(e, k) for e in divisors)
