@@ -239,15 +239,15 @@ def _unit_in_span(vectors, p, modulus):
     congruent mod p to a standard basis vector e_k, for the first k that
     allows one; None when no e_k lies in the span mod p.
 
-    With U K V = D for the matrix K whose columns are the vectors, e_k lies
-    in the span mod p iff p | (U e_k)_t at every t with p | d_t, and then
-    K V z with z_t = (U e_k)_t / d_t mod p is congruent to e_k.
+    With U K V = D mod p for the matrix K whose columns are the vectors, e_k
+    lies in the span mod p iff p | (U e_k)_t at every t with p | d_t, and
+    then K V z with z_t = (U e_k)_t / d_t mod p is congruent to e_k.
     """
     if not vectors:
         return None
     nv, c = len(vectors[0]), len(vectors)
     K = [[v[i] for v in vectors] for i in range(nv)]
-    U, D, V = snf_int(K)
+    U, D, V = snf_int(K, p)
     diag = [D[t][t] if t < c else 0 for t in range(nv)]
     for k in range(nv):
         if any(U[t][k] % p for t in range(nv) if diag[t] % p == 0):

@@ -615,6 +615,6 @@ def fractional_presentation_orders(p, n, r, j):
         rel[k][k] = p
         if k + 1 < s:
             rel[k + 1][k] = -1
-    _, Dm, _ = snf_int(rel)
+    _, Dm, _ = snf_int(rel, p ** (n + 1))
     return {"orders": diagonal_p_exponents(Dm, p, n), "verified": verified,
             "predicted": [n - r]}

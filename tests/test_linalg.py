@@ -32,6 +32,67 @@ def test_snf_decomposition(args):
     assert mat_mul(V, Vi) == mat_identity(3)
 
 
+def _rank_mod_p(M, p):
+    """Rank of M over F_p, by Gaussian elimination."""
+    rows = [[x % p for x in row] for row in M]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][j], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][j]:
+                f = rows[i][j] * inv % p
+                rows[i] = [(a - f * b) % p
+                           for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def mod_prime_power_matrices(draw):
+    """(p, N, M): M at most 4 x 4 with entries u * p^k, and (p^N)^rows at
+    most 9^4 so that the cokernel can be enumerated."""
+    p = draw(st.sampled_from([2, 3]))
+    N = draw(st.integers(1, 3))
+    q = p ** N
+    r = draw(st.integers(1, max(k for k in range(1, 5) if q ** k <= 9 ** 4)))
+    c = draw(st.integers(1, 4))
+    entry = st.builds(lambda u, k: u * p ** k, st.integers(-q, q),
+                      st.integers(0, N))
+    M = draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                      min_size=r, max_size=r))
+    return p, N, M
+
+
+@settings(max_examples=150, deadline=None)
+@given(mod_prime_power_matrices())
+def test_snf_mod_prime_power_matches_enumeration(args):
+    p, N, M = args
+    q = p ** N
+    r, c = len(M), len(M[0])
+    U, D, V = snf_int(M, q)
+    UMV = mat_mul(mat_mul(U, M), V)
+    assert all((x - y) % q == 0 for row, drow in zip(UMV, D)
+               for x, y in zip(row, drow))
+    assert all(D[i][j] == 0 for i in range(r) for j in range(c) if i != j)
+    # U and V are invertible mod q exactly when they are invertible mod p
+    assert _rank_mod_p(U, p) == r
+    assert _rank_mod_p(V, p) == c
+    # |(Z/q)^r / M (Z/q)^c| = p^(sum of the capped valuations of D's diagonal)
+    total = 0
+    for t in range(r):
+        d = D[t][t] % q if t < c else 0
+        v = 0
+        while v < N and d % p ** (v + 1) == 0:
+            v += 1
+        total += v
+    image = _span([[row[j] for row in M] for j in range(c)], [N] * r, p)
+    assert q ** r == len(image) * p ** total
+
+
 @given(int_mats(3, 4, bound=9),
        st.sampled_from([2, 3, 5]),
        st.integers(min_value=1, max_value=3))
@@ -76,6 +137,20 @@ def test_components_keep_item_order():
     links = [("c", "a"), ("e", "d"), ("d", "e")]
     assert components("abcde", links) == [["a", "c"], ["b"], ["d", "e"]]
     assert components([], []) == []
+
+
+def test_homology_divisors_empty_middle():
+    assert homology_divisors([], [], [], [], 2, 3) == []
+    assert homology_divisors([], [[]], [], [2], 3, 2) == []
+
+
+def test_homology_divisors_rejects_non_complex():
+    # B*A = 1 is not zero modulo 2^2
+    with pytest.raises(ValueError, match="not a complex"):
+        homology_divisors([[1]], [[1]], [2], [2], 2, 2)
+    # B is not defined on Z/2: it sends the relation 2 to 2, nonzero mod 2^2
+    with pytest.raises(ValueError, match="not a complex"):
+        homology_divisors([[0]], [[1]], [1], [2], 2, 2)
 
 
 def test_homology_of_known_complex():
