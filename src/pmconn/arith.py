@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 def is_prime(p):
@@ -41,7 +41,7 @@ class RingCtx:
         if self.n < 1:
             raise ValueError(f"n = {self.n} must be >= 1")
 
-    @property
+    @cached_property
     def modulus(self):
         return self.p ** self.n
 
@@ -70,14 +70,14 @@ def factorial_val(p, k):
 def binom_int(i, l):
     """Integer value of the generalized binomial C(i, l) for i in Z, l >= 0.
 
-    C(i, l) = i(i-1)...(i-l+1)/l!, which is an integer for every integer i.
+    C(i, l) = i(i-1)...(i-l+1)/l!, which is an integer for every integer i;
+    for i < 0 it is (-1)^l C(l-i-1, l).
     """
     if l < 0:
         raise ValueError("lower index must be a natural number")
-    num = 1
-    for j in range(l):
-        num *= i - j
-    return num // math.factorial(l)
+    if i >= 0:
+        return math.comb(i, l)
+    return (-1) ** l * math.comb(l - i - 1, l)
 
 
 def pd_product_coeff(a, b, ctx):

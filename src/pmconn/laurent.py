@@ -39,14 +39,23 @@ class LaurentPoly:
 
     @staticmethod
     def from_dict(ctx, d, mapping):
+        acc = {}
+        for e, c in mapping.items():
+            if len(e) != d:
+                raise ValueError(f"exponent {e} has wrong arity for d={d}")
+            acc[tuple(e)] = int(c)
+        return LaurentPoly._canon(ctx, d, acc)
+
+    @staticmethod
+    def _canon(ctx, d, acc):
+        """The polynomial sum of c * t^e over acc, for internal results whose
+        exponents are already tuples of arity d and coefficients ints: reduce
+        mod p^n, drop zeros and sort."""
         mod = ctx.modulus
         items = []
-        for e, c in mapping.items():
-            c = int(c) % mod
-            if c:
-                if len(e) != d:
-                    raise ValueError(f"exponent {e} has wrong arity for d={d}")
-                items.append((tuple(e), c))
+        for e, c in acc.items():
+            if c := c % mod:
+                items.append((e, c))
         items.sort()
         return LaurentPoly(ctx, d, tuple(items))
 
@@ -56,7 +65,7 @@ class LaurentPoly:
 
     @staticmethod
     def const(ctx, d, c):
-        return LaurentPoly.from_dict(ctx, d, {_zero_exp(d): c})
+        return LaurentPoly._canon(ctx, d, {_zero_exp(d): int(c)})
 
     @staticmethod
     def one(ctx, d):
@@ -95,7 +104,9 @@ class LaurentPoly:
         return max((sum(abs(x) for x in e) for e, _ in self.terms), default=0)
 
     def _chk(self, other):
-        if self.ctx != other.ctx or self.d != other.d:
+        # the identity test skips the dataclass __eq__ on the common case
+        if self.d != other.d or (self.ctx is not other.ctx
+                                 and self.ctx != other.ctx):
             raise ContextMismatch(
                 f"({self.ctx}, d={self.d}) vs ({other.ctx}, d={other.d})")
 
@@ -106,18 +117,19 @@ class LaurentPoly:
         acc = dict(self.terms)
         for e, c in other.terms:
             acc[e] = acc.get(e, 0) + c
-        return LaurentPoly.from_dict(self.ctx, self.d, acc)
+        return LaurentPoly._canon(self.ctx, self.d, acc)
 
     def __neg__(self):
-        return LaurentPoly.from_dict(
-            self.ctx, self.d, {e: -c for e, c in self.terms})
+        mod = self.ctx.modulus
+        return LaurentPoly(self.ctx, self.d,
+                           tuple((e, mod - c) for e, c in self.terms))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly.from_dict(
+            return LaurentPoly._canon(
                 self.ctx, self.d, {e: c * other for e, c in self.terms})
         self._chk(other)
         a, b = self.terms, other.terms
@@ -130,7 +142,7 @@ class LaurentPoly:
             for e2, c2 in b:
                 e = tuple(x + y for x, y in zip(e1, e2))
                 acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly.from_dict(self.ctx, self.d, acc)
+        return LaurentPoly._canon(self.ctx, self.d, acc)
 
     __rmul__ = __mul__
 
@@ -185,13 +197,13 @@ class LaurentPoly:
                 e2 = list(e)
                 e2[i - 1] -= 1
                 acc[tuple(e2)] = c * e[i - 1]
-        return LaurentPoly.from_dict(self.ctx, self.d, acc)
+        return LaurentPoly._canon(self.ctx, self.d, acc)
 
     def log_partial(self, i):
         """t_i * d/dt_i: exponent-preserving, t^k -> k_i t^k."""
         if not 1 <= i <= self.d:
             raise ValueError(f"axis {i} out of range for d={self.d}")
-        return LaurentPoly.from_dict(
+        return LaurentPoly._canon(
             self.ctx, self.d, {e: c * e[i - 1] for e, c in self.terms})
 
     # -- context changes ---------------------------------------------------
@@ -200,7 +212,7 @@ class LaurentPoly:
         """Reduce coefficients into Z/p^n' (n' <= n), or lift canonically."""
         if new_ctx.p != self.ctx.p:
             raise ContextMismatch("different primes")
-        return LaurentPoly.from_dict(new_ctx, self.d, dict(self.terms))
+        return LaurentPoly._canon(new_ctx, self.d, dict(self.terms))
 
     def int_terms(self):
         """Canonical integer-lift dict, for exact integer work."""

@@ -1,16 +1,17 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmconn.arith import RingCtx
+from pmconn.arith import RingCtx, multi_binom_int, multi_factorial
 from pmconn.laurent import LaurentPoly, FrobLift, parse_poly
 from pmconn.connection import Connection
 from pmconn.dops import (DiffOp, op_apply, op_mul, level_change,
                          multi_indices, multi_indices_upto, PDElement,
                          pd_gamma, taylor_series, check_taylor_cocycle,
                          check_taylor_inverse, tau_transition, verify_tau,
-                         phi_rank_check, TruncationOverflow)
+                         phi_rank_check, TruncationOverflow, _apply_single)
 from pmconn.frobenius import level_raise
 
 
@@ -54,6 +55,56 @@ def test_op_mul_associative_and_module_compatible(args):
     assert op_mul(op_mul(P, Q), R).as_dict() == op_mul(P, op_mul(Q, R)).as_dict()
     f = _rand_poly(rng, ctx, 1, 2)
     assert op_apply(op_mul(P, Q), f) == op_apply(P, op_apply(Q, f))
+
+
+def _apply_single_reference(l, f, m):
+    """D^<l>(t^e) = l! C(e,l) p^{m|l|} t^{e-l}, term by term, validated."""
+    scale = multi_factorial(l) * f.ctx.p ** (m * sum(l))
+    acc = {}
+    for e, c in f.terms:
+        e2 = tuple(a - b for a, b in zip(e, l))
+        acc[e2] = acc.get(e2, 0) + c * scale * multi_binom_int(e, l)
+    return LaurentPoly.from_dict(f.ctx, f.d, acc)
+
+
+def _op_mul_reference(P, Q):
+    """The product by the commutation rule, computing D^<l'>(c) afresh for
+    every triple (l, k, l') of P's term, Q's term and l' <= l."""
+    acc = {}
+    for l, c in P.terms:
+        for k, c2 in Q.terms:
+            for lp in itertools.product(*(range(x + 1) for x in l)):
+                moved = _apply_single_reference(lp, c2, P.m) \
+                    * multi_binom_int(l, lp)
+                if moved.is_zero():
+                    continue
+                idx = tuple(a - b + kk for a, b, kk in zip(l, lp, k))
+                contrib = c * moved
+                acc[idx] = acc[idx] + contrib if idx in acc else contrib
+    return DiffOp.from_dict(P.ctx, P.d, P.m, acc)
+
+
+def _rand_op_terms(rng, ctx, d, m, order, nterms):
+    """An operator with up to nterms distinct indices and random coefficients
+    of up to three terms."""
+    return DiffOp.from_dict(ctx, d, m, {
+        tuple(rng.randrange(order + 1) for _ in range(d)):
+            _rand_poly(rng, ctx, d, rng.randint(1, 3))
+        for _ in range(nterms)})
+
+
+@given(grid, st.sampled_from([1, 2]))
+@settings(max_examples=80, deadline=None)
+def test_op_mul_matches_reference(args, d):
+    p, n, m, seed = args
+    ctx = RingCtx(p, n)
+    rng = random.Random(seed)
+    P = _rand_op_terms(rng, ctx, d, m, 3, 3)
+    Q = _rand_op_terms(rng, ctx, d, m, 3, 3)
+    assert op_mul(P, Q).terms == _op_mul_reference(P, Q).terms
+    f = _rand_poly(rng, ctx, d, 3)
+    for l in itertools.product(range(4), repeat=d):
+        assert _apply_single(l, f, m) == _apply_single_reference(l, f, m)
 
 
 @given(grid)
@@ -128,6 +179,33 @@ def test_taylor_series_leading_term():
     # identity at divided-power degree 0, nothing in higher degrees
     assert series[0].order_zero_part() == LaurentPoly.one(ctx, 1)
     assert series[0].coeff((1,)).is_zero()
+
+
+@pytest.mark.parametrize("p, n, m", [(2, 3, 1), (3, 2, 1), (3, 3, 0)])
+def test_taylor_series_matches_theta_powers_d2(p, n, m):
+    # rank 2, d = 2, theta_i = [[0, u_i p^(i-1)], [0, 0]]: constant nilpotent
+    # matrices that commute, so the connection is integrable.  taylor_series
+    # builds degree s from degree s - 1, one theta of the lowest nonzero axis
+    # at a time; theta_power_apply_dt iterates each theta_i from scratch.
+    ctx = RingCtx(p, n)
+    rng = random.Random(p * 100 + n * 10 + m)
+    z = LaurentPoly.zero(ctx, 2)
+    theta = tuple(((z, LaurentPoly.const(ctx, 2, rng.randrange(1, ctx.modulus)
+                                         * p ** i)), (z, z)) for i in range(2))
+    C = Connection(ctx, 2, m, 2, theta)
+    assert C.is_integrable()
+    K = 4
+    vectors = [C.basis_vector(j) for j in range(2)]
+    vectors.append(tuple(_rand_poly(rng, ctx, 2, 3) for _ in range(2)))
+    nonzero = 0
+    for e in vectors:
+        series = taylor_series(C, e, K)
+        for k in multi_indices_upto(2, K):
+            direct = C.theta_power_apply_dt(k, e)
+            assert tuple(s.coeff(k) for s in series) == direct
+            nonzero += any(not x.is_zero() for x in direct)
+    # the tables hold more than their order-0 entries
+    assert nonzero > len(vectors)
 
 
 def _lift_pair(rng, ctx, m):

@@ -8,6 +8,7 @@ from pmconn.arith import RingCtx
 from pmconn.laurent import (LaurentPoly, FrobLift, frob_substitute,
                             parse_poly, format_poly, ContextMismatch,
                             NotAUnit, _packed_mul, _PACKED_MIN_PAIRS)
+from pmconn.dops import _apply_single
 
 ctxs = st.builds(RingCtx,
                  st.sampled_from([2, 3, 5]),
@@ -88,9 +89,68 @@ def test_parse_examples():
 
 def test_context_mismatch_guard():
     a = LaurentPoly.one(RingCtx(3, 2), 1)
-    b = LaurentPoly.one(RingCtx(3, 3), 1)
-    with pytest.raises(ContextMismatch):
-        a + b
+    # an equal but distinct context combines; the identity short-cut is only
+    # a short-cut
+    twin = LaurentPoly.var(RingCtx(3, 2), 1, 1)
+    assert a.ctx is not twin.ctx
+    assert (a + twin).terms == (((0,), 1), ((1,), 1))
+    assert (a * twin).terms == (((1,), 1),)
+    other_n = LaurentPoly.one(RingCtx(3, 3), 1)
+    other_d = LaurentPoly.one(a.ctx, 2)
+    for b in (other_n, other_d):
+        with pytest.raises(ContextMismatch):
+            a + b
+        with pytest.raises(ContextMismatch):
+            a * b
+        with pytest.raises(ContextMismatch):
+            b * a
+
+
+def test_from_dict_rejects_wrong_arity():
+    ctx = RingCtx(3, 2)
+    with pytest.raises(ValueError, match="arity"):
+        LaurentPoly.from_dict(ctx, 2, {(1,): 1})
+    with pytest.raises(ValueError, match="arity"):
+        LaurentPoly.from_dict(ctx, 1, {(0,): 1, (1, 1): 2})
+
+
+def _assert_canonical(f):
+    """Sorted terms, coefficients in [1, p^n), exponents of arity d, and the
+    same value as validating the terms through from_dict."""
+    es = [e for e, _ in f.terms]
+    assert es == sorted(es) and len(set(es)) == len(es)
+    assert all(isinstance(c, int) and 1 <= c < f.ctx.modulus
+               for _, c in f.terms)
+    assert all(isinstance(e, tuple) and len(e) == f.d for e in es)
+    assert f == LaurentPoly.from_dict(f.ctx, f.d, f.as_dict())
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(min_value=1, max_value=3),
+       st.sampled_from([1, 2]), st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_internal_results_are_canonical(p, n, d, seed):
+    rng = random.Random(seed)
+    ctx = RingCtx(p, n)
+    f, g = (random_poly(rng, ctx, d, rng.randint(0, 4), 3) for _ in range(2))
+    # dense operands, all coefficients nonzero, go through the packed kernel
+    side = 9 if d == 1 else 3
+    box = list(itertools.product(range(-1, side - 1), repeat=d))
+    dense = [LaurentPoly.from_dict(ctx, d, {
+        e: rng.randrange(1, ctx.modulus) for e in box}) for _ in range(2)]
+    assert _packed_mul(dense[0].terms, dense[1].terms, d,
+                       ctx.modulus) is not None
+    k = rng.randint(-3 * ctx.modulus, 3 * ctx.modulus)
+    results = [f + g, f - g, g - f, f - f, -f, -(-f), f * g, g * f,
+               dense[0] * dense[1], dense[0] * f, f * k, k * f,
+               dense[0] * k, f * ctx.modulus]
+    for i in range(1, d + 1):
+        results += [f.partial(i), f.log_partial(i), dense[0].partial(i)]
+    for m in range(3):
+        for l in itertools.product(range(3), repeat=d):
+            results.append(_apply_single(l, f, m))
+    for r in results:
+        assert r.ctx is ctx and r.d == d
+        _assert_canonical(r)
 
 
 @given(ctx_and_polys(k=1))
