@@ -12,6 +12,7 @@ module and Theta is its Higgs field.  Everything here is exact mod p^n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .arith import RingCtx
 from .laurent import LaurentPoly, ContextMismatch
@@ -163,11 +164,18 @@ class Connection:
                 v = self.theta_apply(i, v)
         return v
 
+    @cached_property
+    def _theta_dt(self):
+        """The matrices t_i^{-1} Theta_i, one per axis."""
+        return tuple(mat_scale(M, LaurentPoly.var(self.ctx, self.d, i, -1))
+                     for i, M in enumerate(self.theta, 1))
+
     def theta_apply_dt(self, i, v):
         """The dt-basis operator: nabla(s) = sum_i theta_dt_i(s) dt_i, so
-        theta_dt_i = t_i^{-1} theta_i."""
-        tinv = LaurentPoly.var(self.ctx, self.d, i, -1)
-        return tuple(x * tinv for x in self.theta_apply(i, v))
+        theta_dt_i = t_i^{-1} theta_i = (t_i^{-1} Theta_i) + p^m d/dt_i."""
+        pm = self.p_to_m()
+        return tuple(a + x.partial(i) * pm
+                     for a, x in zip(mat_apply(self._theta_dt[i - 1], v), v))
 
     def theta_power_apply_dt(self, a, v):
         if not self.is_integrable():
@@ -198,8 +206,13 @@ class Connection:
                 out.append(((i, j), K))
         return out
 
-    def is_integrable(self):
+    @cached_property
+    def _integrable(self):
         return all(mat_is_zero(K) for _, K in self.curvature())
+
+    def is_integrable(self):
+        """Whether the curvature vanishes; computed once per connection."""
+        return self._integrable
 
     def max_log_degree(self):
         return max((a.log_degree() for M in self.theta for row in M for a in row),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add, sub
 
 from .arith import (RingCtx, factorial_val, int_val_p, multi_binom_int,
                     multi_factorial, pd_product_coeff)
@@ -106,28 +107,38 @@ class DiffOp:
             self.ctx, self.d, self.m, {l: c * f for l, c in self.terms})
 
 
-def _apply_single(l, f, m):
-    """Action of the bare operator D^<l> at level -m on a Laurent polynomial:
-    D^<l>(t^e) = l! * C(e,l) * p^{m|l|} * t^{e-l}, componentwise."""
-    scale = multi_factorial(l) * f.ctx.p ** (m * sum(l))
-    if not scale % f.ctx.modulus:
-        return LaurentPoly.zero(f.ctx, f.d)
-    acc = {}
-    for e, c in f.terms:
-        coeff = c * scale * multi_binom_int(e, l)
+def _action(l, terms, m, ctx):
+    """D^<l> at level -m on the monomials c t^e of terms, by
+    D^<l>(t^e) = l! C(e,l) p^{m|l|} t^{e-l}: the (e - l, coefficient mod p^n)
+    pairs, zeros dropped, in the order of terms."""
+    mod = ctx.modulus
+    scale = multi_factorial(l) * ctx.p ** (m * sum(l)) % mod
+    if not scale:
+        return []
+    out = []
+    for e, c in terms:
+        coeff = c * scale * multi_binom_int(e, l) % mod
         if coeff:
-            e2 = tuple(a - b for a, b in zip(e, l))
-            acc[e2] = acc.get(e2, 0) + coeff
-    return LaurentPoly._canon(f.ctx, f.d, acc)
+            out.append((tuple(map(sub, e, l)), coeff))
+    return out
+
+
+def _apply_single(l, f, m):
+    """Action of the bare operator D^<l> at level -m on a Laurent polynomial.
+    Shifting every exponent by -l keeps the terms sorted."""
+    return LaurentPoly(f.ctx, f.d, tuple(_action(l, f.terms, m, f.ctx)))
 
 
 def op_apply(P, f):
     if P.ctx != f.ctx or P.d != f.d:
         raise ContextMismatch("operator and argument in different rings")
-    out = LaurentPoly.zero(f.ctx, f.d)
+    acc = {}
     for l, c in P.terms:
-        out = out + c * _apply_single(l, f, P.m)
-    return out
+        for e2, c2 in _action(l, f.terms, P.m, f.ctx):
+            for e1, c1 in c.terms:
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc.get(e, 0) + c1 * c2
+    return LaurentPoly._canon(f.ctx, f.d, acc)
 
 
 def _sub_indices(l):
@@ -137,26 +148,32 @@ def _sub_indices(l):
 
 
 def op_mul(P, Q):
-    """Normal-ordered product, by the commutation rule
-    D^<l> f = sum_{l'+l''=l} C(l,l') D^<l'>(f) D^<l''>."""
+    """Normal-ordered product, monomial by monomial, by the commutation rule
+    (c t^e D^<l>)(c2 t^e2 D^<k>)
+        = sum_{l' <= l} C(l,l') c t^e D^<l'>(c2 t^e2) D^<l-l'+k>."""
     P._chk(Q)
-    acts = {}  # (l', k) -> D^<l'>(c_k), shared by every term of P
-    acc = {}
+    ctx, mod = P.ctx, P.ctx.modulus
+    acts = {}  # l' -> [(k, e2 - l', coefficient)] over Q's monomials
+    acc = {}  # output index -> {exponent: int}
     for l, c in P.terms:
-        for k, c2 in Q.terms:
-            for lp in _sub_indices(l):
-                act = acts.get((lp, k))
-                if act is None:
-                    act = acts[lp, k] = _apply_single(lp, c2, P.m)
-                if act.is_zero():
-                    continue
-                moved = act * multi_binom_int(l, lp)
-                if moved.is_zero():
-                    continue
-                idx = tuple(a - b + kk for a, b, kk in zip(l, lp, k))
-                contrib = c * moved
-                acc[idx] = acc[idx] + contrib if idx in acc else contrib
-    return DiffOp.from_dict(P.ctx, P.d, P.m, acc)
+        for lp in _sub_indices(l):
+            binom = math.prod(map(math.comb, l, lp)) % mod
+            if not binom:
+                continue
+            act = acts.get(lp)
+            if act is None:
+                act = acts[lp] = [(k, e2, c2) for k, q in Q.terms
+                                  for e2, c2 in _action(lp, q.terms, P.m, ctx)]
+            rest = tuple(map(sub, l, lp))
+            for k, e2, c2 in act:
+                idx = tuple(map(add, rest, k))
+                out = acc.setdefault(idx, {})
+                cb = c2 * binom
+                for e1, c1 in c.terms:
+                    e = tuple(map(add, e1, e2))
+                    out[e] = out.get(e, 0) + c1 * cb
+    return DiffOp.from_dict(ctx, P.d, P.m, {
+        idx: LaurentPoly._canon(ctx, P.d, out) for idx, out in acc.items()})
 
 
 def level_change(P, m_new):
@@ -316,40 +333,42 @@ def pd_gamma(x, q, strict=True):
 # -- Taylor / stratification --------------------------------------------------
 
 
+def theta_table(C, v, K):
+    """{k: theta^k(v)} in the dt basis, for |k| <= K.  Entry k is theta_i of
+    entry k - e_i, where i is the first nonzero axis of k: the order in which
+    theta_power_apply_dt composes, so each entry equals its value."""
+    if not C.is_integrable():
+        raise ValueError("theta powers are only well-defined when integrable")
+    table = {_zero_idx(C.d): tuple(v)}
+    for k in multi_indices_upto(C.d, K)[1:]:
+        i = next(ax for ax in range(C.d) if k[ax])
+        prev = k[:i] + (k[i] - 1,) + k[i + 1:]
+        table[k] = C.theta_apply_dt(i + 1, table[prev])
+    return table
+
+
 def taylor_series(C, e, K):
     """Order-K stratification of the vector e: the list, indexed by module
     basis, of PD coefficients of sum_k D^<k>(e) (x) (tau/p^m)^[k]."""
-    if not C.is_integrable():
-        raise ValueError("Taylor series requires an integrable connection")
     coeffs = [{} for _ in range(C.rank)]
-    values = {_zero_idx(C.d): tuple(e)}
-    for s in range(K + 1):
-        if s:
-            new = {}
-            for k in multi_indices(C.d, s):
-                i = next(ax for ax in range(C.d) if k[ax])
-                prev = tuple(kk - (1 if ax == i else 0)
-                             for ax, kk in enumerate(k))
-                new[k] = C.theta_apply_dt(i + 1, values[prev])
-            values = new
-        for k, v in values.items():
-            for b in range(C.rank):
-                if not v[b].is_zero():
-                    coeffs[b][k] = v[b]
+    for k, v in theta_table(C, e, K).items():
+        for b in range(C.rank):
+            if not v[b].is_zero():
+                coeffs[b][k] = v[b]
     return [PDElement.from_dict(C.ctx, C.d, C.m, K, mp) for mp in coeffs]
 
 
 def check_taylor_cocycle(C, e, K):
     """Comultiplication compatibility of the stratification: the coefficient
     of (tau)^[a] (x) (tau')^[b] computed by iterating the series must equal
-    the delta-expansion coefficient D^<a+b>(e), for all |a|+|b| <= K."""
-    direct = {k: C.theta_power_apply_dt(k, tuple(e))
-              for k in multi_indices_upto(C.d, K)}
+    the delta-expansion coefficient D^<a+b>(e), for all |a|+|b| <= K.  The
+    row a = 0 would compare the table of e with itself, so it is skipped."""
+    direct = theta_table(C, e, K)
     for a, va in direct.items():
-        for b in multi_indices_upto(C.d, K - sum(a)):
-            lhs = C.theta_power_apply_dt(b, va)
-            rhs = direct[tuple(x + y for x, y in zip(a, b))]
-            if any(not (x - y).is_zero() for x, y in zip(lhs, rhs)):
+        if not any(a):
+            continue
+        for b, lhs in theta_table(C, va, K - sum(a)).items():
+            if lhs != direct[tuple(x + y for x, y in zip(a, b))]:
                 return False
     return True
 
@@ -359,9 +378,8 @@ def check_taylor_inverse(C, e, K):
     composed with the series itself must give back e at order 0 and zero in
     every higher PD degree."""
     zero_vec = tuple(LaurentPoly.zero(C.ctx, C.d) for _ in range(C.rank))
-    for k in multi_indices_upto(C.d, K):
+    for k, v in theta_table(C, e, K).items():
         total = list(zero_vec)
-        v = C.theta_power_apply_dt(k, tuple(e))
         for a in _sub_indices(k):
             b = tuple(x - y for x, y in zip(k, a))
             sign = -1 if sum(a) % 2 else 1

@@ -7,6 +7,7 @@ Witt arithmetic, the Witt-side comparison, and determinism of the CLI
 suites.  Tolerances are exact (bit equality mod p^n) throughout.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -395,6 +396,30 @@ def test_acceptance_9_witt_comparison():
                     assert raised.f.comps == want.comps
 
 
+# SHA-256 of each suite's JSON report at --seed 11.  The reports are exact
+# results, so any change to them has to be explained and these re-recorded.
+SUITE_REPORT_SHA256 = {
+    "prop4":
+        "d89311dbc29b7cb039b8f69dcb8d4007c406754da634fbaf48db2a6d2811089d",
+    "taylor-cocycle":
+        "c4300d54e5100f6781d146450214eef56d1e3ff3d9eb9a1bf5a0e8dcd8886bca",
+    "tau":
+        "beeede0cd9757e95d51a68738a7fb913903548fb01777be4c743d9e4ab9c3f71",
+    "level-raise":
+        "95b5ab7239776d8beb7785b87645dfce66b69f2c23f7d9148054e7e36ad2eccb",
+    "descent":
+        "c118505b275f9287bdd7fc343bc7252a0f23d47246eb9267de171d3ceda7a816",
+    "theorem25":
+        "b57ac206cc6424c3b469c8893f07493cc0dbb9344f62a1c16335e4418a56c5f4",
+    "ov-example":
+        "6b8689a1d61afbda9dab92d2eaa2310da171e5a65684728c362494c91abfc102",
+    "witt-identities":
+        "65878de47cc25cff36ad7ef69cb0cbf3e20ad635302a7ea5ae023b83a3ab72f8",
+    "witt-compare":
+        "1211f0923e05bdeaf991eb46001646135b54e2e04e1bfc58c4471bc2245e1aa1",
+}
+
+
 def test_acceptance_10_determinism_and_stability(capsys):
     with budget(120):
         for suite in SUITES:
@@ -406,6 +431,8 @@ def test_acceptance_10_determinism_and_stability(capsys):
                 assert code == 0, (suite, captured.out)
                 outs.append(captured.out)
             assert outs[0] == outs[1], f"suite {suite} is not deterministic"
+            assert hashlib.sha256(outs[0].encode()).hexdigest() == \
+                SUITE_REPORT_SHA256[suite], f"suite {suite} report changed"
             rep = json.loads(outs[0])
             assert rep["failures"] == []
         # cohomology reports are stable at the default window

@@ -101,6 +101,35 @@ def test_theta_power_composition(args):
     assert lhs == rhs
 
 
+@given(cases)
+@settings(max_examples=40, deadline=None)
+def test_theta_apply_dt_is_t_inverse_times_theta_apply(args):
+    # theta_dt_i is t_i^-1 theta_i for every connection, integrable or not:
+    # rank 1, d = 2 with exact theta_i = p^(m+1) t_i d_i g; rank 2 with
+    # commuting nilpotent constants for d = 1, 2; rank 2, d = 2 at random
+    p, n, m, seed = args
+    ctx = RingCtx(p, n)
+    rng = random.Random(seed)
+    g = _rand_poly(rng, ctx, 2, 3)
+    conns = [Connection.rank1(ctx, 2, m, [g.log_partial(i) * p ** (m + 1)
+                                          for i in (1, 2)])]
+    for d in (1, 2):
+        z = LaurentPoly.zero(ctx, d)
+        conns.append(Connection(ctx, d, m, 2, tuple(
+            ((z, LaurentPoly.const(ctx, d, rng.randrange(1, ctx.modulus)
+                                   * p ** i)), (z, z)) for i in range(d))))
+    conns.append(Connection(ctx, 2, m, 2, tuple(
+        tuple(tuple(_rand_poly(rng, ctx, 2, 2) for _ in range(2))
+              for _ in range(2)) for _ in range(2))))
+    for C in conns:
+        v = tuple(_rand_poly(rng, ctx, C.d, 3) for _ in range(C.rank))
+        for i in range(1, C.d + 1):
+            tinv = LaurentPoly.var(ctx, C.d, i, -1)
+            old = tuple(x * tinv for x in C.theta_apply(i, v))
+            assert tuple(x.terms for x in C.theta_apply_dt(i, v)) == \
+                tuple(x.terms for x in old)
+
+
 def test_dual_and_tensor_rank1():
     ctx = RingCtx(3, 2)
     f = parse_poly("2*t1^1+1", ctx, 1)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -11,7 +12,8 @@ from pmconn.dops import (DiffOp, op_apply, op_mul, level_change,
                          multi_indices, multi_indices_upto, PDElement,
                          pd_gamma, taylor_series, check_taylor_cocycle,
                          check_taylor_inverse, tau_transition, verify_tau,
-                         phi_rank_check, TruncationOverflow, _apply_single)
+                         phi_rank_check, TruncationOverflow, _apply_single,
+                         theta_table)
 from pmconn.frobenius import level_raise
 
 
@@ -31,6 +33,11 @@ def _rand_op(rng, ctx, d, m, order):
             _rand_poly(rng, ctx, d, 1))
     return acc
 
+
+# recorded with the per-term operator kernel this package used before op_mul
+# and op_apply worked on monomials
+OPERATOR_DIGEST = (
+    "82889f00da7fbb69d935bc3b06eede0e12db8e5c6cda40513a1c89cd918ddf08")
 
 grid = st.tuples(st.sampled_from([2, 3]),
                  st.integers(min_value=1, max_value=3),
@@ -105,6 +112,117 @@ def test_op_mul_matches_reference(args, d):
     f = _rand_poly(rng, ctx, d, 3)
     for l in itertools.product(range(4), repeat=d):
         assert _apply_single(l, f, m) == _apply_single_reference(l, f, m)
+
+
+def _op_apply_reference(P, f):
+    """The action of P on f, one Laurent product and sum per term of P."""
+    out = LaurentPoly.zero(f.ctx, f.d)
+    for l, c in P.terms:
+        out = out + c * _apply_single_reference(l, f, P.m)
+    return out
+
+
+def _level_change_reference(P, m_new):
+    """rho_{-m',-m}, scaling each coefficient by p^{(m-m')|l|}."""
+    p = P.ctx.p
+    return DiffOp.from_dict(
+        P.ctx, P.d, m_new,
+        {l: c * p ** ((P.m - m_new) * sum(l)) for l, c in P.terms})
+
+
+@given(grid, st.sampled_from([1, 2]))
+@settings(max_examples=80, deadline=None)
+def test_op_apply_and_level_change_match_reference(args, d):
+    p, n, m, seed = args
+    ctx = RingCtx(p, n)
+    rng = random.Random(seed)
+    P = _rand_op_terms(rng, ctx, d, m, 3, 3)
+    f = _rand_poly(rng, ctx, d, 3)
+    assert op_apply(P, f) == _op_apply_reference(P, f)
+    for m_new in range(m + 1):
+        assert level_change(P, m_new).terms == \
+            _level_change_reference(P, m_new).terms
+
+
+def _integrable_catalog(rng, ctx, m):
+    """Integrable connections whose theta powers do not vanish at once: rank 1
+    and d = 2 with the exact, non-constant theta_i = p^(m+1) t_i d_i g, and
+    rank 2 with the commuting nilpotent constants [[0, u_i p^(i-1)], [0, 0]]
+    for d = 1 and d = 2."""
+    p = ctx.p
+    g = _rand_poly(rng, ctx, 2, 3)
+    out = [Connection.rank1(ctx, 2, m, [g.log_partial(i) * p ** (m + 1)
+                                        for i in (1, 2)])]
+    for d in (1, 2):
+        z = LaurentPoly.zero(ctx, d)
+        out.append(Connection(ctx, d, m, 2, tuple(
+            ((z, LaurentPoly.const(ctx, d, rng.randrange(1, ctx.modulus)
+                                   * p ** i)), (z, z)) for i in range(d))))
+    return out
+
+
+def _operator_digest():
+    """SHA-256 over op_mul, op_apply and theta_power_apply_dt results for 360
+    seeded random operators, polynomials and integrable connections."""
+    h = hashlib.sha256()
+    rng = random.Random("operator-kernel-digest")
+    for _ in range(360):
+        p, n, m = rng.choice((2, 3, 5)), rng.randint(1, 3), rng.randint(0, 2)
+        d = rng.randint(1, 2)
+        ctx = RingCtx(p, n)
+        P = _rand_op_terms(rng, ctx, d, m, 3, 3)
+        Q = _rand_op_terms(rng, ctx, d, m, 3, 3)
+        f = _rand_poly(rng, ctx, d, 3)
+        C = rng.choice(_integrable_catalog(rng, ctx, m))
+        v = tuple(_rand_poly(rng, ctx, C.d, 2) for _ in range(C.rank))
+        k = tuple(rng.randint(0, 3) for _ in range(C.d))
+        h.update(repr((
+            tuple((l, c.terms) for l, c in op_mul(P, Q).terms),
+            op_apply(P, f).terms,
+            tuple(x.terms for x in C.theta_power_apply_dt(k, v)),
+        )).encode())
+    return h.hexdigest()
+
+
+def test_operator_digest_is_stable():
+    assert _operator_digest() == OPERATOR_DIGEST
+
+
+@pytest.mark.parametrize("p, n, m", [(2, 3, 0), (2, 4, 1), (3, 2, 0),
+                                     (3, 3, 1), (5, 2, 1)])
+def test_theta_table_matches_theta_powers(p, n, m):
+    ctx = RingCtx(p, n)
+    rng = random.Random(f"theta-table:{p}:{n}:{m}")
+    K = 4
+    nonzero = 0
+    for C in _integrable_catalog(rng, ctx, m):
+        for v in [C.basis_vector(j) for j in range(C.rank)] + [
+                tuple(_rand_poly(rng, ctx, C.d, 3) for _ in range(C.rank))]:
+            table = theta_table(C, v, K)
+            assert sorted(table) == sorted(multi_indices_upto(C.d, K))
+            for k in multi_indices_upto(C.d, K):
+                assert table[k] == C.theta_power_apply_dt(k, v)
+                nonzero += sum(k) > 0 and any(not x.is_zero()
+                                              for x in table[k])
+    assert nonzero
+
+
+def test_non_integrable_theta_powers_raise_every_time():
+    # d = 2, rank 1, theta = (0, t_1) at level 0: the curvature t_1 d_1(t_1)
+    # is t_1, so the cached verdict is False and must keep raising
+    ctx = RingCtx(3, 2)
+    C = Connection.rank1(ctx, 2, 0, [LaurentPoly.zero(ctx, 2),
+                                     LaurentPoly.var(ctx, 2, 1)])
+    e = C.basis_vector(0)
+    calls = (lambda: C.theta_power_apply((1, 0), e),
+             lambda: C.theta_power_apply_dt((1, 0), e),
+             lambda: taylor_series(C, e, 2),
+             lambda: theta_table(C, e, 2))
+    for call in calls:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                call()
+    assert C.is_integrable() is False
 
 
 @given(grid)
