@@ -130,7 +130,8 @@ def compute_H(C, i, D, stability=True):
         raise ValueError(f"degree {i} out of range for d = {C.d}")
     n = C.ctx.n
     p = C.ctx.p
-    reach = max([0] + [sum(abs(x) for x in u) for u in _theta_shifts(C)])
+    shifts = _theta_shifts(C) | {(0,) * C.d}
+    reach = max(sum(abs(x) for x in u) for u in shifts)
     entries = []
     for comp in weight_components(C, D):
         comp_set = set(comp)
@@ -140,7 +141,7 @@ def compute_H(C, i, D, stability=True):
         # extended target basis so that the kernel at the middle window is
         # computed without truncation loss
         ext = sorted({tuple(a + b for a, b in zip(w, u))
-                      for w in comp for u in (_theta_shifts(C) | {(0,) * C.d})})
+                      for w in comp for u in shifts})
         out_basis = _form_basis(ext, C.rank, C.d, i + 1)
         B, _ = _boundary_matrix(C, mid, out_basis)
         if i == 0:

@@ -3,17 +3,20 @@ lattices, exact solves, homology of finite p-group complexes, and connected
 components.
 
 ``snf_int`` diagonalises over Z or over Z/p^N in one sparse elimination loop.
-Homology of a complex of finite p-groups is one Smith form over Z/p^{N+1} of
-the middle relations lifted into the kernel of the outgoing map, N the largest
-middle order.  Every invariant of the homology has p-valuation at most N, so
-the reduction mod p^{N+1} loses none of them, and entries never grow past
+It reads each pivot off the rows' least keys, kept up to date for the rows a
+step changes, and builds U and V only for callers that read them.  Homology of
+a complex of finite p-groups is one Smith form over Z/p^{N+1} of the middle
+relations lifted into the kernel of the outgoing map, N the largest middle
+order.  Every invariant of the homology has p-valuation at most N, so the
+reduction mod p^{N+1} loses none of them, and entries never grow past
 p^{N+1}.  Elementary divisors are reported as lists of p-exponents.  Only the
 multiset of p-valuations of a diagonal form is ever needed, not the divisor
-chain, so the Smith form skips the divisibility fix-up.
+chain, so the Smith form skips the divisibility fix-up and the transforms.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd
 
 from .arith import int_val_p
@@ -52,75 +55,70 @@ def _axpy(dst, src, k, q):
             dst.pop(j, None)
 
 
-def _pivot(rows, active, key):
-    """(row, column) of the first entry of least key among the active rows."""
-    best = piv = None
-    for i in active:
-        for j, x in rows[i].items():
-            k = key(x)
-            if best is None or k < best:
-                if k == 1:
-                    return i, j
-                best, piv = k, (i, j)
-    return piv
-
-
-def snf_int(M, q=0):
+def snf_int(M, q=0, *, transforms=True):
     """Diagonalize M over Z/qZ by invertible row and column operations, where
     q = 0 means over Z and any other q is a prime power p^N.
 
     Returns dense (U, D, V) with U*M*V = D (congruent mod q), D diagonal with
     its nonzero entries first, and U, V invertible (mod p).  There is no
-    divisibility chain.  Rows of D and U are dicts and V is kept by columns,
-    so a sparse M stays cheap.  The pivot is an entry of least gcd(x, q):
-    least |x| over Z, where Euclidean remainders send the search round again,
-    and least p-valuation over Z/p^N, which divides every other entry, so one
-    modular inverse clears its row and column.
+    divisibility chain.  With transforms=False, U and V are never built and
+    come back as empty lists; D is the same.  Rows of D and U are dicts and V
+    is kept by columns, so a sparse M stays cheap.
+
+    The pivot is the first entry of least key gcd(x, q) in the first row that
+    holds one: least |x| over Z, where Euclidean remainders send the search
+    round again, and least p-valuation over Z/p^N, which divides every other
+    entry, so one modular inverse clears its row and column.  Each row keeps
+    its least key, recomputed only for the rows a step changes, so finding a
+    pivot is one pass over the rows, not over the entries.
     """
     r = len(M)
     c = len(M[0]) if r else 0
     if q:
-        rows = [{j: x % q for j, x in enumerate(row) if x % q} for row in M]
+        rows = [{j: x % q for j, x in enumerate(row) if x and x % q}
+                for row in M]
     else:
         rows = [{j: x for j, x in enumerate(row) if x} for row in M]
-    U = [{i: 1} for i in range(r)]
-    V = [{j: 1} for j in range(c)]
-    key = (lambda x: gcd(x, q)) if q else abs
-    active = [i for i in range(r) if rows[i]]
+    U = [{i: 1} for i in range(r)] if transforms else []
+    V = [{j: 1} for j in range(c)] if transforms else []
+    done = float("inf")
+
+    def least(row):
+        return min(map(gcd, row.values(), repeat(q)), default=done)
+
+    mins = [least(row) for row in rows]
     pivots = []
-    while True:
-        piv = _pivot(rows, active, key)
-        if piv is None:
-            break
-        i0, j0 = piv
+    while (k0 := min(mins, default=done)) != done:
+        i0 = mins.index(k0)
         row0 = rows[i0]
+        j0 = next(j for j, y in row0.items() if gcd(y, q) == k0)
         x = row0[j0]
         if q:
-            g = gcd(x, q)
-            inv = pow(x // g, -1, q)
+            inv = pow(x // k0, -1, q)
 
             def quot(y):
-                return y // g * inv % q
+                return y // k0 * inv % q
         else:
             def quot(y):
                 return y // x
         # clear column j0 by row operations, then row i0 by column operations;
         # over Z a nonzero remainder is a smaller pivot for the next round
         clean = True
-        for i in active:
+        for i in [i for i, Di in enumerate(rows) if j0 in Di and i != i0]:
             Di = rows[i]
-            if i != i0 and j0 in Di:
-                k = -quot(Di[j0])
-                _axpy(Di, row0, k, q)
+            k = -quot(Di[j0])
+            _axpy(Di, row0, k, q)
+            if transforms:
                 _axpy(U[i], U[i0], k, q)
-                if j0 in Di:
-                    clean = False
+            clean = clean and j0 not in Di
+            mins[i] = least(Di)
         if not clean:
             continue
         for j, y in list(row0.items()):
             if j != j0:
                 k = quot(y)
-                _axpy(V[j], V[j0], -k, q)
+                if transforms:
+                    _axpy(V[j], V[j0], -k, q)
                 rem = (y - k * x) % q if q else y - k * x
                 if rem:
                     row0[j] = rem
@@ -128,8 +126,13 @@ def snf_int(M, q=0):
                 else:
                     del row0[j]
         if clean:
-            pivots.append(piv)
-            active = [i for i in active if i != i0 and rows[i]]
+            pivots.append((i0, j0))
+        mins[i0] = done if clean else least(row0)
+    D = [[0] * c for _ in range(r)]
+    for t, (i, j) in enumerate(pivots):
+        D[t][t] = rows[i][j]
+    if not transforms:
+        return U, D, V
     # pivots first, the rest (zero in D) after them in their original order
     order_r = [i for i, _ in pivots]
     order_r += sorted(set(range(r)) - set(order_r))
@@ -143,9 +146,6 @@ def snf_int(M, q=0):
     for t, j in enumerate(order_c):
         for k, y in V[j].items():
             Vd[k][t] = y
-    D = [[0] * c for _ in range(r)]
-    for t, (i, j) in enumerate(pivots):
-        D[t][t] = rows[i][j]
     return Ud, D, Vd
 
 
@@ -255,7 +255,7 @@ def homology_divisors(A, B, orders_mid, orders_out, p, cap):
             if lift:
                 Y.setdefault(j, [0] * len(rels))[col] = -lift
     S.extend(Y[j] for j in sorted(Y))
-    _, D, _ = snf_int(S, p ** (max(orders_mid) + 1))
+    _, D, _ = snf_int(S, p ** (max(orders_mid) + 1), transforms=False)
     return diagonal_p_exponents(D[:b], p, cap)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -136,3 +137,29 @@ def test_dt_basis_is_converted():
     C = connection_from_json(obj)
     # theta dt = theta * t dlog t
     assert C.theta[0][0][0].coeff((1,)) == 1
+
+
+# SHA-256 of `pmconn cohomology FILE --window W --format json` for rank-1,
+# d = 2 connections over Z/27 at level 1 whose theta shifts weights, so the
+# whole window is one weight component and one large Smith form per degree.
+COUPLED_COHOMOLOGY_SHA256 = [
+    (["3*t1^1", "3*t2^-1"], 4,
+     "26fd78d7d6ed019bb7b81259ec734bd055c76e91fe00196c5f3eb4ff858ca182"),
+    (["3*t1^1", "3*t2^-1"], 6,
+     "a15d0227dc526d6de467ddbd9949fdd4cf16838c23d1aafcabdfdaf9842fc891"),
+    (["15*t1+3*t1^-1", "15*t2+3*t2^-1"], 3,
+     "4db2edda4af50c2cf11076380db8f0a455269027da7c3ea0b8fcb572f9cb3027"),
+]
+
+
+@pytest.mark.parametrize("theta,window,digest", COUPLED_COHOMOLOGY_SHA256,
+                         ids=["A-window4", "A-window6", "B-window3"])
+def test_coupled_cohomology_output_is_pinned(tmp_path, capsys, theta,
+                                             window, digest):
+    f = _write(tmp_path, "coupled.json",
+               {"p": 3, "n": 3, "m": 1, "d": 2, "rank": 1, "basis": "dlog",
+                "theta": [[[g]] for g in theta]})
+    code, out, _ = run(capsys, "cohomology", f, "--window", str(window),
+                       "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,4 +1,6 @@
 import itertools
+import signal
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +94,131 @@ def test_snf_mod_prime_power_matches_enumeration(args):
     image = _span([[row[j] for row in M] for j in range(c)], [N] * r, p)
     assert q ** r == len(image) * p ** total
 
+
+
+# -- reference Smith form ------------------------------------------------------
+
+
+def _axpy_reference(dst, src, k, q):
+    for j, x in src.items():
+        y = dst.get(j, 0) + k * x
+        if q:
+            y %= q
+        if y:
+            dst[j] = y
+        else:
+            dst.pop(j, None)
+
+
+def _snf_int_reference(M, q=0):
+    """The Smith form with the pivot found by rescanning every active entry:
+    the first entry of least gcd(x, q), rows in order, each row in its
+    dict order.  snf_int must pick the same pivots and so return the same
+    (U, D, V)."""
+    r = len(M)
+    c = len(M[0]) if r else 0
+    if q:
+        rows = [{j: x % q for j, x in enumerate(row) if x % q} for row in M]
+    else:
+        rows = [{j: x for j, x in enumerate(row) if x} for row in M]
+    U = [{i: 1} for i in range(r)]
+    V = [{j: 1} for j in range(c)]
+    active = [i for i in range(r) if rows[i]]
+    pivots = []
+    while True:
+        best = piv = None
+        for i in active:
+            for j, x in rows[i].items():
+                if best is None or gcd(x, q) < best:
+                    best, piv = gcd(x, q), (i, j)
+        if piv is None:
+            break
+        i0, j0 = piv
+        row0 = rows[i0]
+        x = row0[j0]
+        if q:
+            inv = pow(x // best, -1, q)
+
+            def quot(y):
+                return y // best * inv % q
+        else:
+            def quot(y):
+                return y // x
+        clean = True
+        for i in active:
+            Di = rows[i]
+            if i != i0 and j0 in Di:
+                k = -quot(Di[j0])
+                _axpy_reference(Di, row0, k, q)
+                _axpy_reference(U[i], U[i0], k, q)
+                if j0 in Di:
+                    clean = False
+        if not clean:
+            continue
+        for j, y in list(row0.items()):
+            if j != j0:
+                k = quot(y)
+                _axpy_reference(V[j], V[j0], -k, q)
+                rem = (y - k * x) % q if q else y - k * x
+                if rem:
+                    row0[j] = rem
+                    clean = False
+                else:
+                    del row0[j]
+        if clean:
+            pivots.append(piv)
+            active = [i for i in active if i != i0 and rows[i]]
+    order_r = [i for i, _ in pivots]
+    order_r += sorted(set(range(r)) - set(order_r))
+    order_c = [j for _, j in pivots]
+    order_c += sorted(set(range(c)) - set(order_c))
+    Ud = [[U[i].get(k, 0) for k in range(r)] for i in order_r]
+    Vd = [[V[j].get(k, 0) for j in order_c] for k in range(c)]
+    D = [[0] * c for _ in range(r)]
+    for t, (i, j) in enumerate(pivots):
+        D[t][t] = rows[i][j]
+    return Ud, D, Vd
+
+
+@st.composite
+def snf_inputs(draw):
+    """(M, q): q = 0 or p^N with p in {2, 3} and N <= 4, M at most 8 x 8 and
+    sparse or dense; with no_unit every entry is divisible by p, so every
+    pivot is found by comparing keys rather than by the first unit."""
+    p = draw(st.sampled_from([2, 3]))
+    N = draw(st.integers(1, 4))
+    q = draw(st.sampled_from([0, p ** N]))
+    r = draw(st.integers(1, 8))
+    c = draw(st.integers(1, 8))
+    low = 1 if draw(st.booleans()) else 0
+    entry = st.one_of(
+        st.just(0),
+        st.builds(lambda u, k: u * p ** k, st.integers(-2 * p ** N, 2 * p ** N),
+                  st.integers(low, N)))
+    M = draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                      min_size=r, max_size=r))
+    return M, q
+
+
+def _time_out(signum, frame):
+    raise TimeoutError("snf_int did not finish within a second")
+
+
+@settings(max_examples=400, deadline=None)
+@given(snf_inputs())
+def test_snf_matches_reference_pivots(args):
+    # a pivot search misled by a stale row key can cycle for ever, so each
+    # call gets a second (an 8 x 8 form takes well under a millisecond)
+    M, q = args
+    U, D, V = _snf_int_reference([row[:] for row in M], q)
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        assert snf_int(M, q) == (U, D, V)
+        assert snf_int(M, q, transforms=False) == ([], D, [])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 @given(int_mats(3, 4, bound=9),
        st.sampled_from([2, 3, 5]),
