@@ -5,14 +5,17 @@ The log basis makes every boundary map block-diagonal over the torus
 character (weight) grading whenever the connection matrices are constant;
 general Laurent entries couple weights in a band whose width is the max
 log-degree of the entries, and the window truncation is exact on interior
-components.  Homology groups are finite p-groups, reported as lists of
-p-exponents of their elementary divisors.
+components.  Blocks are assembled from a plan of the connection's terms,
+built once per call and degree, and each translation class of components,
+keyed by its shape and p^m w mod p^n, is solved once per call.  Homology
+groups are finite p-groups, reported as p-exponents of elementary divisors.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add, sub
 
 from .arith import int_val_p
 from .connection import internal_hom
@@ -68,37 +71,51 @@ def _form_basis(weights, rank, d, q):
     return [(w, j, S) for w in weights for j in range(rank) for S in subsets]
 
 
-def _boundary_matrix(C, basis_in, basis_out, D_keep=None):
+def _boundary_plan(C, q):
+    """Per form (j, S) of degree q, the terms of nabla on t^w e_j dlog t_S:
+    (u, b, S2, c) for c t^(w+u) e_b dlog t_S2 and (axis, j, S2, sign) for
+    sign * p^m w_axis t^w e_j dlog t_S2, the only coefficients that vary."""
+    plan = {}
+    for j in range(C.rank):
+        for S in itertools.combinations(range(1, C.d + 1), q):
+            terms, diag = [], []
+            for i in range(1, C.d + 1):
+                if i in S:
+                    continue
+                S2 = tuple(sorted(S + (i,)))
+                sign = -1 if sum(1 for s in S if s < i) % 2 else 1
+                for b in range(C.rank):
+                    terms.extend((u, b, S2, sign * cu)
+                                 for u, cu in C.theta[i - 1][b][j].terms)
+                diag.append((i - 1, j, S2, sign))
+            plan[j, S] = (terms, diag)
+    return plan
+
+
+def _boundary_matrix(C, plan, basis_in, basis_out):
     """Integer matrix of nabla_q from basis_in to basis_out, in the log
-    basis.  Also returns, per column, whether any image term fell outside
-    basis_out (window leakage)."""
-    pos = {b: k for k, b in enumerate(basis_out)}
+    basis, walked from the degree-q plan.  Also returns, per column, whether
+    any image term fell outside basis_out (window leakage)."""
+    row_of = {b: k for k, b in enumerate(basis_out)}.get
     pm = C.p_to_m()
     rows = [[0] * len(basis_in) for _ in basis_out]
     leaks = [False] * len(basis_in)
     for col, (w, j, S) in enumerate(basis_in):
-        for i in range(1, C.d + 1):
-            if i in S:
-                continue
-            S2 = tuple(sorted(S + (i,)))
-            sign = -1 if sum(1 for s in S if s < i) % 2 else 1
-            # theta_i on t^w e_j: matrix part plus p^m w_i on the diagonal
-            for b in range(C.rank):
-                f = C.theta[i - 1][b][j]
-                for u, cu in f.terms:
-                    w2 = tuple(a + x for a, x in zip(w, u))
-                    key = (w2, b, S2)
-                    if key in pos:
-                        rows[pos[key]][col] += sign * cu
-                    else:
-                        leaks[col] = True
-            c = pm * w[i - 1]
+        terms, diag = plan[j, S]
+        for u, b, S2, c in terms:
+            r = row_of((tuple(map(add, w, u)), b, S2))
+            if r is None:
+                leaks[col] = True
+            else:
+                rows[r][col] += c
+        for axis, jj, S2, sign in diag:
+            c = pm * w[axis]
             if c:
-                key = (w, j, S2)
-                if key in pos:
-                    rows[pos[key]][col] += sign * c
-                else:
+                r = row_of((w, jj, S2))
+                if r is None:
                     leaks[col] = True
+                else:
+                    rows[r][col] += sign * c
     return rows, leaks
 
 
@@ -115,7 +132,7 @@ def de_rham_complex(C, D):
     for q in range(C.d):
         bin_ = _form_basis(weights, C.rank, C.d, q)
         bout = _form_basis(weights, C.rank, C.d, q + 1)
-        M, leaks = _boundary_matrix(C, bin_, bout)
+        M, leaks = _boundary_matrix(C, _boundary_plan(C, q), bin_, bout)
         out.append({"q": q, "source": bin_, "target": bout,
                     "matrix": M, "leaks": leaks})
     return out
@@ -132,30 +149,39 @@ def compute_H(C, i, D, stability=True):
     p = C.ctx.p
     shifts = _theta_shifts(C) | {(0,) * C.d}
     reach = max(sum(abs(x) for x in u) for u in shifts)
+    pm = C.p_to_m()
+    plan = _boundary_plan(C, i)
+    plan_src = _boundary_plan(C, i - 1) if i else None
+    # A translate of a component has the same blocks mod p^n: the bases and
+    # the leaking columns move with it, theta's coefficients do not depend on
+    # w, and the diagonal p^m w_i mod p^n is fixed by the key.  The memo is
+    # local to this call so that the stability pass below computes its own
+    # blocks; sharing it would compare every interior component with itself.
+    solved = {}
     entries = []
     for comp in weight_components(C, D):
-        comp_set = set(comp)
-        mid = _form_basis(comp, C.rank, C.d, i)
-        if not mid:
-            continue
-        # extended target basis so that the kernel at the middle window is
-        # computed without truncation loss
-        ext = sorted({tuple(a + b for a, b in zip(w, u))
-                      for w in comp for u in shifts})
-        out_basis = _form_basis(ext, C.rank, C.d, i + 1)
-        B, _ = _boundary_matrix(C, mid, out_basis)
-        if i == 0:
-            A = [[] for _ in mid]
-        else:
-            src = _form_basis(comp, C.rank, C.d, i - 1)
-            A_full, leaks = _boundary_matrix(C, src, mid)
-            keep = [c for c in range(len(src)) if not leaks[c]]
-            A = [[A_full[r][c] for c in keep] for r in range(len(mid))]
-        divisors = homology_divisors(A, B, [n] * len(mid),
-                                     [n] * len(out_basis), p, n)
-        if divisors:
-            entries.append({"w": min(comp), "weights": comp,
-                            "divisors": divisors})
+        w0 = comp[0]
+        key = (tuple(tuple(map(sub, w, w0)) for w in comp),
+               tuple(pm * x % C.ctx.modulus for x in w0))
+        if key not in solved:
+            mid = _form_basis(comp, C.rank, C.d, i)
+            # extended target basis so that the kernel at the middle window
+            # is computed without truncation loss
+            ext = sorted({tuple(map(add, w, u)) for w in comp for u in shifts})
+            out_basis = _form_basis(ext, C.rank, C.d, i + 1)
+            B, _ = _boundary_matrix(C, plan, mid, out_basis)
+            if i == 0:
+                A = [[] for _ in mid]
+            else:
+                src = _form_basis(comp, C.rank, C.d, i - 1)
+                A_full, leaks = _boundary_matrix(C, plan_src, src, mid)
+                keep = [c for c in range(len(src)) if not leaks[c]]
+                A = [[A_full[r][c] for c in keep] for r in range(len(mid))]
+            solved[key] = homology_divisors(A, B, [n] * len(mid),
+                                            [n] * len(out_basis), p, n)
+        if solved[key]:
+            entries.append({"w": w0, "weights": comp,
+                            "divisors": list(solved[key])})
     entries.sort(key=lambda e: e["w"])
     free_rank = sum(1 for e in entries for x in e["divisors"] if x == n)
     stable = True
@@ -321,7 +347,10 @@ def compare_theorem25(C, F, presentation, D):
         for i in range(d) for a in range(C.rank) for b in range(C.rank))
     if not result["zero_twist_is_original"]:
         result["pass"] = False
-    W = p * D + p
+    # H_LR is read only at u = p*w + a, inside [-p*D, p*D + p - 1]^d.  LR
+    # keeps C's constant matrices, so each weight is its own component and
+    # H_LR at u does not depend on the window: a wider one only adds work.
+    W = p * D + p - 1
     for i in range(d + 1):
         H_LR = compute_H(LR, i, W, stability=False).by_weight()
         findings = {"decomposition": True, "bound": True, "h0": True,

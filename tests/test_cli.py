@@ -163,3 +163,25 @@ def test_coupled_cohomology_output_is_pinned(tmp_path, capsys, theta,
                        "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of `pmconn cohomology FILE --format json` for a rank-2, d = 2
+# connection with constant nilpotent matrices: weight-preserving, so every
+# weight is its own component and many components are translates.
+SPLIT_COHOMOLOGY_SHA256 = [
+    ([], "ca55dda7508bcf82e5031e74f7804dac709a056e323559c20f1897d9708e3da8"),
+    (["--window", "4"],
+     "6a848a4eae299797c686ecbdd791d25785c5ac2904169611fdefccd64faadd4a"),
+]
+
+
+@pytest.mark.parametrize("flags,digest", SPLIT_COHOMOLOGY_SHA256,
+                         ids=["default-window", "window4"])
+def test_split_cohomology_output_is_pinned(tmp_path, capsys, flags, digest):
+    f = _write(tmp_path, "split.json",
+               {"p": 3, "n": 3, "m": 1, "d": 2, "rank": 2, "basis": "dlog",
+                "theta": [[["0", "5"], ["0", "0"]],
+                          [["0", "6"], ["0", "0"]]]})
+    code, out, _ = run(capsys, "cohomology", f, *flags, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

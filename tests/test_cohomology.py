@@ -1,7 +1,9 @@
+import hashlib
+import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pmconn.arith import RingCtx
 from pmconn.laurent import LaurentPoly, FrobLift, parse_poly
@@ -9,7 +11,9 @@ from pmconn.connection import (Connection, gauge, ExtensionPresentation,
                                mat_matmul)
 from pmconn.cohomology import (compute_H, de_rham_complex, weight_components,
                                hom_space, rank1_trivial_test,
-                               compare_theorem25, higgs_vanishing)
+                               compare_theorem25, higgs_vanishing,
+                               CohomologyReport, _form_basis, _theta_shifts)
+from pmconn.linalg import homology_divisors
 
 
 def _rand_poly(rng, ctx, d, terms, deg=2):
@@ -177,3 +181,176 @@ def test_weight_components_split_by_theta_support():
     # no coupling: five singleton components
     assert sorted(c[0] for c in comps) == [(-2,), (-1,), (0,), (1,), (2,)]
     assert all(len(c) == 1 for c in comps)
+
+
+# -- reference: every block built term by term, every component solved -------
+
+
+def _boundary_matrix_reference(C, basis_in, basis_out):
+    pos = {b: k for k, b in enumerate(basis_out)}
+    pm = C.p_to_m()
+    rows = [[0] * len(basis_in) for _ in basis_out]
+    leaks = [False] * len(basis_in)
+    for col, (w, j, S) in enumerate(basis_in):
+        for i in range(1, C.d + 1):
+            if i in S:
+                continue
+            S2 = tuple(sorted(S + (i,)))
+            sign = -1 if sum(1 for s in S if s < i) % 2 else 1
+            for b in range(C.rank):
+                for u, cu in C.theta[i - 1][b][j].terms:
+                    key = (tuple(a + x for a, x in zip(w, u)), b, S2)
+                    if key in pos:
+                        rows[pos[key]][col] += sign * cu
+                    else:
+                        leaks[col] = True
+            c = pm * w[i - 1]
+            if c:
+                key = (w, j, S2)
+                if key in pos:
+                    rows[pos[key]][col] += sign * c
+                else:
+                    leaks[col] = True
+    return rows, leaks
+
+
+def _compute_H_reference(C, i, D, stability=True):
+    n, p = C.ctx.n, C.ctx.p
+    shifts = _theta_shifts(C) | {(0,) * C.d}
+    reach = max(sum(abs(x) for x in u) for u in shifts)
+    entries = []
+    for comp in weight_components(C, D):
+        mid = _form_basis(comp, C.rank, C.d, i)
+        ext = sorted({tuple(a + b for a, b in zip(w, u))
+                      for w in comp for u in shifts})
+        out_basis = _form_basis(ext, C.rank, C.d, i + 1)
+        B, _ = _boundary_matrix_reference(C, mid, out_basis)
+        if i == 0:
+            A = [[] for _ in mid]
+        else:
+            src = _form_basis(comp, C.rank, C.d, i - 1)
+            A_full, leaks = _boundary_matrix_reference(C, src, mid)
+            keep = [c for c in range(len(src)) if not leaks[c]]
+            A = [[A_full[r][c] for c in keep] for r in range(len(mid))]
+        divisors = homology_divisors(A, B, [n] * len(mid),
+                                     [n] * len(out_basis), p, n)
+        if divisors:
+            entries.append({"w": min(comp), "weights": comp,
+                            "divisors": divisors})
+    entries.sort(key=lambda e: e["w"])
+    free_rank = sum(1 for e in entries for x in e["divisors"] if x == n)
+    stable = True
+    if stability:
+        big = _compute_H_reference(C, i, D + 2, stability=False).by_weight()
+        for e in entries:
+            if max(abs(x) for w in e["weights"] for x in w) + reach > D:
+                continue
+            if big.get(tuple(e["w"])) != e["divisors"]:
+                stable = False
+    return CohomologyReport(i, D, entries, free_rank, stable)
+
+
+@st.composite
+def _split_connections(draw):
+    """Integrable connections from three families: d = 1 rank 1 with Laurent
+    theta; d = 2 rank 1 with theta_i a Laurent polynomial in t_i alone; d = 2
+    with constant nilpotent rank-2 matrices.  m ranges past n, so Higgs
+    fields (p^m = 0) are drawn too."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 3))
+    ctx = RingCtx(p, n)
+    coeff = st.integers(0, ctx.modulus - 1)
+    family = draw(st.sampled_from(["d1", "d2-axis", "d2-nilpotent"]))
+    if family == "d2-nilpotent":
+        zero = LaurentPoly.zero(ctx, 2)
+        theta = tuple(((zero, LaurentPoly.const(ctx, 2, draw(coeff))),
+                       (zero, zero)) for _ in range(2))
+        return Connection(ctx, 2, m, 2, theta)
+    d = 1 if family == "d1" else 2
+    thetas = []
+    for axis in range(d):
+        terms = draw(st.dictionaries(st.integers(-2, 2), coeff, max_size=3))
+        thetas.append(LaurentPoly.from_dict(
+            ctx, d, {tuple(k if a == axis else 0 for a in range(d)): c
+                     for k, c in terms.items()}))
+    return Connection.rank1(ctx, d, m, thetas)
+
+
+def _even_shift_higgs():
+    # theta_1 = t_1^2 and theta_2 = 2 t_2^-2 over Z/4 in the Higgs range: the
+    # window [-2, 2]^2 splits by parity into components of sizes 9, 6, 6 and
+    # 4.  The two of size 6, a 3x2 and a 2x3 grid, share p^m w mod p^n but
+    # are not translates, and their H^2 differ, so a key without the offsets
+    # gives a wrong answer here.
+    ctx = RingCtx(2, 2)
+    thetas = [LaurentPoly.monomial(ctx, 2, (2, 0), 1),
+              LaurentPoly.monomial(ctx, 2, (0, -2), 2)]
+    return Connection.rank1(ctx, 2, 2, thetas)
+
+
+@given(_split_connections(), st.integers(1, 3), st.booleans())
+@example(_even_shift_higgs(), 2, False)
+@settings(max_examples=100, deadline=None)
+def test_compute_H_matches_reference(C, D, stability):
+    for i in range(C.d + 1):
+        got = compute_H(C, i, D, stability=stability)
+        want = _compute_H_reference(C, i, D, stability=stability)
+        assert got.as_dict() == want.as_dict()
+        assert (got.free_rank, got.stable) == (want.free_rank, want.stable)
+        assert [e["weights"] for e in got.entries] == \
+            [e["weights"] for e in want.entries]
+    for block in de_rham_complex(C, D):
+        assert (block["matrix"], block["leaks"]) == _boundary_matrix_reference(
+            C, block["source"], block["target"])
+
+
+def test_compute_H_entries_own_their_divisors():
+    # translates share one solve; each entry must still get its own list
+    ctx = RingCtx(3, 2)
+    rep = compute_H(Connection.trivial(ctx, 1, 2), 0, 3, stability=False)
+    rep.entries[0]["divisors"].append(99)
+    assert all(e["divisors"] == [2] for e in rep.entries[1:])
+
+
+def test_stability_pass_solves_its_own_blocks(monkeypatch):
+    # Force homology in the bigger window to disagree: the interior weight 0
+    # must then come out unstable.  A memo shared between the two windows
+    # would answer the bigger one from the first and hide the disagreement.
+    from pmconn import cohomology
+    real = cohomology.compute_H
+
+    def bigger_window(C, i, D, stability=True):
+        monkeypatch.setattr(cohomology, "homology_divisors", lambda *a: [1])
+        return real(C, i, D, stability)
+
+    monkeypatch.setattr(cohomology, "compute_H", bigger_window)
+    C = Connection.trivial(RingCtx(3, 2), 1, 0)
+    assert real(C, 0, 6).stable is False
+
+
+# SHA-256 of json.dumps(compare_theorem25(...), sort_keys=True) for rank-2,
+# d = 2 connections theta_i = [[0, e_i], [0, 0]] along the pure lift.  They
+# are weight-preserving, so every component is a single weight.
+THEOREM25_SHA256 = [
+    ((3, 3, 1, 3), (5, 6),
+     "9f0ec1ed69288cafdbd534f3cd0b54e8b0953869c286ed1a2aba972a117a1b6c"),
+    ((2, 3, 2, 4), (3, 2),
+     "deabf183bbbae91ae10c18a8c9a2621284df38bc53761af87f6041abf9ff9d80"),
+]
+
+
+@pytest.mark.parametrize("params,e,digest", THEOREM25_SHA256,
+                         ids=["p3-n3-m1-D3", "p2-n3-m2-D4"])
+def test_compare_theorem25_d2_is_pinned(params, e, digest):
+    p, n, m, D = params
+    ctx = RingCtx(p, n)
+    zero = LaurentPoly.zero(ctx, 2)
+    theta = tuple(((zero, LaurentPoly.const(ctx, 2, x)), (zero, zero))
+                  for x in e)
+    C = Connection(ctx, 2, m, 2, theta)
+    P = ExtensionPresentation(C, (1, 1), ("trivial", "trivial"))
+    rep = compare_theorem25(C, FrobLift.pure(ctx, 2), P, D)
+    assert rep["pass"]
+    assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()) \
+        .hexdigest() == digest
