@@ -492,6 +492,20 @@ def suite_witt_compare(opts):
     return "Witt-side level-raise cohomology comparison", cases
 
 
+# The grid flags each suite reads; cmd_check rejects the others rather than
+# ignore them.
+SUITE_FLAGS = {
+    "prop4": ("p", "n", "m", "d"),
+    "taylor-cocycle": ("p", "n", "m"),
+    "tau": ("p", "n", "m"),
+    "level-raise": ("p", "n", "m"),
+    "descent": ("p", "n"),
+    "theorem25": ("p", "n", "m"),
+    "ov-example": ("p", "n"),
+    "witt-identities": ("p", "n"),
+    "witt-compare": ("p", "n", "m"),
+}
+
 SUITES = {
     "prop4": suite_prop4,
     "taylor-cocycle": suite_taylor,
@@ -512,6 +526,13 @@ def cmd_check(opts):
     if opts.suite not in SUITES:
         print(f"unknown suite {opts.suite!r}; choose from "
               f"{', '.join(sorted(SUITES))}", file=sys.stderr)
+        return 2
+    ignored = [f"--{f}" for f in ("p", "n", "m", "d")
+               if getattr(opts, f) is not None
+               and f not in SUITE_FLAGS[opts.suite]]
+    if ignored:
+        print(f"suite {opts.suite} does not read {' '.join(ignored)}",
+              file=sys.stderr)
         return 2
     t0 = time.time()
     anchor, cases = SUITES[opts.suite](opts)

@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from operator import add, sub
 
 from .arith import int_val_p
-from .connection import internal_hom
 from .frobenius import (gauge_intertwiner_lattice, level_raise,
                         twist_decompose, _vec_to_matrix, _window_exponents)
 from .laurent import LaurentPoly
-from .linalg import (components, homology_divisors, mat_identity, mat_mul,
-                     snf_int, solve_exact)
+# snf_int stays bound for perfbench test_wrappers_are_removed_after_the_pass
+from .linalg import components, homology_divisors, snf_int
 
 
 @dataclass
@@ -205,33 +204,14 @@ def hom_space(C1, C2, D):
     i.e. horizontal maps in the gauge-action convention
     gauge(C1, g) = C2 for invertible g.
 
-    Returns a list of (matrix, p_exponent_of_order) with trivial generators
-    dropped.
+    Returns a list of (matrix, p_exponent_of_order) whose cyclic groups sum
+    directly to the whole group; trivial generators are left out.
     """
     if C1.m != C2.m:
         raise ValueError("hom spaces need equal levels")
-    ctx = C1.ctx
-    exps, basis = gauge_intertwiner_lattice(C1, C2, D)
-    nv = C1.rank * C2.rank * len(exps)
-    if not basis:
-        return []
-    # the kernel basis is a basis of the intertwiner lattice L; H = L / p^n Z^nv
-    G = [[v[i] for v in basis] for i in range(nv)]
-    rel = [[ctx.modulus if i == j else 0 for j in range(nv)] for i in range(nv)]
-    X = solve_exact(G, rel)
-    U, Dg, V = snf_int(X)
-    gens = mat_mul(G, solve_exact(U, mat_identity(nv)))
-    out = []
-    for t in range(nv):
-        dt = Dg[t][t]
-        e = min(int_val_p(dt, ctx.p), ctx.n) if dt not in (1, -1) else 0
-        if e <= 0:
-            continue
-        vec = [gens[i][t] % ctx.modulus for i in range(nv)]
-        if not any(vec):
-            continue
-        out.append((_vec_to_matrix(vec, exps, C1.rank, C2.rank, ctx, C1.d), e))
-    return out
+    exps, gens = gauge_intertwiner_lattice(C1, C2, D)
+    return [(_vec_to_matrix(vec, exps, C1.rank, C2.rank, C1.ctx, C1.d), e)
+            for vec, e in gens]
 
 
 # -- rank-1 triviality ----------------------------------------------------------

@@ -16,7 +16,6 @@ from functools import cached_property
 
 from .arith import RingCtx
 from .laurent import LaurentPoly, ContextMismatch
-from .linalg import mat_identity, solve_exact
 
 
 # -- matrix helpers over the Laurent ring ------------------------------------
@@ -409,7 +408,14 @@ def coordinate_change(C, A, units):
     d = C.d
     if len(A) != d or any(len(r) != d for r in A):
         raise ValueError("transform matrix of wrong shape")
-    B = solve_exact([list(r) for r in A], mat_identity(d))
+    # A^-1 = det(A) * adj(A), as det(A) = +-1 in GL_d(Z)
+    det = mat_det(A)
+    if det not in (1, -1):
+        raise ValueError("transform matrix is not invertible over Z")
+    B = [[det]] if d == 1 else [
+        [det * (-1) ** (i + j) * mat_det([r[:i] + r[i + 1:] for k, r in
+                                          enumerate(A) if k != j])
+         for j in range(d)] for i in range(d)]
     mod = C.ctx.modulus
     for c in units:
         if c % C.ctx.p == 0:

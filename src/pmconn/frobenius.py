@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .connection import Connection, gauge, mat_det, mat_id
 from .laurent import ContextMismatch, FrobLift, LaurentPoly, frob_substitute
-from .linalg import kernel_lattice, mat_mul, snf_int
+from .linalg import kernel_generators, mat_mul, snf_int
 
 
 def level_raise(C, F):
@@ -120,12 +120,14 @@ def _window_exponents(d, D):
 
 
 def gauge_intertwiner_lattice(C1, C2, D):
-    """Lattice basis of matrices g (entries supported on the exponent window
-    [-D, D]^d) with Theta1 g + p^m t_i dg/dlog t_i = g Theta2 for all i,
-    i.e. candidate gauges with gauge(C1, g) = C2 whenever g is invertible.
+    """Generators of the group of matrices g over Z/p^n (entries supported on
+    the exponent window [-D, D]^d) with Theta1 g + p^m t_i dg/dlog t_i =
+    g Theta2 for all i, i.e. candidate gauges with gauge(C1, g) = C2
+    whenever g is invertible.
 
-    Returns (exponent list, list of coefficient vectors); a vector lists the
-    integer coefficient of each (row, col, exponent) slot.
+    Returns (exponent list, list of (vector, e)): the group is the direct sum
+    of the cyclic groups of order p^e generated by the vectors, and a vector
+    lists the coefficient of each (row, col, exponent) slot.
     """
     if (C1.ctx, C1.d, C1.m) != (C2.ctx, C2.d, C2.m):
         raise ContextMismatch("gauge search needs matching levels and rings")
@@ -171,9 +173,7 @@ def gauge_intertwiner_lattice(C1, C2, D):
                                 eq[row][var2] -= cu
         rows.extend(eq)
     rows = [row for row in rows if any(row)]
-    modulus = ctx.modulus
-    basis = kernel_lattice(rows, [modulus] * len(rows))
-    return exps, basis
+    return exps, kernel_generators(rows, nvar, ctx.p, ctx.n)
 
 
 def _vec_to_matrix(vec, exps, r1, r2, ctx, d):
@@ -208,9 +208,8 @@ def verify_pullback_iso(C_up, C_down, F, D):
            for M1, M2 in zip(LR.theta, C_down.theta)
            for r1, r2 in zip(M1, M2) for a, b in zip(r1, r2)):
         return {"found": True, "witness": ident, "obstruction": None}
-    exps, basis = gauge_intertwiner_lattice(LR, C_down, D)
-    candidates = [[c % ctx.modulus for c in vec] for vec in basis
-                  if any(c % ctx.modulus for c in vec)]
+    exps, gens = gauge_intertwiner_lattice(LR, C_down, D)
+    candidates = [vec for vec, _ in gens]
     if r == 1:
         # a gauge unit is c*t^v mod p, so it exists iff some monomial lies in
         # the mod-p span of the solutions; absence is a certificate of

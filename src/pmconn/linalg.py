@@ -1,17 +1,19 @@
-"""Matrix utilities over Z and Z/p^N: a sparse Smith normal form, kernel
-lattices, exact solves, homology of finite p-group complexes, and connected
-components.
+"""Matrix utilities over Z/p^N: a sparse Smith normal form, kernel
+generators, homology of finite p-group complexes, and connected components.
 
-``snf_int`` diagonalises over Z or over Z/p^N in one sparse elimination loop.
-It reads each pivot off the rows' least keys, kept up to date for the rows a
-step changes, and builds U and V only for callers that read them.  Homology of
-a complex of finite p-groups is one Smith form over Z/p^{N+1} of the middle
-relations lifted into the kernel of the outgoing map, N the largest middle
-order.  Every invariant of the homology has p-valuation at most N, so the
-reduction mod p^{N+1} loses none of them, and entries never grow past
-p^{N+1}.  Elementary divisors are reported as lists of p-exponents.  Only the
-multiset of p-valuations of a diagonal form is ever needed, not the divisor
-chain, so the Smith form skips the divisibility fix-up and the transforms.
+``snf_int`` diagonalises over Z/p^N in one sparse elimination loop.  It reads
+each pivot off the rows' least keys, kept up to date for the rows a step
+changes, and builds U and V only for callers that read them.  The kernel of
+a matrix over Z/p^N is read off the same Smith form: U M V = D puts it in the
+span of V's columns, each cut down by its pivot.  Homology of a complex of
+finite p-groups is one Smith form over Z/p^{N+1} of the middle relations
+lifted into the kernel of the outgoing map, N the largest middle order.
+Every invariant of the homology has p-valuation at most N, so the reduction
+mod p^{N+1} loses none of them, and entries never grow past p^{N+1}.
+Elementary divisors are reported as lists of p-exponents.  Neither the
+kernel nor homology needs the divisor chain, only the p-valuations of a
+diagonal form, so the Smith form skips the divisibility fix-up, and homology
+skips the transforms as well.
 """
 
 from __future__ import annotations
@@ -20,10 +22,6 @@ from itertools import repeat
 from math import gcd
 
 from .arith import int_val_p
-
-
-def mat_identity(k):
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
 def mat_mul(A, B):
@@ -43,21 +41,19 @@ def mat_mul(A, B):
 
 
 def _axpy(dst, src, k, q):
-    """dst += k * src for sparse vectors (dicts), reduced mod q if q != 0."""
+    """dst += k * src for sparse vectors (dicts), reduced mod q."""
     get = dst.get
     for j, x in src.items():
-        y = get(j, 0) + k * x
-        if q:
-            y %= q
+        y = (get(j, 0) + k * x) % q
         if y:
             dst[j] = y
         else:
             dst.pop(j, None)
 
 
-def snf_int(M, q=0, *, transforms=True):
-    """Diagonalize M over Z/qZ by invertible row and column operations, where
-    q = 0 means over Z and any other q is a prime power p^N.
+def snf_int(M, q, *, transforms=True):
+    """Diagonalize M over Z/qZ, q a prime power p^N, by invertible row and
+    column operations.
 
     Returns dense (U, D, V) with U*M*V = D (congruent mod q), D diagonal with
     its nonzero entries first, and U, V invertible (mod p).  There is no
@@ -65,20 +61,16 @@ def snf_int(M, q=0, *, transforms=True):
     come back as empty lists; D is the same.  Rows of D and U are dicts and V
     is kept by columns, so a sparse M stays cheap.
 
-    The pivot is the first entry of least key gcd(x, q) in the first row that
-    holds one: least |x| over Z, where Euclidean remainders send the search
-    round again, and least p-valuation over Z/p^N, which divides every other
-    entry, so one modular inverse clears its row and column.  Each row keeps
-    its least key, recomputed only for the rows a step changes, so finding a
-    pivot is one pass over the rows, not over the entries.
+    The pivot is the first entry of least key gcd(x, q), its p-power part,
+    in the first row that holds one.  It divides every other entry, so one
+    modular inverse clears its row and column.  Each row keeps its least
+    key, recomputed only for the rows a step changes, so finding a pivot is
+    one pass over the rows, not over the entries.
     """
     r = len(M)
     c = len(M[0]) if r else 0
-    if q:
-        rows = [{j: x % q for j, x in enumerate(row) if x and x % q}
-                for row in M]
-    else:
-        rows = [{j: x for j, x in enumerate(row) if x} for row in M]
+    rows = [{j: x % q for j, x in enumerate(row) if x and x % q}
+            for row in M]
     U = [{i: 1} for i in range(r)] if transforms else []
     V = [{j: 1} for j in range(c)] if transforms else []
     done = float("inf")
@@ -93,41 +85,23 @@ def snf_int(M, q=0, *, transforms=True):
         row0 = rows[i0]
         j0 = next(j for j, y in row0.items() if gcd(y, q) == k0)
         x = row0[j0]
-        if q:
-            inv = pow(x // k0, -1, q)
-
-            def quot(y):
-                return y // k0 * inv % q
-        else:
-            def quot(y):
-                return y // x
+        inv = pow(x // k0, -1, q)
         # clear column j0 by row operations, then row i0 by column operations;
-        # over Z a nonzero remainder is a smaller pivot for the next round
-        clean = True
+        # k0 divides every entry, so each step leaves an exact zero
         for i in [i for i, Di in enumerate(rows) if j0 in Di and i != i0]:
             Di = rows[i]
-            k = -quot(Di[j0])
+            k = -(Di[j0] // k0 * inv % q)
             _axpy(Di, row0, k, q)
             if transforms:
                 _axpy(U[i], U[i0], k, q)
-            clean = clean and j0 not in Di
             mins[i] = least(Di)
-        if not clean:
-            continue
-        for j, y in list(row0.items()):
-            if j != j0:
-                k = quot(y)
-                if transforms:
-                    _axpy(V[j], V[j0], -k, q)
-                rem = (y - k * x) % q if q else y - k * x
-                if rem:
-                    row0[j] = rem
-                    clean = False
-                else:
-                    del row0[j]
-        if clean:
-            pivots.append((i0, j0))
-        mins[i0] = done if clean else least(row0)
+        if transforms:
+            for j, y in row0.items():
+                if j != j0:
+                    _axpy(V[j], V[j0], -(y // k0 * inv % q), q)
+        rows[i0] = {j0: x}
+        pivots.append((i0, j0))
+        mins[i0] = done
     D = [[0] * c for _ in range(r)]
     for t, (i, j) in enumerate(pivots):
         D[t][t] = rows[i][j]
@@ -149,54 +123,28 @@ def snf_int(M, q=0, *, transforms=True):
     return Ud, D, Vd
 
 
-def kernel_lattice(M, row_moduli):
-    """Basis of the lattice {x in Z^c : (Mx)_j == 0 mod row_moduli[j]}.
+def kernel_generators(M, c, p, n):
+    """Generators of the kernel of M (rows of length c) over Z/p^n, as pairs
+    (vector, e) with the vector of order exactly p^e; the kernel is their
+    direct sum.
 
-    Returns exactly c basis column vectors (length c).  The lattice has full
-    rank c because it contains lcm(row_moduli) * Z^c, and the integer kernel
-    of [M | diag(row_moduli)] projects isomorphically onto it, so the
-    projected kernel basis is a basis of the lattice.
+    With U M V = D mod p^n, Mx = 0 iff y = V^-1 x has d_t y_t = 0 for every
+    t, so a pivot d_t of valuation v gives p^(n-v) times column t of V, of
+    order p^v (nothing at a unit pivot), and a column past the pivots gives
+    itself, of order p^n.  With no rows every unit vector has order p^n.
     """
-    r = len(M)
-    c = len(M[0]) if r else 0
-    if r == 0:
-        return [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    # augment with the row moduli: Mx + diag(m) y = 0 solvable in y
-    aug = [list(M[i]) + [row_moduli[i] if j == i else 0 for j in range(r)]
-           for i in range(r)]
-    U, D, V = snf_int(aug)
-    cols = len(aug[0])
-    rank = sum(1 for t in range(min(r, cols)) if D[t][t])
-    basis = []
-    for j in range(rank, cols):
-        vec = [V[i][j] for i in range(c)]
-        basis.append(vec)
-    return basis
-
-
-def solve_exact(G, W):
-    """Solve G X = W for integer X, G square.
-
-    Raises ValueError when G is singular or the solution is not integral.
-    """
-    b = len(G)
-    U, D, V = snf_int(G)
-    # G = U^{-1} D V^{-1}, so X = V D^{-1} U W
-    UW = mat_mul(U, W)
-    cols = len(W[0]) if W else 0
-    Y = []
-    for t in range(b):
-        dt = D[t][t]
-        if dt == 0:
-            raise ValueError("matrix is singular")
-        row = []
-        for j in range(cols):
-            q, rem = divmod(UW[t][j], dt)
-            if rem:
-                raise ValueError("system has no integral solution")
-            row.append(q)
-        Y.append(row)
-    return mat_mul(V, Y)
+    if not M:
+        return [([int(i == j) for i in range(c)], n) for j in range(c)]
+    q = p ** n
+    _, D, V = snf_int(M, q)
+    out = []
+    for t in range(c):
+        d = D[t][t] if t < len(D) else 0
+        e = int_val_p(d, p) if d else n
+        if e:
+            scale = p ** (n - e)
+            out.append(([row[t] * scale % q for row in V], e))
+    return out
 
 
 def diagonal_p_exponents(D, p, cap):

@@ -41,6 +41,26 @@ def test_check_respects_grid_flags(capsys):
         if "cases_list" in rep else rep["cases"] > 0
 
 
+@pytest.mark.parametrize("suite,flag", [
+    ("taylor-cocycle", "--d"), ("tau", "--d"), ("level-raise", "--d"),
+    ("descent", "--d"), ("theorem25", "--d"), ("ov-example", "--d"),
+    ("witt-identities", "--d"), ("witt-compare", "--d"),
+    ("descent", "--m"), ("ov-example", "--m"), ("witt-identities", "--m"),
+])
+def test_check_rejects_grid_flags_the_suite_ignores(capsys, suite, flag):
+    code, out, err = run(capsys, "check", suite, flag, "1")
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
+def test_check_prop4_reads_every_grid_flag(capsys):
+    code, out, _ = run(capsys, "check", "prop4", "--p", "2", "--n", "1",
+                       "--m", "0", "--d", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["cases"] == 1
+
+
 def _write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))

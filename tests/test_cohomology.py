@@ -111,6 +111,15 @@ def test_hom_space_collapse_between_levels():
         assert hom_space(D1, D0, 8) == []
 
 
+def test_hom_space_of_zero_higgs_field_is_whole_window():
+    # m >= n makes p^m = 0, so with a zero field every intertwiner equation
+    # vanishes and each monomial of the window is horizontal, of order p^n
+    C = Connection.trivial(RingCtx(3, 1), 1, 1)
+    gens = hom_space(C, C, 1)
+    assert sorted((g[0][0].terms, e) for g, e in gens) == [
+        ((((-1,), 1),), 1), ((((0,), 1),), 1), ((((1,), 1),), 1)]
+
+
 def test_hom_space_level_mismatch_rejected():
     ctx = RingCtx(3, 2)
     A = Connection.trivial(ctx, 1, 0)

@@ -1,5 +1,6 @@
 import random
 import sys
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,6 +185,43 @@ def test_coordinate_change_preserves_integrability():
     units = [1, 2]
     C2 = coordinate_change(C, A, units)
     assert C2.is_integrable() == C.is_integrable()
+
+
+@pytest.mark.parametrize("A,A_inv", [
+    ([[2, 1], [3, 2]], [[2, -1], [-3, 2]]),
+    ([[1, 2], [0, 1]], [[1, -2], [0, 1]]),
+    ([[1, 1, 0], [0, 1, 2], [0, 0, 1]], [[1, -1, 2], [0, 1, -2], [0, 0, 1]]),
+    ([[0, 1, 0], [0, 0, 1], [1, 0, 3]], [[0, -3, 1], [1, 0, 0], [0, 1, 0]]),
+])
+def test_coordinate_change_round_trip(A, A_inv):
+    # t' = c t^A and then t'' = c' t'^(A^-1) with c'_k = prod_j c_j^-(A^-1)_kj
+    # is the identity; A is not symmetric, so its inverse and the inverse of
+    # its transpose differ
+    ctx = RingCtx(3, 2)
+    d = len(A)
+    rng = random.Random(11)
+    C = Connection(ctx, d, 1, 2, tuple(
+        tuple(tuple(_rand_poly(rng, ctx, d, 2) for _ in range(2))
+              for _ in range(2)) for _ in range(d)))
+    units = [1, 2, 4][:d]
+    back = [reduce(lambda acc, j: acc * pow(units[j], -A_inv[k][j],
+                                            ctx.modulus) % ctx.modulus,
+                   range(d), 1) for k in range(d)]
+    C2 = coordinate_change(C, A, units)
+    assert C2.theta != C.theta
+    assert coordinate_change(C2, A_inv, back).theta == C.theta
+
+
+def test_coordinate_change_direction():
+    # t'_1 = t_1 t_2, t'_2 = t_2: t_1 = t'_1 / t'_2, and
+    # theta_1 dlog t_1 = theta_1 (dlog t'_1 - dlog t'_2)
+    ctx = RingCtx(3, 2)
+    zero = LaurentPoly.zero(ctx, 2)
+    C = Connection(ctx, 2, 1, 1, (((parse_poly("3*t1", ctx, 2),),),
+                                  ((zero,),)))
+    C2 = coordinate_change(C, [[1, 1], [0, 1]], [1, 1])
+    assert C2.theta[0][0][0] == parse_poly("3*t1*t2^-1", ctx, 2)
+    assert C2.theta[1][0][0] == parse_poly("-3*t1*t2^-1", ctx, 2)
 
 
 def test_coordinate_change_rejects_non_invertible_transforms():

@@ -5,33 +5,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmconn.linalg import (mat_identity, mat_mul, snf_int, kernel_lattice,
-                           solve_exact, diagonal_p_exponents,
-                           homology_divisors, components)
-
-
-def int_mats(rows, cols, bound=20):
-    return st.lists(
-        st.lists(st.integers(min_value=-bound, max_value=bound),
-                 min_size=cols, max_size=cols),
-        min_size=rows, max_size=rows)
-
-
-@given(st.integers(min_value=1, max_value=4).flatmap(
-    lambda r: st.tuples(st.just(r), int_mats(r, 3))))
-def test_snf_decomposition(args):
-    r, M = args
-    U, D, V = snf_int(M)
-    assert mat_mul(mat_mul(U, M), V) == D
-    for i in range(len(D)):
-        for j in range(len(D[0])):
-            if i != j:
-                assert D[i][j] == 0
-    # transforms are unimodular: their inverses are integral
-    Ui = solve_exact(U, mat_identity(r))
-    assert mat_mul(U, Ui) == mat_identity(r)
-    Vi = solve_exact(V, mat_identity(3))
-    assert mat_mul(V, Vi) == mat_identity(3)
+from pmconn.linalg import (mat_mul, snf_int, kernel_generators,
+                           diagonal_p_exponents, homology_divisors,
+                           components)
 
 
 def _rank_mod_p(M, p):
@@ -101,26 +77,21 @@ def test_snf_mod_prime_power_matches_enumeration(args):
 
 def _axpy_reference(dst, src, k, q):
     for j, x in src.items():
-        y = dst.get(j, 0) + k * x
-        if q:
-            y %= q
+        y = (dst.get(j, 0) + k * x) % q
         if y:
             dst[j] = y
         else:
             dst.pop(j, None)
 
 
-def _snf_int_reference(M, q=0):
+def _snf_int_reference(M, q):
     """The Smith form with the pivot found by rescanning every active entry:
     the first entry of least gcd(x, q), rows in order, each row in its
     dict order.  snf_int must pick the same pivots and so return the same
     (U, D, V)."""
     r = len(M)
     c = len(M[0]) if r else 0
-    if q:
-        rows = [{j: x % q for j, x in enumerate(row) if x % q} for row in M]
-    else:
-        rows = [{j: x for j, x in enumerate(row) if x} for row in M]
+    rows = [{j: x % q for j, x in enumerate(row) if x % q} for row in M]
     U = [{i: 1} for i in range(r)]
     V = [{j: 1} for j in range(c)]
     active = [i for i in range(r) if rows[i]]
@@ -136,38 +107,26 @@ def _snf_int_reference(M, q=0):
         i0, j0 = piv
         row0 = rows[i0]
         x = row0[j0]
-        if q:
-            inv = pow(x // best, -1, q)
+        inv = pow(x // best, -1, q)
 
-            def quot(y):
-                return y // best * inv % q
-        else:
-            def quot(y):
-                return y // x
-        clean = True
+        def quot(y):
+            return y // best * inv % q
+        # best divides every entry, so each step leaves an exact zero
         for i in active:
             Di = rows[i]
             if i != i0 and j0 in Di:
                 k = -quot(Di[j0])
                 _axpy_reference(Di, row0, k, q)
                 _axpy_reference(U[i], U[i0], k, q)
-                if j0 in Di:
-                    clean = False
-        if not clean:
-            continue
+                assert j0 not in Di
         for j, y in list(row0.items()):
             if j != j0:
                 k = quot(y)
                 _axpy_reference(V[j], V[j0], -k, q)
-                rem = (y - k * x) % q if q else y - k * x
-                if rem:
-                    row0[j] = rem
-                    clean = False
-                else:
-                    del row0[j]
-        if clean:
-            pivots.append(piv)
-            active = [i for i in active if i != i0 and rows[i]]
+                assert (y - k * x) % q == 0
+                del row0[j]
+        pivots.append(piv)
+        active = [i for i in active if i != i0 and rows[i]]
     order_r = [i for i, _ in pivots]
     order_r += sorted(set(range(r)) - set(order_r))
     order_c = [j for _, j in pivots]
@@ -182,12 +141,12 @@ def _snf_int_reference(M, q=0):
 
 @st.composite
 def snf_inputs(draw):
-    """(M, q): q = 0 or p^N with p in {2, 3} and N <= 4, M at most 8 x 8 and
+    """(M, q): q = p^N with p in {2, 3} and N <= 4, M at most 8 x 8 and
     sparse or dense; with no_unit every entry is divisible by p, so every
     pivot is found by comparing keys rather than by the first unit."""
     p = draw(st.sampled_from([2, 3]))
     N = draw(st.integers(1, 4))
-    q = draw(st.sampled_from([0, p ** N]))
+    q = p ** N
     r = draw(st.integers(1, 8))
     c = draw(st.integers(1, 8))
     low = 1 if draw(st.booleans()) else 0
@@ -220,22 +179,36 @@ def test_snf_matches_reference_pivots(args):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
 
-@given(int_mats(3, 4, bound=9),
-       st.sampled_from([2, 3, 5]),
-       st.integers(min_value=1, max_value=3))
-def test_kernel_lattice_is_exact(M, p, n):
-    moduli = [p ** n] * 3
-    basis = kernel_lattice(M, moduli)
-    # every basis vector really lies in the kernel mod the row moduli
-    for v in basis:
-        w = mat_mul(M, [[x] for x in v])
-        assert all(x[0] % q == 0 for x, q in zip(w, moduli))
-    # exactly 4 vectors: a basis of a full-rank lattice containing p^n Z^4
-    assert len(basis) == 4
-    G = [[v[i] for v in basis] for i in range(4)]
-    pnI = [[p ** n if i == j else 0 for j in range(4)] for i in range(4)]
-    X = solve_exact(G, pnI)
-    assert mat_mul(G, X) == pnI
+@st.composite
+def kernel_inputs(draw):
+    """(p, n, c, M): M has at most 4 rows, none allowed, and c <= 4 columns
+    of entries u * p^k, with (p^n)^c at most 9^4 so that the kernel can be
+    enumerated."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 3))
+    q = p ** n
+    c = draw(st.integers(1, max(k for k in range(1, 5) if q ** k <= 9 ** 4)))
+    entry = st.builds(lambda u, k: u * p ** k, st.integers(-q, q),
+                      st.integers(0, n))
+    M = draw(st.lists(st.lists(entry, min_size=c, max_size=c), max_size=4))
+    return p, n, c, M
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_inputs())
+def test_kernel_generators_match_enumeration(args):
+    p, n, c, M = args
+    q = p ** n
+    gens = kernel_generators(M, c, p, n)
+    kernel = {x for x in itertools.product(range(q), repeat=c)
+              if all(sum(a * b for a, b in zip(row, x)) % q == 0
+                     for row in M)}
+    assert _span([v for v, _ in gens], [n] * c, p) == kernel
+    for v, e in gens:
+        assert 1 <= e <= n
+        assert all(p ** e * x % q == 0 for x in v)
+        assert any(p ** (e - 1) * x % q for x in v)
+    assert p ** sum(e for _, e in gens) == len(kernel)
 
 
 def test_diagonal_p_exponents():
@@ -249,15 +222,6 @@ def test_finite_quotient_orders():
     # Z^2 / <(2,0),(0,8)> over p=2 with cap 3: orders 2^1 and 2^3
     assert homology_divisors([[2, 0], [0, 8]], [], [3, 3], [], 2, 3) == [1, 3]
     assert homology_divisors([[2, 0], [0, 8]], [], [3, 3], [], 2, 2) == [1, 2]
-
-
-def test_solve_exact_rejects_singular_and_inexact():
-    assert solve_exact([[2, 1], [1, 1]], mat_identity(2)) == [[1, -1],
-                                                              [-1, 2]]
-    with pytest.raises(ValueError):
-        solve_exact([[1, 2], [2, 4]], mat_identity(2))
-    with pytest.raises(ValueError):
-        solve_exact([[2, 0], [0, 1]], mat_identity(2))
 
 
 def test_components_keep_item_order():
