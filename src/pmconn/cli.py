@@ -14,7 +14,7 @@ import random
 import sys
 import time
 
-from .arith import RingCtx
+from .arith import RingCtx, is_prime
 from .connection import (Connection, ExtensionPresentation, gauge,
                          is_quasi_nilpotent, mat_det)
 from .cohomology import (compare_theorem25, compute_H, higgs_vanishing,
@@ -116,8 +116,9 @@ def _rank2_nilpotent(rng, ctx, m):
 
 
 def _grid(opts, primes=DEFAULT_PRIMES, n_max=4, m_of_n=None, d_max=1):
-    ps = [opts.p] if opts.p else list(primes)
-    ns = [opts.n] if opts.n else list(range(1, n_max + 1))
+    ps = [opts.p] if opts.p is not None else list(primes)
+    ns = [opts.n] if opts.n is not None else list(range(1, n_max + 1))
+    ds = [opts.d] if opts.d is not None else list(range(1, d_max + 1))
     out = []
     for p in ps:
         for n in ns:
@@ -126,7 +127,6 @@ def _grid(opts, primes=DEFAULT_PRIMES, n_max=4, m_of_n=None, d_max=1):
             for m in ms:
                 if m > n:
                     continue
-                ds = [opts.d] if opts.d else list(range(1, d_max + 1))
                 for d in ds:
                     out.append((p, n, m, d))
     return out
@@ -300,8 +300,8 @@ def suite_level_raise(opts):
 
 def suite_descent(opts):
     cases = []
-    ps = [opts.p] if opts.p else [2, 3]
-    ns = [opts.n] if opts.n else [2, 3]
+    ps = [opts.p] if opts.p is not None else [2, 3]
+    ns = [opts.n] if opts.n is not None else [2, 3]
     for p in ps:
         for n in ns:
             def run(p=p, n=n):
@@ -334,10 +334,10 @@ def suite_descent(opts):
 
 def suite_theorem25(opts):
     cases = []
-    ps = [opts.p] if opts.p else [2, 3]
+    ps = [opts.p] if opts.p is not None else [2, 3]
     for p in ps:
         for n, m in [(2, 1), (3, 2), (4, 2)]:
-            if opts.n and n != opts.n:
+            if opts.n is not None and n != opts.n:
                 continue
             if opts.m is not None and m != opts.m:
                 continue
@@ -367,8 +367,8 @@ def suite_theorem25(opts):
 
 def suite_ov_example(opts):
     cases = []
-    ps = [opts.p] if opts.p else list(DEFAULT_PRIMES)
-    ns = [opts.n] if opts.n else [2, 3]
+    ps = [opts.p] if opts.p is not None else list(DEFAULT_PRIMES)
+    ns = [opts.n] if opts.n is not None else [2, 3]
     for p in ps:
         for n in ns:
             def run(p=p, n=n):
@@ -401,8 +401,8 @@ def suite_ov_example(opts):
 
 def suite_witt_identities(opts):
     cases = []
-    ps = [opts.p] if opts.p else list(DEFAULT_PRIMES)
-    ns = [opts.n] if opts.n else [2, 3, 4]
+    ps = [opts.p] if opts.p is not None else list(DEFAULT_PRIMES)
+    ns = [opts.n] if opts.n is not None else [2, 3, 4]
     for p in ps:
         for n in ns:
             def run(p=p, n=n):
@@ -454,10 +454,10 @@ def suite_witt_identities(opts):
 
 def suite_witt_compare(opts):
     cases = []
-    ps = [opts.p] if opts.p else [2, 3]
+    ps = [opts.p] if opts.p is not None else [2, 3]
     for p in ps:
         for n, m in [(2, 1), (3, 1), (3, 2)]:
-            if opts.n and n != opts.n:
+            if opts.n is not None and n != opts.n:
                 continue
             if opts.m is not None and m != opts.m:
                 continue
@@ -506,6 +506,13 @@ SUITE_FLAGS = {
     "witt-compare": ("p", "n", "m"),
 }
 
+GRID_RANGES = {
+    "p": (is_prime, "a prime"),
+    "n": (lambda v: v >= 1, "n >= 1"),
+    "m": (lambda v: v >= 0, "m >= 0"),
+    "d": (lambda v: v >= 1, "d >= 1"),
+}
+
 SUITES = {
     "prop4": suite_prop4,
     "taylor-cocycle": suite_taylor,
@@ -534,6 +541,12 @@ def cmd_check(opts):
         print(f"suite {opts.suite} does not read {' '.join(ignored)}",
               file=sys.stderr)
         return 2
+    for flag, (ok, want) in GRID_RANGES.items():
+        value = getattr(opts, flag)
+        if value is not None and not ok(value):
+            print(f"--{flag} {value} is out of range: need {want}",
+                  file=sys.stderr)
+            return 2
     t0 = time.time()
     anchor, cases = SUITES[opts.suite](opts)
     results = [fn() for _, fn in cases]

@@ -72,10 +72,6 @@ class DiffOp:
         return DiffOp(ctx, d, m, ())
 
     @staticmethod
-    def identity(ctx, d, m):
-        return DiffOp.from_dict(ctx, d, m, {_zero_idx(d): LaurentPoly.one(ctx, d)})
-
-    @staticmethod
     def partial(ctx, d, m, l, coeff=None):
         """The single operator c * D^<l>."""
         c = coeff if coeff is not None else LaurentPoly.one(ctx, d)
@@ -121,12 +117,6 @@ def _action(l, terms, m, ctx):
         if coeff:
             out.append((tuple(map(sub, e, l)), coeff))
     return out
-
-
-def _apply_single(l, f, m):
-    """Action of the bare operator D^<l> at level -m on a Laurent polynomial.
-    Shifting every exponent by -l keeps the terms sorted."""
-    return LaurentPoly(f.ctx, f.d, tuple(_action(l, f.terms, m, f.ctx)))
 
 
 def op_apply(P, f):
@@ -394,36 +384,27 @@ def check_taylor_inverse(C, e, K):
 # -- two-lift transition isomorphism ------------------------------------------
 
 
-def _gamma_int_poly(h, q, modulus, p, d):
-    """gamma_q of an integer-coefficient Laurent dict h (inside the PD ideal),
-    as an integer dict reduced mod modulus.  Exact: computes h^q then divides
-    by q!, which must be exact for admissible h."""
-    acc = {(0,) * d: 1}
-    for _ in range(q):
-        nxt = {}
-        for e1, c1 in acc.items():
-            for e2, c2 in h.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                nxt[e] = nxt.get(e, 0) + c1 * c2
-        acc = nxt
-    # divide by q!: only its p-part must divide exactly (the coefficients are
-    # canonical representatives, so true integrality shows up mod p^n only in
-    # the p-part); the unit part is inverted modulo p^n
+def _divided_power(h, q):
+    """gamma_q(h) = h^q / q! of a Laurent polynomial h mod p^n in the PD ideal.
+
+    With a = v_p(q!), the coefficients of h^q mod p^(n+a) fix h^q / p^a mod
+    p^n, and must be divisible by p^a; the unit part of q! is inverted mod
+    p^n."""
+    ctx = h.ctx
+    p, mod = ctx.p, ctx.modulus
     a = factorial_val(p, q)
     pa = p ** a
-    unit = math.factorial(q) // pa
-    uinv = pow(unit % modulus, -1, modulus)
-    out = {}
-    for e, c in acc.items():
+    power = h.reduce_to(RingCtx(p, ctx.n + a)) ** q
+    uinv = pow(math.factorial(q) // pa % mod, -1, mod)
+    acc = {}
+    for e, c in power.terms:
         v, r = divmod(c, pa)
         if r:
             raise ArithmeticError(
                 "transition series coefficient is not integral; lifts are "
                 "too far apart for the divided-power evaluation")
-        v = v * uinv % modulus
-        if v:
-            out[e] = v
-    return out
+        acc[e] = v * uinv
+    return LaurentPoly._canon(ctx, h.d, acc)
 
 
 def tau_transition(C, f, f_prime, max_degree=512):
@@ -445,19 +426,17 @@ def tau_transition(C, f, f_prime, max_degree=512):
     pm = p ** m
     pn = p ** n
     hs = []
-    for i in range(d):
-        diff_poly = f.images()[i] - f_prime.images()[i]
+    for g, g_prime in zip(f.images(), f_prime.images()):
         h = {}
-        for e, c in diff_poly.int_terms().items():
+        for e, c in (g - g_prime).terms:
             q, r = divmod(c, pm)
             if r:
                 raise ValueError("lifts do not agree mod p^m")
             if c % pn:
                 raise ValueError("lifts do not agree mod p^n")
-            if q % pn:
-                h[e] = q % pn
-        hs.append(h)
-    h_val = min((min(int_val_p(c, p) for c in h.values()) if h else n)
+            h[e] = q
+        hs.append(LaurentPoly._canon(ctx, d, h))
+    h_val = min(min((int_val_p(c, p) for _, c in h.terms), default=n)
                 for h in hs)
     images_n = [g.reduce_to(ctx) for g in f_prime.images()]
     basis = [C.basis_vector(j) for j in range(C.rank)]
@@ -471,24 +450,15 @@ def tau_transition(C, f, f_prime, max_degree=512):
             if all(x.is_zero() for v in vecs for x in v):
                 continue
             alive = True
-            # h^[k] = prod_i gamma_{k_i}(h_i), assembled exactly mod p^n
-            hk = {(0,) * d: 1}
-            for i, ki in enumerate(k):
-                if ki:
-                    gi = _gamma_int_poly(hs[i], ki, pn, p, d)
-                    nxt = {}
-                    for e1, c1 in hk.items():
-                        for e2, c2 in gi.items():
-                            e = tuple(a + b for a, b in zip(e1, e2))
-                            nxt[e] = (nxt.get(e, 0) + c1 * c2) % pn
-                    hk = {e: c for e, c in nxt.items() if c}
-            hk_poly = LaurentPoly.from_dict(ctx, d, hk)
+            # h^[k] = prod_i gamma_{k_i}(h_i) mod p^n
+            hk = math.prod((_divided_power(h, ki) for h, ki in zip(hs, k)
+                            if ki), start=LaurentPoly.one(ctx, d))
+            if hk.is_zero():
+                continue
             for j, v in enumerate(vecs):
-                if hk_poly.is_zero():
-                    continue
                 for b in range(C.rank):
                     if not v[b].is_zero():
-                        T[b][j] = T[b][j] + hk_poly * v[b].substitute(images_n)
+                        T[b][j] = T[b][j] + hk * v[b].substitute(images_n)
         # certified stopping: all degree-s operator values vanished, or the
         # valuation of every later divided power already exceeds n
         if not alive:
@@ -595,71 +565,43 @@ def phi_star(x, F, K_out=None, a_order=None):
 # -- mod-p rank check for the divided Frobenius --------------------------------
 
 
-def _poly1_mul(a, b, p):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            out[e] = (out.get(e, 0) + c1 * c2) % p
-    return {e: c for e, c in out.items() if c}
-
-
-def _poly1_sub(a, b, p):
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = (out.get(e, 0) - c) % p
-    return {e: c for e, c in out.items() if c}
-
-
-def _poly1_divexact(a, b, p):
-    """Exact division in F_p[s]; raises if the remainder is nonzero."""
-    if not a:
-        return {}
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    db = max(b)
-    lb_inv = pow(b[db], -1, p)
-    rem = dict(a)
-    quo = {}
-    while rem:
-        da = max(rem)
+def _divexact(a, b):
+    """a / b for one-variable polynomials over F_p; raises ArithmeticError
+    unless b divides a."""
+    (db,), cb = b.terms[-1]
+    inv = pow(cb, -1, b.ctx.p)
+    quo = LaurentPoly.zero(a.ctx, 1)
+    while not a.is_zero():
+        (da,), ca = a.terms[-1]
         if da < db:
             raise ArithmeticError("inexact polynomial division")
-        e = da - db
-        c = rem[da] * lb_inv % p
-        quo[e] = c
-        for eb, cb in b.items():
-            k = eb + e
-            rem[k] = (rem.get(k, 0) - c * cb) % p
-            if not rem[k]:
-                del rem[k]
+        step = LaurentPoly.monomial(a.ctx, 1, (da - db,), ca * inv)
+        quo = quo + step
+        a = a - step * b
     return quo
 
 
-def _bareiss_det(M, p):
-    """Fraction-free determinant of a matrix over F_p[s]."""
+def _bareiss_det(M):
+    """Fraction-free determinant of a square matrix over F_p[s], its entries
+    one-variable Laurent polynomials mod p with polynomial support."""
     k = len(M)
     M = [row[:] for row in M]
     sign = 1
-    prev = {0: 1}
+    prev = LaurentPoly.one(M[0][0].ctx, 1)
     for t in range(k - 1):
-        if not M[t][t]:
-            swap = next((i for i in range(t + 1, k) if M[i][t]), None)
+        if M[t][t].is_zero():
+            swap = next((i for i in range(t + 1, k)
+                         if not M[i][t].is_zero()), None)
             if swap is None:
-                return {}
+                return LaurentPoly.zero(prev.ctx, 1)
             M[t], M[swap] = M[swap], M[t]
             sign = -sign
         for i in range(t + 1, k):
             for j in range(t + 1, k):
-                num = _poly1_sub(_poly1_mul(M[i][j], M[t][t], p),
-                                 _poly1_mul(M[i][t], M[t][j], p), p)
-                M[i][j] = _poly1_divexact(num, prev, p)
-            M[i][t] = {}
+                M[i][j] = _divexact(M[i][j] * M[t][t] - M[i][t] * M[t][j],
+                                    prev)
         prev = M[t][t]
-    det = M[k - 1][k - 1]
-    if sign < 0:
-        det = {e: (-c) % p for e, c in det.items()}
-    return det
+    return M[k - 1][k - 1] if sign > 0 else -M[k - 1][k - 1]
 
 
 def phi_rank_check(p, d=1, L=1, a=None):
@@ -701,24 +643,23 @@ def phi_rank_check(p, d=1, L=1, a=None):
     for j, elt in enumerate(cols):
         for (c,), poly in elt.terms:
             for (e,), coeff in poly.terms:
-                r = e % p
-                s_exp = (e - r) // p
-                rows.setdefault((r, c), [{} for _ in range(size)])
-                rows[(r, c)][j][s_exp] = coeff
+                row = rows.setdefault((e % p, c), [{} for _ in range(size)])
+                row[j][(e // p,)] = coeff
     keys = sorted(rows)
     if len(keys) != size:
         report["det_is_unit_monomial"] = False
         report["pass"] = False
         return report
-    M = [rows[key] for key in keys]
+    M = [[LaurentPoly.from_dict(ctx1, 1, entry) for entry in rows[key]]
+         for key in keys]
     # shift every column to polynomial support (changes det by a monomial)
     for j in range(size):
-        exps = [e for i in range(size) for e in M[i][j]]
-        shift = min(exps) if exps else 0
+        shift = min((e for row in M for (e,), _ in row[j].terms), default=0)
         if shift:
-            for i in range(size):
-                M[i][j] = {e - shift: c for e, c in M[i][j].items()}
-    det = _bareiss_det(M, p)
-    report["det_is_unit_monomial"] = len(det) == 1
-    report["pass"] = len(det) == 1
+            mono = LaurentPoly.var(ctx1, 1, 1, -shift)
+            for row in M:
+                row[j] = row[j] * mono
+    det = _bareiss_det(M)
+    report["det_is_unit_monomial"] = len(det.terms) == 1
+    report["pass"] = len(det.terms) == 1
     return report

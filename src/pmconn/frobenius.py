@@ -9,8 +9,10 @@ coordinate image, so the log-basis matrices transform by that same matrix.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
+from .arith import int_val_p
 from .connection import Connection, gauge, mat_det, mat_id
 from .laurent import ContextMismatch, FrobLift, LaurentPoly, frob_substitute
 from .linalg import kernel_generators, mat_mul, snf_int
@@ -108,15 +110,14 @@ def twist_decompose(C, F):
 
 # -- gauge search -------------------------------------------------------------
 
+# The most F_p-combinations of intertwiner generators a rank >= 2 pullback
+# search tries before it reports the window as undetermined.
+MAX_GAUGE_COMBINATIONS = 4096
+
 
 def _window_exponents(d, D):
-    if d == 1:
-        return [(e,) for e in range(-D, D + 1)]
-    out = []
-    for e in range(-D, D + 1):
-        for rest in _window_exponents(d - 1, D):
-            out.append((e,) + rest)
-    return out
+    """The exponent vectors of the window [-D, D]^d, in lexicographic order."""
+    return list(itertools.product(range(-D, D + 1), repeat=d))
 
 
 def gauge_intertwiner_lattice(C1, C2, D):
@@ -196,25 +197,25 @@ def verify_pullback_iso(C_up, C_down, F, D):
     Returns a dict with 'found', the 'witness' matrix when found, and an
     'obstruction' record otherwise.  For rank 1 the failure is conclusive:
     a gauge unit is c*t^v modulo p, so solvability modulo p over the window
-    is a complete monomial search.
+    is a complete monomial search.  For rank >= 2 it is too, but 'found' is
+    None when more than MAX_GAUGE_COMBINATIONS gauges mod p need trying.
     """
     if C_up.rank != C_down.rank:
         raise ValueError("ranks differ")
     LR = level_raise(C_up, F)
     r = LR.rank
     ctx, d = LR.ctx, LR.d
-    ident = mat_id(ctx, d, r)
     if all((a - b).is_zero()
            for M1, M2 in zip(LR.theta, C_down.theta)
            for r1, r2 in zip(M1, M2) for a, b in zip(r1, r2)):
-        return {"found": True, "witness": ident, "obstruction": None}
+        return {"found": True, "witness": mat_id(ctx, d, r),
+                "obstruction": None}
     exps, gens = gauge_intertwiner_lattice(LR, C_down, D)
-    candidates = [vec for vec, _ in gens]
     if r == 1:
         # a gauge unit is c*t^v mod p, so it exists iff some monomial lies in
         # the mod-p span of the solutions; absence is a certificate of
         # non-isomorphism on the window
-        lift = _unit_in_span(candidates, ctx.p, ctx.modulus)
+        lift = _unit_in_span([vec for vec, _ in gens], ctx.p, ctx.modulus)
         if lift is not None:
             return {"found": True, "obstruction": None,
                     "witness": _vec_to_matrix(lift, exps, 1, 1, ctx, d)}
@@ -225,7 +226,19 @@ def verify_pullback_iso(C_up, C_down, F, D):
                     "detail": "no monomial lies in the mod-p span of the "
                               "intertwiner space, so no gauge unit exists "
                               "with support in the window"}}
-    for vec in candidates:
+    # g is invertible iff det(g) mod p is a unit monomial, and mod p the group
+    # is spanned by its generators of order p^n (the others are p times a
+    # vector), so trying their F_p-combinations decides the window
+    units = [vec for vec, e in gens if e == ctx.n]
+    if ctx.p ** len(units) - 1 > MAX_GAUGE_COMBINATIONS:
+        return {"found": None, "witness": None,
+                "obstruction": {"kind": "undetermined", "window": D,
+                                "generators": len(units)}}
+    for coeffs in itertools.product(range(ctx.p), repeat=len(units)):
+        if not any(coeffs):
+            continue
+        vec = [sum(c * x for c, x in zip(coeffs, col)) % ctx.modulus
+               for col in zip(*units)]
         g = _vec_to_matrix(vec, exps, r, r, ctx, d)
         if mat_det(g).is_unit():
             return {"found": True, "witness": g, "obstruction": None}
@@ -296,7 +309,7 @@ def descend_rank1(C, F, max_stages=400):
     if not F.is_pure():
         raise ValueError("descent implemented along the pure-power lift")
     ctx = C.ctx
-    p, n = ctx.p, ctx.n
+    p = ctx.p
     f = C.theta[0][0][0]
     g_total = LaurentPoly.one(ctx, 1)
     stages = 0
@@ -304,7 +317,7 @@ def descend_rank1(C, F, max_stages=400):
         bad = [(e[0], c) for e, c in f.terms if e[0] % p]
         if not bad:
             break
-        e, c = min(bad, key=lambda t: (_val(t[1], p, n), abs(t[0])))
+        e, c = min(bad, key=lambda t: (int_val_p(t[1], p), abs(t[0])))
         if c % p:
             return {"ok": False, "connection": None, "gauge": None,
                     "obstruction": {
@@ -328,13 +341,3 @@ def descend_rank1(C, F, max_stages=400):
     C_up = Connection.rank1(ctx, 1, 1, [new_f])
     return {"ok": True, "connection": C_up, "gauge": g_total,
             "obstruction": None}
-
-
-def _val(c, p, n):
-    if c % p ** n == 0:
-        return n
-    v = 0
-    while c % p == 0:
-        c //= p
-        v += 1
-    return v

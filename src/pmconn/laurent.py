@@ -96,9 +96,6 @@ class LaurentPoly:
                 return c
         return 0
 
-    def support(self):
-        return [e for e, _ in self.terms]
-
     def log_degree(self):
         """Max over terms of sum of |exponent| entries; 0 for the zero poly."""
         return max((sum(abs(x) for x in e) for e, _ in self.terms), default=0)
@@ -213,10 +210,6 @@ class LaurentPoly:
         if new_ctx.p != self.ctx.p:
             raise ContextMismatch("different primes")
         return LaurentPoly._canon(new_ctx, self.d, dict(self.terms))
-
-    def int_terms(self):
-        """Canonical integer-lift dict, for exact integer work."""
-        return {e: c for e, c in self.terms}
 
     # -- substitution ------------------------------------------------------
 

@@ -190,11 +190,10 @@ class WittVector:
         return "(" + ", ".join(str(c) for c in self.comps) + ")"
 
 
-def _ghost_invert(gs, p, n, work_ctx=None):
+def _ghost_invert(gs, p, n):
     """Recover components from ghost polynomials (mod p^{n'} with n' >= n)."""
     ctx1 = _ctx1(p)
-    if work_ctx is None:
-        work_ctx = gs[0].ctx
+    work_ctx = gs[0].ctx
     comps = []
     powers = []  # powers[i][j] = x_i^{p^j} on the canonical lift
     for k in range(n):

@@ -54,6 +54,18 @@ def test_check_rejects_grid_flags_the_suite_ignores(capsys, suite, flag):
     assert flag in err
 
 
+@pytest.mark.parametrize("suite,flag,value", [
+    ("prop4", "--p", "0"), ("prop4", "--p", "4"), ("prop4", "--n", "0"),
+    ("prop4", "--m", "-1"), ("prop4", "--d", "0"), ("theorem25", "--n", "0"),
+    ("tau", "--p", "1"), ("level-raise", "--m", "-1"), ("descent", "--n", "-2"),
+])
+def test_check_rejects_out_of_range_grid_values(capsys, suite, flag, value):
+    code, out, err = run(capsys, "check", suite, flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"{flag} {value}" in err
+
+
 def test_check_prop4_reads_every_grid_flag(capsys):
     code, out, _ = run(capsys, "check", "prop4", "--p", "2", "--n", "1",
                        "--m", "0", "--d", "1", "--format", "json")

@@ -168,6 +168,43 @@ def test_verify_pullback_iso_rank1_span_search():
     assert rep["obstruction"]["kind"] == "no-unit-in-solution-span"
 
 
+def _swapped_diagonal_pullback():
+    # down is the level-raise of diag(3, 6) with its basis swapped: every
+    # single intertwiner generator is singular mod 3, their sum is the swap
+    ctx = RingCtx(3, 2)
+    F = FrobLift.pure(ctx, 1)
+    z, one = LaurentPoly.zero(ctx, 1), LaurentPoly.one(ctx, 1)
+    up = Connection(ctx, 1, 1, 2, (((LaurentPoly.const(ctx, 1, 3), z),
+                                    (z, LaurentPoly.const(ctx, 1, 6))),))
+    LR = level_raise(up, F)
+    return up, LR, gauge(LR, [[z, one], [one, z]]), F
+
+
+@pytest.mark.parametrize("D", [2, 4, 8])
+def test_verify_pullback_iso_rank2_combines_generators(D):
+    up, LR, down, F = _swapped_diagonal_pullback()
+    rep = verify_pullback_iso(up, down, F, D)
+    assert rep["found"] is True
+    assert gauge(LR, rep["witness"]).theta == down.theta
+
+
+def test_verify_pullback_iso_rank2_verdicts():
+    up, LR, down, F = _swapped_diagonal_pullback()
+    # 12 generators of order 3^2 give 3^12 - 1 combinations: too many to try
+    rep = verify_pullback_iso(up, down, F, 12)
+    assert rep["found"] is None
+    assert rep["obstruction"]["kind"] == "undetermined"
+    # diag(3, 3) needs t^3 or t^-3 on the second basis vector, outside the
+    # window D = 2
+    ctx = LR.ctx
+    z, three = LaurentPoly.zero(ctx, 1), LaurentPoly.const(ctx, 1, 3)
+    other = Connection(ctx, 1, 0, 2, (((three, z), (z, three)),))
+    rep = verify_pullback_iso(up, other, F, 2)
+    assert rep["found"] is False
+    assert rep["obstruction"]["kind"] == "no-invertible-candidate"
+    assert verify_pullback_iso(up, other, F, 4)["found"] is True
+
+
 def test_unit_in_span_needs_three_vectors():
     # mod 2 only v1 + v2 + v3 = (1, 0, 0, 0) is a monomial: no single
     # vector and no pair combination is one

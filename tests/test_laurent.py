@@ -8,7 +8,7 @@ from pmconn.arith import RingCtx
 from pmconn.laurent import (LaurentPoly, FrobLift, frob_substitute,
                             parse_poly, format_poly, ContextMismatch,
                             NotAUnit, _packed_mul, _PACKED_MIN_PAIRS)
-from pmconn.dops import _apply_single
+from pmconn.dops import DiffOp, op_apply
 
 ctxs = st.builds(RingCtx,
                  st.sampled_from([2, 3, 5]),
@@ -147,7 +147,7 @@ def test_internal_results_are_canonical(p, n, d, seed):
         results += [f.partial(i), f.log_partial(i), dense[0].partial(i)]
     for m in range(3):
         for l in itertools.product(range(3), repeat=d):
-            results.append(_apply_single(l, f, m))
+            results.append(op_apply(DiffOp.partial(ctx, d, m, l), f))
     for r in results:
         assert r.ctx is ctx and r.d == d
         _assert_canonical(r)
