@@ -549,6 +549,10 @@ def cmd_check(opts):
             return 2
     t0 = time.time()
     anchor, cases = SUITES[opts.suite](opts)
+    if not cases:
+        print(f"the grid flags select no case of suite {opts.suite}",
+              file=sys.stderr)
+        return 2
     results = [fn() for _, fn in cases]
     wall = time.time() - t0
     failures = []

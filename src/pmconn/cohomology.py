@@ -93,20 +93,24 @@ def _boundary_plan(C, q):
 
 def _boundary_matrix(C, plan, basis_in, basis_out):
     """Integer matrix of nabla_q from basis_in to basis_out, in the log
-    basis, walked from the degree-q plan.  Also returns, per column, whether
-    any image term fell outside basis_out (window leakage)."""
+    basis, as sparse columns {row: entry}, one per element of basis_in,
+    walked from the degree-q plan (an entry where terms cancel stays, as
+    0).  Also returns, per column, whether any image term fell outside
+    basis_out (window leakage)."""
     row_of = {b: k for k, b in enumerate(basis_out)}.get
     pm = C.p_to_m()
-    rows = [[0] * len(basis_in) for _ in basis_out]
+    cols = [{} for _ in basis_in]
     leaks = [False] * len(basis_in)
     for col, (w, j, S) in enumerate(basis_in):
         terms, diag = plan[j, S]
+        image = cols[col]
+        get = image.get
         for u, b, S2, c in terms:
             r = row_of((tuple(map(add, w, u)), b, S2))
             if r is None:
                 leaks[col] = True
             else:
-                rows[r][col] += c
+                image[r] = get(r, 0) + c
         for axis, jj, S2, sign in diag:
             c = pm * w[axis]
             if c:
@@ -114,15 +118,16 @@ def _boundary_matrix(C, plan, basis_in, basis_out):
                 if r is None:
                     leaks[col] = True
                 else:
-                    rows[r][col] += sign * c
-    return rows, leaks
+                    image[r] = get(r, 0) + sign * c
+    return cols, leaks
 
 
 def de_rham_complex(C, D):
-    """Boundary matrices of the windowed de Rham complex, per degree.
+    """Boundary maps of the windowed de Rham complex, per degree.
 
     Returns a list over q = 0..d-1 of dicts with the source/target bases
-    and the integer matrix of nabla_q.
+    and the integer matrix of nabla_q as sparse columns, "columns"[k] =
+    {target index: entry} for source element k.
     """
     if not C.is_integrable():
         raise ValueError("the de Rham complex needs an integrable connection")
@@ -131,9 +136,9 @@ def de_rham_complex(C, D):
     for q in range(C.d):
         bin_ = _form_basis(weights, C.rank, C.d, q)
         bout = _form_basis(weights, C.rank, C.d, q + 1)
-        M, leaks = _boundary_matrix(C, _boundary_plan(C, q), bin_, bout)
+        cols, leaks = _boundary_matrix(C, _boundary_plan(C, q), bin_, bout)
         out.append({"q": q, "source": bin_, "target": bout,
-                    "matrix": M, "leaks": leaks})
+                    "columns": cols, "leaks": leaks})
     return out
 
 
@@ -169,13 +174,11 @@ def compute_H(C, i, D, stability=True):
             ext = sorted({tuple(map(add, w, u)) for w in comp for u in shifts})
             out_basis = _form_basis(ext, C.rank, C.d, i + 1)
             B, _ = _boundary_matrix(C, plan, mid, out_basis)
-            if i == 0:
-                A = [[] for _ in mid]
-            else:
+            A = []
+            if i:
                 src = _form_basis(comp, C.rank, C.d, i - 1)
                 A_full, leaks = _boundary_matrix(C, plan_src, src, mid)
-                keep = [c for c in range(len(src)) if not leaks[c]]
-                A = [[A_full[r][c] for c in keep] for r in range(len(mid))]
+                A = [col for col, leak in zip(A_full, leaks) if not leak]
             solved[key] = homology_divisors(A, B, [n] * len(mid),
                                             [n] * len(out_basis), p, n)
         if solved[key]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .arith import int_val_p
 from .connection import Connection, gauge, mat_det, mat_id
 from .laurent import ContextMismatch, FrobLift, LaurentPoly, frob_substitute
-from .linalg import kernel_generators, mat_mul, snf_int
+from .linalg import kernel_generators, snf_int
 
 
 def level_raise(C, F):
@@ -144,7 +144,7 @@ def gauge_intertwiner_lattice(C1, C2, D):
     out_pos = {e: k for k, e in enumerate(out_exps)}
     rows = []
     for i in range(1, d + 1):
-        eq = [[0] * nvar for _ in range(r1 * r2 * len(out_exps))]
+        eq = [{} for _ in range(r1 * r2 * len(out_exps))]
         for a in range(r1):
             for b in range(r2):
                 for e in exps:
@@ -153,7 +153,7 @@ def gauge_intertwiner_lattice(C1, C2, D):
                     c = pm * e[i - 1]
                     if c:
                         row = (a * r2 + b) * len(out_exps) + out_pos[e]
-                        eq[row][var] += c
+                        eq[row][var] = eq[row].get(var, 0) + c
                     # (Theta1 g)_{ab} takes g_{kb}, k over C1 rows
                     for k in range(r1):
                         f = C1.theta[i - 1][a][k]
@@ -162,7 +162,7 @@ def gauge_intertwiner_lattice(C1, C2, D):
                             if e2 in out_pos:
                                 var2 = (k * r2 + b) * len(exps) + pos[e]
                                 row = (a * r2 + b) * len(out_exps) + out_pos[e2]
-                                eq[row][var2] += cu
+                                eq[row][var2] = eq[row].get(var2, 0) + cu
                     # -(g Theta2)_{ab} takes g_{ak}
                     for k in range(r2):
                         f = C2.theta[i - 1][k][b]
@@ -171,9 +171,9 @@ def gauge_intertwiner_lattice(C1, C2, D):
                             if e2 in out_pos:
                                 var2 = (a * r2 + k) * len(exps) + pos[e]
                                 row = (a * r2 + b) * len(out_exps) + out_pos[e2]
-                                eq[row][var2] -= cu
+                                eq[row][var2] = eq[row].get(var2, 0) - cu
         rows.extend(eq)
-    rows = [row for row in rows if any(row)]
+    rows = [row for row in rows if any(row.values())]
     return exps, kernel_generators(rows, nvar, ctx.p, ctx.n)
 
 
@@ -258,15 +258,21 @@ def _unit_in_span(vectors, p, modulus):
     if not vectors:
         return None
     nv, c = len(vectors[0]), len(vectors)
-    K = [[v[i] for v in vectors] for i in range(nv)]
-    U, D, V = snf_int(K, p)
-    diag = [D[t][t] if t < c else 0 for t in range(nv)]
+    K = [{} for _ in range(nv)]
+    for j, v in enumerate(vectors):
+        for i, x in enumerate(v):
+            if x:
+                K[i][j] = x
+    U, D, V = snf_int(K, c, p)
+    diag = D + [0] * (nv - len(D))
     for k in range(nv):
         if any(U[t][k] % p for t in range(nv) if diag[t] % p == 0):
             continue
-        z = [[U[t][k] * pow(diag[t], -1, p) % p
-              if t < nv and diag[t] % p else 0] for t in range(c)]
-        return [row[0] % modulus for row in mat_mul(K, mat_mul(V, z))]
+        z = [U[t][k] * pow(diag[t], -1, p) % p
+             if t < nv and diag[t] % p else 0 for t in range(c)]
+        Vz = [sum(x * y for x, y in zip(row, z)) for row in V]
+        return [sum(x * Vz[j] for j, x in row.items()) % modulus
+                for row in K]
     return None
 
 

@@ -1,19 +1,24 @@
-"""Matrix utilities over Z/p^N: a sparse Smith normal form, kernel
-generators, homology of finite p-group complexes, and connected components.
+"""Matrix utilities over Z/p^N on sparse rows and columns: a Smith normal
+form, kernel generators, homology of finite p-group complexes, and connected
+components.
 
-``snf_int`` diagonalises over Z/p^N in one sparse elimination loop.  It reads
-each pivot off the rows' least keys, kept up to date for the rows a step
-changes, and builds U and V only for callers that read them.  The kernel of
-a matrix over Z/p^N is read off the same Smith form: U M V = D puts it in the
-span of V's columns, each cut down by its pivot.  Homology of a complex of
-finite p-groups is one Smith form over Z/p^{N+1} of the middle relations
-lifted into the kernel of the outgoing map, N the largest middle order.
-Every invariant of the homology has p-valuation at most N, so the reduction
-mod p^{N+1} loses none of them, and entries never grow past p^{N+1}.
-Elementary divisors are reported as lists of p-exponents.  Neither the
-kernel nor homology needs the divisor chain, only the p-valuations of a
-diagonal form, so the Smith form skips the divisibility fix-up, and homology
-skips the transforms as well.
+Matrices come in as lists of dicts, rows ``{column: entry}`` for ``snf_int``
+and ``kernel_generators`` and columns ``{row: entry}`` for the maps of a
+complex, so nothing on the homology path is ever dense; only the transforms
+U and V, which the kernel reads, come back dense.  ``snf_int`` diagonalises
+over Z/p^N in one sparse elimination loop.  It reads each pivot off the
+rows' least keys, kept up to date for the rows a step changes, finds the
+rows to clear in a column -> rows index, and builds U and V only for callers
+that read them.  The kernel of a matrix over Z/p^N is read off the same
+Smith form: U M V = D puts it in the span of V's columns, each cut down by
+its pivot.  Homology of a complex of finite p-groups is one Smith form over
+Z/p^{N+1} of the middle relations lifted into the kernel of the outgoing
+map, N the largest middle order.  Every invariant of the homology has
+p-valuation at most N, so the reduction mod p^{N+1} loses none of them, and
+entries never grow past p^{N+1}.  Elementary divisors are reported as lists
+of p-exponents.  Neither the kernel nor homology needs the divisor chain,
+only the p-valuations of a diagonal form, so the Smith form skips the
+divisibility fix-up, and homology skips the transforms as well.
 """
 
 from __future__ import annotations
@@ -22,22 +27,6 @@ from itertools import repeat
 from math import gcd
 
 from .arith import int_val_p
-
-
-def mat_mul(A, B):
-    rb = len(B)
-    out = []
-    for row in A:
-        acc = [0] * len(B[0])
-        for k in range(rb):
-            a = row[k]
-            if a:
-                Bk = B[k]
-                for j in range(len(Bk)):
-                    if Bk[j]:
-                        acc[j] += a * Bk[j]
-        out.append(acc)
-    return out
 
 
 def _axpy(dst, src, k, q):
@@ -51,26 +40,34 @@ def _axpy(dst, src, k, q):
             dst.pop(j, None)
 
 
-def snf_int(M, q, *, transforms=True):
+def snf_int(M, c, q, *, transforms=True):
     """Diagonalize M over Z/qZ, q a prime power p^N, by invertible row and
     column operations.
 
-    Returns dense (U, D, V) with U*M*V = D (congruent mod q), D diagonal with
-    its nonzero entries first, and U, V invertible (mod p).  There is no
+    M is a list of sparse rows ``{column: entry}`` over columns 0..c-1; it is
+    read, never changed.  Returns (U, D, V) with U*M*V = diag(D) (congruent
+    mod q), D the diagonal as a list of min(len(M), c) entries with the
+    nonzero ones first, and U, V dense and invertible (mod p).  There is no
     divisibility chain.  With transforms=False, U and V are never built and
-    come back as empty lists; D is the same.  Rows of D and U are dicts and V
-    is kept by columns, so a sparse M stays cheap.
+    come back as empty lists; D is the same.
 
-    The pivot is the first entry of least key gcd(x, q), its p-power part,
-    in the first row that holds one.  It divides every other entry, so one
-    modular inverse clears its row and column.  Each row keeps its least
-    key, recomputed only for the rows a step changes, so finding a pivot is
-    one pass over the rows, not over the entries.
+    The rows are reduced in a copy whose keys run in increasing column
+    order, so the pivot depends only on the matrix: the first entry of least
+    key gcd(x, q), its p-power part, in the first row that holds one.  It
+    divides every other entry, so one modular inverse clears its row and
+    column.  Each row keeps its least key, recomputed only for the rows a
+    step changes, so finding a pivot is one pass over the rows, not over the
+    entries.  A column -> rows index gives the rows to clear; it may name a
+    row twice, or a row that has since lost the column, and those are
+    skipped.  Each row takes a multiple of the pivot row alone, so the order
+    they are cleared in changes nothing.
     """
     r = len(M)
-    c = len(M[0]) if r else 0
-    rows = [{j: x % q for j, x in enumerate(row) if x and x % q}
-            for row in M]
+    rows = [{j: y for j in sorted(row) if (y := row[j] % q)} for row in M]
+    where = [[] for _ in range(c)]
+    for i, row in enumerate(rows):
+        for j in row:
+            where[j].append(i)
     U = [{i: 1} for i in range(r)] if transforms else []
     V = [{j: 1} for j in range(c)] if transforms else []
     done = float("inf")
@@ -88,8 +85,12 @@ def snf_int(M, q, *, transforms=True):
         inv = pow(x // k0, -1, q)
         # clear column j0 by row operations, then row i0 by column operations;
         # k0 divides every entry, so each step leaves an exact zero
-        for i in [i for i, Di in enumerate(rows) if j0 in Di and i != i0]:
+        for i in where[j0]:
             Di = rows[i]
+            if i == i0 or j0 not in Di:
+                continue
+            for j in row0.keys() - Di.keys():
+                where[j].append(i)
             k = -(Di[j0] // k0 * inv % q)
             _axpy(Di, row0, k, q)
             if transforms:
@@ -102,9 +103,8 @@ def snf_int(M, q, *, transforms=True):
         rows[i0] = {j0: x}
         pivots.append((i0, j0))
         mins[i0] = done
-    D = [[0] * c for _ in range(r)]
-    for t, (i, j) in enumerate(pivots):
-        D[t][t] = rows[i][j]
+    D = [rows[i][j] for i, j in pivots]
+    D += [0] * (min(r, c) - len(D))
     if not transforms:
         return U, D, V
     # pivots first, the rest (zero in D) after them in their original order
@@ -124,22 +124,20 @@ def snf_int(M, q, *, transforms=True):
 
 
 def kernel_generators(M, c, p, n):
-    """Generators of the kernel of M (rows of length c) over Z/p^n, as pairs
-    (vector, e) with the vector of order exactly p^e; the kernel is their
-    direct sum.
+    """Generators of the kernel of M (sparse rows over c columns) over
+    Z/p^n, as pairs (vector, e) with the vector of order exactly p^e; the
+    kernel is their direct sum.
 
     With U M V = D mod p^n, Mx = 0 iff y = V^-1 x has d_t y_t = 0 for every
     t, so a pivot d_t of valuation v gives p^(n-v) times column t of V, of
     order p^v (nothing at a unit pivot), and a column past the pivots gives
-    itself, of order p^n.  With no rows every unit vector has order p^n.
+    itself, of order p^n.  With no rows V is the identity.
     """
-    if not M:
-        return [([int(i == j) for i in range(c)], n) for j in range(c)]
     q = p ** n
-    _, D, V = snf_int(M, q)
+    _, D, V = snf_int(M, c, q)
     out = []
     for t in range(c):
-        d = D[t][t] if t < len(D) else 0
+        d = D[t] if t < len(D) else 0
         e = int_val_p(d, p) if d else n
         if e:
             scale = p ** (n - e)
@@ -148,10 +146,9 @@ def kernel_generators(M, c, p, n):
 
 
 def diagonal_p_exponents(D, p, cap):
-    """p-exponents (capped, positives only) of the diagonal of D."""
+    """p-exponents (capped, positives only) of the diagonal entries D."""
     out = []
-    for t in range(min(len(D), len(D[0]) if D else 0)):
-        d = D[t][t]
+    for d in D:
         if d == 0:
             raise ValueError("infinite summand in a group expected finite")
         e = min(int_val_p(d, p), cap)
@@ -165,34 +162,30 @@ def homology_divisors(A, B, orders_mid, orders_out, p, cap):
 
         free -> (+) Z/p^orders_mid -> (+) Z/p^orders_out
 
-    given by integer matrices A (mid x a) and B (out x mid).
+    given by integer matrices as sparse columns: A is a list of columns
+    {middle index: entry}, one per free generator, and B has one column
+    {out index: entry} per middle generator.
 
     Each relation r, a column of W = [A | diag(p^orders_mid)], lifts to
     (r, -(B r) / p^orders_out) in the kernel K of [B | diag(p^orders_out)].
     K projects isomorphically onto the kernel lattice of B and is saturated,
     so H is the torsion of the cokernel of the lifts: their first b = len(mid)
     invariants, each of valuation at most max(orders_mid), read from one Smith
-    form over Z/p^(max(orders_mid) + 1).
+    form over Z/p^(max(orders_mid) + 1).  The b relation rows and the lift
+    rows, one per out index that a lift reaches, are built as sparse rows.
     """
     b = len(orders_mid)
     if not b:
         return []
-    a = len(A[0]) if A else 0
-    rels = [{i: A[i][k] for i in range(b) if A[i][k]} for k in range(a)]
-    rels += [{i: p ** o} for i, o in enumerate(orders_mid)]
-    Bcols = [[] for _ in range(b)]
-    for j, row in enumerate(B):
-        for i, x in enumerate(row):
-            if x:
-                Bcols[i].append((j, x))
+    rels = A + [{i: p ** o} for i, o in enumerate(orders_mid)]
     mods = [p ** o for o in orders_out]
-    S = [[0] * len(rels) for _ in range(b)]
+    S = [{} for _ in range(b)]
     Y = {}
     for col, rel in enumerate(rels):
         image = {}
         for i, x in rel.items():
             S[i][col] = x
-            for j, y in Bcols[i]:
+            for j, y in B[i].items():
                 image[j] = image.get(j, 0) + y * x
         for j, y in image.items():
             lift, rem = divmod(y, mods[j])
@@ -201,9 +194,10 @@ def homology_divisors(A, B, orders_mid, orders_out, p, cap):
                                  "B*diag(p^orders_mid) is nonzero modulo "
                                  "p^orders_out")
             if lift:
-                Y.setdefault(j, [0] * len(rels))[col] = -lift
+                Y.setdefault(j, {})[col] = -lift
     S.extend(Y[j] for j in sorted(Y))
-    _, D, _ = snf_int(S, p ** (max(orders_mid) + 1), transforms=False)
+    _, D, _ = snf_int(S, len(rels), p ** (max(orders_mid) + 1),
+                      transforms=False)
     return diagonal_p_exponents(D[:b], p, cap)
 
 

@@ -511,16 +511,13 @@ def _links(images, index):
 
 def _cluster_h(images, leaks, members, gens, index, p, n):
     pos = {k: i for i, k in enumerate(members)}
-    B = [[0] * len(members) for _ in members]
-    for k in members:
-        for key, c in images[k].items():
-            if key in index and index[key] in pos:
-                B[pos[index[key]]][pos[k]] += c
+    cols = [{i: c for key, c in images[k].items()
+             if (i := pos.get(index.get(key))) is not None} for k in members]
     ords = [gens[k][1] for k in members]
-    h0 = homology_divisors([[] for _ in members], B, ords, ords, p, n)
-    cols_ok = [k for k in members if not leaks[k]]
-    A = [[images[k].get(gens[i][0], 0) for k in cols_ok] for i in members]
-    h1 = homology_divisors(A, [], ords, ords, p, n)
+    h0 = homology_divisors([], cols, ords, ords, p, n)
+    h1 = homology_divisors([col for col, k in zip(cols, members)
+                            if not leaks[k]],
+                           [{} for _ in members], ords, ords, p, n)
     return h0, h1
 
 
@@ -609,11 +606,7 @@ def fractional_presentation_orders(p, n, r, j):
     if not (gens[-1] * p).is_zero():
         verified = False
     s = len(gens)
-    rel = [[0] * s for _ in range(s)]
-    for k in range(s):
-        rel[k][k] = p
-        if k + 1 < s:
-            rel[k + 1][k] = -1
-    _, Dm, _ = snf_int(rel, p ** (n + 1), transforms=False)
+    rel = [{k - 1: -1, k: p} if k else {k: p} for k in range(s)]
+    _, Dm, _ = snf_int(rel, s, p ** (n + 1), transforms=False)
     return {"orders": diagonal_p_exponents(Dm, p, n), "verified": verified,
             "predicted": [n - r]}

@@ -73,6 +73,16 @@ def test_check_prop4_reads_every_grid_flag(capsys):
     assert json.loads(out)["cases"] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("prop4", "--n", "1", "--m", "3"), ("level-raise", "--n", "2", "--m", "3"),
+])
+def test_check_with_no_selected_case_exits_2(capsys, argv):
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 2
+    assert out == ""
+    assert "no case" in err
+
+
 def _write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -181,11 +191,14 @@ COUPLED_COHOMOLOGY_SHA256 = [
      "a15d0227dc526d6de467ddbd9949fdd4cf16838c23d1aafcabdfdaf9842fc891"),
     (["15*t1+3*t1^-1", "15*t2+3*t2^-1"], 3,
      "4db2edda4af50c2cf11076380db8f0a455269027da7c3ea0b8fcb572f9cb3027"),
+    (["15*t1+3*t1^-1", "15*t2+3*t2^-1"], 8,
+     "9738f699be8ff9a63fd591c725e115840c79a13bcc99b64b08154def9e65ce00"),
 ]
 
 
 @pytest.mark.parametrize("theta,window,digest", COUPLED_COHOMOLOGY_SHA256,
-                         ids=["A-window4", "A-window6", "B-window3"])
+                         ids=["A-window4", "A-window6", "B-window3",
+                              "B-window8"])
 def test_coupled_cohomology_output_is_pinned(tmp_path, capsys, theta,
                                              window, digest):
     f = _write(tmp_path, "coupled.json",

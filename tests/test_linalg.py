@@ -1,13 +1,39 @@
+import copy
 import itertools
+import random
 import signal
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmconn.linalg import (mat_mul, snf_int, kernel_generators,
+from pmconn.linalg import (snf_int, kernel_generators,
                            diagonal_p_exponents, homology_divisors,
                            components)
+
+
+def _mat_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+            for row in A]
+
+
+def _rows(M):
+    """The sparse rows {column: entry} of a dense matrix."""
+    return [{j: x for j, x in enumerate(row) if x} for row in M]
+
+
+def _columns(M, c):
+    """The sparse columns {row: entry} of a dense matrix with c columns."""
+    return [{i: row[j] for i, row in enumerate(M) if row[j]}
+            for j in range(c)]
+
+
+def _diag_matrix(D, r, c):
+    """The r x c matrix with diagonal D."""
+    out = [[0] * c for _ in range(r)]
+    for t, d in enumerate(D):
+        out[t][t] = d
+    return out
 
 
 def _rank_mod_p(M, p):
@@ -51,18 +77,18 @@ def test_snf_mod_prime_power_matches_enumeration(args):
     p, N, M = args
     q = p ** N
     r, c = len(M), len(M[0])
-    U, D, V = snf_int(M, q)
-    UMV = mat_mul(mat_mul(U, M), V)
-    assert all((x - y) % q == 0 for row, drow in zip(UMV, D)
+    U, D, V = snf_int(_rows(M), c, q)
+    assert len(D) == min(r, c)
+    UMV = _mat_mul(_mat_mul(U, M), V)
+    assert all((x - y) % q == 0 for row, drow in zip(UMV, _diag_matrix(D, r, c))
                for x, y in zip(row, drow))
-    assert all(D[i][j] == 0 for i in range(r) for j in range(c) if i != j)
     # U and V are invertible mod q exactly when they are invertible mod p
     assert _rank_mod_p(U, p) == r
     assert _rank_mod_p(V, p) == c
     # |(Z/q)^r / M (Z/q)^c| = p^(sum of the capped valuations of D's diagonal)
     total = 0
     for t in range(r):
-        d = D[t][t] % q if t < c else 0
+        d = D[t] % q if t < c else 0
         v = 0
         while v < N and d % p ** (v + 1) == 0:
             v += 1
@@ -169,15 +195,38 @@ def test_snf_matches_reference_pivots(args):
     # a pivot search misled by a stale row key can cycle for ever, so each
     # call gets a second (an 8 x 8 form takes well under a millisecond)
     M, q = args
+    r, c = len(M), len(M[0])
     U, D, V = _snf_int_reference([row[:] for row in M], q)
     previous = signal.signal(signal.SIGALRM, _time_out)
     signal.setitimer(signal.ITIMER_REAL, 1.0)
     try:
-        assert snf_int(M, q) == (U, D, V)
-        assert snf_int(M, q, transforms=False) == ([], D, [])
+        U2, D2, V2 = snf_int(_rows(M), c, q)
+        assert len(D2) == min(r, c)
+        assert (U2, _diag_matrix(D2, r, c), V2) == (U, D, V)
+        assert snf_int(_rows(M), c, q, transforms=False) == ([], D2, [])
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=200, deadline=None)
+@given(snf_inputs(), st.randoms(use_true_random=False))
+def test_snf_ignores_key_order_and_keeps_its_input(args, rng):
+    # every entry, zeros too, with each row's keys in a random order
+    M, q = args
+    c = len(M[0])
+    rows = []
+    for row in M:
+        keys = list(range(c))
+        rng.shuffle(keys)
+        rows.append({j: row[j] for j in keys})
+    before = copy.deepcopy(rows)
+    assert snf_int(rows, c, q) == snf_int(_rows(M), c, q)
+    assert snf_int(rows, c, q, transforms=False) == \
+        snf_int(_rows(M), c, q, transforms=False)
+    assert rows == before
+    assert [list(row) for row in rows] == [list(row) for row in before]
+
 
 @st.composite
 def kernel_inputs(draw):
@@ -199,7 +248,7 @@ def kernel_inputs(draw):
 def test_kernel_generators_match_enumeration(args):
     p, n, c, M = args
     q = p ** n
-    gens = kernel_generators(M, c, p, n)
+    gens = kernel_generators(_rows(M), c, p, n)
     kernel = {x for x in itertools.product(range(q), repeat=c)
               if all(sum(a * b for a, b in zip(row, x)) % q == 0
                      for row in M)}
@@ -212,7 +261,7 @@ def test_kernel_generators_match_enumeration(args):
 
 
 def test_diagonal_p_exponents():
-    D = [[4, 0, 0], [0, 12, 0], [0, 0, 1]]
+    D = [4, 12, 1]
     assert diagonal_p_exponents(D, 2, 3) == [2, 2]
     assert diagonal_p_exponents(D, 2, 1) == [1, 1]
     assert diagonal_p_exponents(D, 3, 4) == [1]
@@ -220,8 +269,9 @@ def test_diagonal_p_exponents():
 
 def test_finite_quotient_orders():
     # Z^2 / <(2,0),(0,8)> over p=2 with cap 3: orders 2^1 and 2^3
-    assert homology_divisors([[2, 0], [0, 8]], [], [3, 3], [], 2, 3) == [1, 3]
-    assert homology_divisors([[2, 0], [0, 8]], [], [3, 3], [], 2, 2) == [1, 2]
+    A = [{0: 2}, {1: 8}]
+    assert homology_divisors(A, [{}, {}], [3, 3], [], 2, 3) == [1, 3]
+    assert homology_divisors(A, [{}, {}], [3, 3], [], 2, 2) == [1, 2]
 
 
 def test_components_keep_item_order():
@@ -232,23 +282,23 @@ def test_components_keep_item_order():
 
 def test_homology_divisors_empty_middle():
     assert homology_divisors([], [], [], [], 2, 3) == []
-    assert homology_divisors([], [[]], [], [2], 3, 2) == []
+    assert homology_divisors([{}], [], [], [2], 3, 2) == []
 
 
 def test_homology_divisors_rejects_non_complex():
     # B*A = 1 is not zero modulo 2^2
     with pytest.raises(ValueError, match="not a complex"):
-        homology_divisors([[1]], [[1]], [2], [2], 2, 2)
+        homology_divisors([{0: 1}], [{0: 1}], [2], [2], 2, 2)
     # B is not defined on Z/2: it sends the relation 2 to 2, nonzero mod 2^2
     with pytest.raises(ValueError, match="not a complex"):
-        homology_divisors([[0]], [[1]], [1], [2], 2, 2)
+        homology_divisors([{}], [{0: 1}], [1], [2], 2, 2)
 
 
 def test_homology_of_known_complex():
     # Z/p^n --p--> Z/p^n: homology at the middle is ker(p)/0 = Z/p^{n-1}...
     # with the incoming map zero: ker(B)/im(A) where A = [p], B absent
     p, n = 3, 3
-    H = homology_divisors([[p]], [], [n], [], p, n)
+    H = homology_divisors([{0: p}], [{}], [n], [], p, n)
     # middle term Z/p^n modulo pZ/p^n: group of order p
     assert H == [1]
 
@@ -256,15 +306,15 @@ def test_homology_of_known_complex():
 def test_homology_exact_complex_vanishes():
     # identity boundary in: everything is a boundary
     p, n = 2, 4
-    H = homology_divisors([[1]], [], [n], [], p, n)
+    H = homology_divisors([{0: 1}], [{}], [n], [], p, n)
     assert H == []
 
 
 def test_homology_kernel_cut():
     # B = [p^{n-1}] out of the middle: kernel is pZ/p^n, no boundaries in
     p, n = 2, 3
-    zero_in = [[0]]
-    H = homology_divisors(zero_in, [[p ** (n - 1)]], [n], [n], p, n)
+    zero_in = [{}]
+    H = homology_divisors(zero_in, [{0: p ** (n - 1)}], [n], [n], p, n)
     assert H == [n - 1]
 
 
@@ -316,7 +366,8 @@ def test_homology_divisors_match_brute_force(cx):
     # |{x in ker B : p^k x in im A}| / |im A| = |H[p^k]| = p^{sum min(e, k)}
     # for every k pins down the whole multiset of exponents e of H
     p, mid, out, A, B, ker = cx
-    divisors = homology_divisors(A, B, mid, out, p, max(mid))
+    divisors = homology_divisors(_columns(A, len(A[0])),
+                                 _columns(B, len(mid)), mid, out, p, max(mid))
     image = _span([[row[j] for row in A] for j in range(len(A[0]))],
                   mid, p)
     for k in range(max(mid) + 1):
