@@ -13,23 +13,22 @@ import json
 import random
 import sys
 import time
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .arith import RingCtx, is_prime
 from .connection import (Connection, ExtensionPresentation, gauge,
-                         is_quasi_nilpotent, mat_det)
+                         is_quasi_nilpotent)
 from .cohomology import (compare_theorem25, compute_H, higgs_vanishing,
-                         hom_space, rank1_trivial_test)
+                         hom_space)
 from .dops import (DiffOp, check_taylor_cocycle, check_taylor_inverse,
-                   level_change, multi_indices_upto, op_apply, op_mul,
-                   tau_transition, verify_tau)
+                   level_change, op_apply, op_mul, tau_transition, verify_tau)
 from .frobenius import (FrobLift, LiftChain, descend_rank1,
                         essential_image_rank1, level_raise, psi)
 from .laurent import LaurentPoly, frob_substitute, parse_poly, format_poly
 from .witt import (WittConnection, WittVector, drw_F, drw_d,
                    fractional_presentation_orders, integral_to_witt,
-                   mul_dlog, nf_to_witt, witt_compare,
-                   witt_connection_from_json, witt_connection_to_json,
-                   witt_level_raise)
+                   nf_to_witt, witt_compare, witt_level_raise)
 
 DEFAULT_PRIMES = (2, 3, 5)
 DEFAULT_WINDOW = 8
@@ -115,70 +114,115 @@ def _rank2_nilpotent(rng, ctx, m):
     return Connection(ctx, 1, m, 2, (((zero, g), (zero, zero)),))
 
 
-def _grid(opts, primes=DEFAULT_PRIMES, n_max=4, m_of_n=None, d_max=1):
-    ps = [opts.p] if opts.p is not None else list(primes)
-    ns = [opts.n] if opts.n is not None else list(range(1, n_max + 1))
-    ds = [opts.d] if opts.d is not None else list(range(1, d_max + 1))
+# -- suites ---------------------------------------------------------------------
+#
+# A suite is an anchor string, naming the identity under test for
+# cross-referencing reports, and one or more case families.  A family is a
+# case function case(opts, p, n, m, d) -> {"pass": bool, ...context...} and
+# its grid: the default values of each flag it reads, "m" as a function of n.
+# The flags a suite accepts, its points and its case names all come from
+# these declarations.
+
+
+class Family(NamedTuple):
+    case: Callable
+    axes: dict
+    keep: Callable | None = None  # keep(n, m): filter on the points
+    name: str | None = None       # default: "p=.. n=.." over the axes
+
+
+class UsageError(ValueError):
+    """Grid flags a suite cannot run with; `pmconn check` exits 2."""
+
+
+GRID_RANGES = {
+    "p": (is_prime, "a prime"),
+    "n": (lambda v: v >= 1, "n >= 1"),
+    "m": (lambda v: v >= 0, "m >= 0"),
+    "d": (lambda v: v >= 1, "d >= 1"),
+}
+
+
+def _grid(opts, family):
+    """The points (p, n, m, d) of a family: a pinned flag replaces its axis,
+    an axis the family does not declare is None, points with m > n are
+    dropped and the family's filter is applied."""
+    def values(flag, n=None):
+        if getattr(opts, flag) is not None:
+            return [getattr(opts, flag)]
+        if flag not in family.axes:
+            return [None]
+        return family.axes[flag](n) if flag == "m" else family.axes[flag]
     out = []
-    for p in ps:
-        for n in ns:
-            ms = [opts.m] if opts.m is not None else \
-                list(range(0, (m_of_n(n) if m_of_n else n) + 1))
-            for m in ms:
-                if m > n:
+    for p in values("p"):
+        for n in values("n"):
+            for m in values("m", n):
+                if m is not None and m > n:
                     continue
-                for d in ds:
-                    out.append((p, n, m, d))
+                if family.keep is not None and not family.keep(n, m):
+                    continue
+                out.extend((p, n, m, d) for d in values("d"))
     return out
 
 
-# -- suites ---------------------------------------------------------------------
-#
-# Each suite builds a deterministic list of (name, thunk) cases; a thunk
-# returns {"pass": bool, ...context...}.  The anchor string names the
-# identity under test, for cross-referencing reports.
+def _suite(anchor, *families):
+    """A suite's build(opts) -> (anchor, [(case name, thunk)])."""
+    flags = {f for fam in families for f in fam.axes}
+
+    def build(opts):
+        ignored = [f"--{f}" for f in "pnmd"
+                   if getattr(opts, f) is not None and f not in flags]
+        if ignored:
+            raise UsageError(
+                f"suite {opts.suite} does not read {' '.join(ignored)}")
+        for flag, (ok, want) in GRID_RANGES.items():
+            value = getattr(opts, flag)
+            if value is not None and not ok(value):
+                raise UsageError(
+                    f"--{flag} {value} is out of range: need {want}")
+        cases = []
+        for fam in families:
+            name = fam.name or " ".join(f"{f}={{{f}}}" for f in "pnmd"
+                                        if f in fam.axes)
+            cases += [(name.format(p=p, n=n, m=m, d=d),
+                       partial(fam.case, opts, p, n, m, d))
+                      for p, n, m, d in _grid(opts, fam)]
+        return anchor, cases
+    return build
 
 
-def suite_prop4(opts):
-    cases = []
-    for p, n, m, d in _grid(opts, d_max=2):
-        def run(p=p, n=n, m=m, d=d):
-            ctx = RingCtx(p, n)
-            rng = _rng(opts.seed, f"prop4:{p}:{n}:{m}:{d}")
-            for trial in range(12):
-                P = _rand_op(rng, ctx, d, m, 4)
-                Q = _rand_op(rng, ctx, d, m, 4)
-                R = _rand_op(rng, ctx, d, m, 4)
-                f = _rand_poly(rng, ctx, d, 2)
-                lhs = op_mul(op_mul(P, Q), R)
-                rhs = op_mul(P, op_mul(Q, R))
-                if lhs.terms != rhs.terms:
-                    return {"pass": False, "law": "associativity",
-                            "trial": trial}
-                if op_apply(op_mul(P, Q), f).terms != \
-                        op_apply(P, op_apply(Q, f)).terms:
-                    return {"pass": False, "law": "module-action",
-                            "trial": trial}
-                # divided operators compose by plain iteration
-                l1 = tuple(rng.randint(0, 2) for _ in range(d))
-                l2 = tuple(rng.randint(0, 2) for _ in range(d))
-                D1 = DiffOp.partial(ctx, d, m, l1)
-                D2 = DiffOp.partial(ctx, d, m, l2)
-                l12 = tuple(a + b for a, b in zip(l1, l2))
-                if op_mul(D1, D2).terms != \
-                        DiffOp.partial(ctx, d, m, l12).terms:
-                    return {"pass": False, "law": "divided-composition",
-                            "trial": trial}
-                if m >= 1:
-                    Pl = level_change(P, m - 1)
-                    Ql = level_change(Q, m - 1)
-                    if level_change(op_mul(P, Q), m - 1).terms != \
-                            op_mul(Pl, Ql).terms:
-                        return {"pass": False, "law": "level-change-hom",
-                                "trial": trial}
-            return {"pass": True}
-        cases.append((f"p={p} n={n} m={m} d={d}", run))
-    return "operator algebra: associativity, module action, composition", cases
+def case_prop4(opts, p, n, m, d):
+    ctx = RingCtx(p, n)
+    rng = _rng(opts.seed, f"prop4:{p}:{n}:{m}:{d}")
+    for trial in range(12):
+        P = _rand_op(rng, ctx, d, m, 4)
+        Q = _rand_op(rng, ctx, d, m, 4)
+        R = _rand_op(rng, ctx, d, m, 4)
+        f = _rand_poly(rng, ctx, d, 2)
+        lhs = op_mul(op_mul(P, Q), R)
+        rhs = op_mul(P, op_mul(Q, R))
+        if lhs.terms != rhs.terms:
+            return {"pass": False, "law": "associativity", "trial": trial}
+        if op_apply(op_mul(P, Q), f).terms != \
+                op_apply(P, op_apply(Q, f)).terms:
+            return {"pass": False, "law": "module-action", "trial": trial}
+        # divided operators compose by plain iteration
+        l1 = tuple(rng.randint(0, 2) for _ in range(d))
+        l2 = tuple(rng.randint(0, 2) for _ in range(d))
+        D1 = DiffOp.partial(ctx, d, m, l1)
+        D2 = DiffOp.partial(ctx, d, m, l2)
+        l12 = tuple(a + b for a, b in zip(l1, l2))
+        if op_mul(D1, D2).terms != DiffOp.partial(ctx, d, m, l12).terms:
+            return {"pass": False, "law": "divided-composition",
+                    "trial": trial}
+        if m >= 1:
+            Pl = level_change(P, m - 1)
+            Ql = level_change(Q, m - 1)
+            if level_change(op_mul(P, Q), m - 1).terms != \
+                    op_mul(Pl, Ql).terms:
+                return {"pass": False, "law": "level-change-hom",
+                        "trial": trial}
+    return {"pass": True}
 
 
 def _rank1_catalog(ctx, m):
@@ -194,335 +238,275 @@ def _rank1_catalog(ctx, m):
     ]
 
 
-def suite_taylor(opts):
-    cases = []
-    for p, n, m, d in _grid(opts, n_max=3):
-        def run(p=p, n=n, m=m):
-            ctx = RingCtx(p, n)
-            K = 4
-            for name, C in _rank1_catalog(ctx, m):
-                if not is_quasi_nilpotent(C):
-                    continue
-                e = C.basis_vector(0)
-                if not check_taylor_cocycle(C, e, K):
-                    return {"pass": False, "object": name, "law": "cocycle"}
-                if not check_taylor_inverse(C, e, K):
-                    return {"pass": False, "object": name, "law": "inverse"}
-            rng = _rng(opts.seed, f"taylor:{p}:{n}:{m}")
-            for trial in range(5):
-                C = _rank2_nilpotent(rng, ctx, m)
-                if not is_quasi_nilpotent(C):
-                    continue
-                for k in range(2):
-                    e = C.basis_vector(k)
-                    if not check_taylor_cocycle(C, e, K):
-                        return {"pass": False, "trial": trial, "law": "cocycle"}
-                    if not check_taylor_inverse(C, e, K):
-                        return {"pass": False, "trial": trial, "law": "inverse"}
-            return {"pass": True}
-        cases.append((f"p={p} n={n} m={m}", run))
-    return "stratification series: comultiplication cocycle and inverse", cases
-
-
-def suite_tau(opts):
-    cases = []
-    for p, n, m, d in _grid(opts, n_max=3, m_of_n=lambda n: min(n, 2)):
-        if m == 0:
+def case_taylor(opts, p, n, m, d):
+    ctx = RingCtx(p, n)
+    K = 4
+    for name, C in _rank1_catalog(ctx, m):
+        if not is_quasi_nilpotent(C):
             continue
-        def run(p=p, n=n, m=m):
-            ctx = RingCtx(p, n)
-            ctx_ext = RingCtx(p, n + m)
-            rng = _rng(opts.seed, f"tau:{p}:{n}:{m}")
-            t_ext = LaurentPoly.var(ctx_ext, 1, 1)
-            for trial in range(4):
-                C = Connection.rank1(ctx, 1, m,
-                                     [LaurentPoly.const(ctx, 1, ctx.p ** m)])
-                if trial % 2:
-                    C = _rank2_nilpotent(rng, ctx, m)
-                a1 = _rand_poly(rng, ctx_ext, 1, 1, deg=1)
-                a2 = _rand_poly(rng, ctx_ext, 1, 1, deg=1)
-                f1 = FrobLift(ctx_ext, 1, (a1 * (ctx.p ** (n - 1)),))
-                f2 = FrobLift(ctx_ext, 1, (a2 * (ctx.p ** (n - 1)),))
-                T = tau_transition(C, f1, f2)
-                if not verify_tau(C, f1, f2, T, level_raise):
-                    return {"pass": False, "trial": trial,
-                            "why": "gauge relation"}
-                # tau is the identity when the lifts agree mod p^{n+m}
-                Tid = tau_transition(C, f1, f1)
-                ident = all(
-                    Tid[i][j] == (LaurentPoly.one(ctx, 1) if i == j
-                                  else LaurentPoly.zero(ctx, 1))
-                    for i in range(C.rank) for j in range(C.rank))
-                if not ident:
-                    return {"pass": False, "trial": trial, "why": "not-id"}
-            return {"pass": True}
-        cases.append((f"p={p} n={n} m={m}", run))
-    return "transition isomorphisms between Frobenius lifts", cases
-
-
-def suite_level_raise(opts):
-    cases = []
-    for p, n, m, d in _grid(opts, n_max=3, m_of_n=lambda n: min(n, 2)):
-        if m == 0:
+        e = C.basis_vector(0)
+        if not check_taylor_cocycle(C, e, K):
+            return {"pass": False, "object": name, "law": "cocycle"}
+        if not check_taylor_inverse(C, e, K):
+            return {"pass": False, "object": name, "law": "inverse"}
+    rng = _rng(opts.seed, f"taylor:{p}:{n}:{m}")
+    for trial in range(5):
+        C = _rank2_nilpotent(rng, ctx, m)
+        if not is_quasi_nilpotent(C):
             continue
-        def run(p=p, n=n, m=m):
-            ctx = RingCtx(p, n)
-            F = FrobLift.pure(ctx, 1)
-            rng = _rng(opts.seed, f"lr:{p}:{n}:{m}")
-            for trial in range(6):
-                f = _rand_poly(rng, ctx, 1, 2)
-                C = Connection.rank1(ctx, 1, m, [f])
-                C2 = level_raise(C, F)
-                want = frob_substitute(f, F)
-                if C2.theta[0][0][0] != want:
-                    return {"pass": False, "law": "rank1-rule", "trial": trial}
-                D = _rank2_nilpotent(rng, ctx, m)
-                D2 = level_raise(D, F)
-                if not D2.is_integrable():
-                    return {"pass": False, "law": "integrability"}
-                if is_quasi_nilpotent(D) and not is_quasi_nilpotent(D2):
-                    return {"pass": False, "law": "quasi-nilpotence"}
-            if m >= 2:
-                chain = LiftChain(tuple(FrobLift.pure(ctx, 1)
-                                        for _ in range(m)))
-                f = _rand_poly(_rng(opts.seed, f"lrc:{p}:{n}:{m}"), ctx, 1, 1)
-                C = Connection.rank1(ctx, 1, m, [f])
-                top = psi(C, chain)
-                sub = f
-                for _ in range(m):
-                    sub = frob_substitute(sub, FrobLift.pure(ctx, 1))
-                if top.theta[0][0][0] != sub or top.m != 0:
-                    return {"pass": False, "law": "lift-chain"}
-            return {"pass": True}
-        cases.append((f"p={p} n={n} m={m}", run))
-    return "level raising: rank-1 rule, functoriality, lift chains", cases
+        for k in range(2):
+            e = C.basis_vector(k)
+            if not check_taylor_cocycle(C, e, K):
+                return {"pass": False, "trial": trial, "law": "cocycle"}
+            if not check_taylor_inverse(C, e, K):
+                return {"pass": False, "trial": trial, "law": "inverse"}
+    return {"pass": True}
 
 
-def suite_descent(opts):
-    cases = []
-    ps = [opts.p] if opts.p is not None else [2, 3]
-    ns = [opts.n] if opts.n is not None else [2, 3]
-    for p in ps:
-        for n in ns:
-            def run(p=p, n=n):
-                ctx = RingCtx(p, n)
-                F = FrobLift.pure(ctx, 1)
-                rng = _rng(opts.seed, f"descent:{p}:{n}")
-                for trial in range(8):
-                    up = Connection.rank1(
-                        ctx, 1, 1, [_rand_poly(rng, ctx, 1, 1, deg=1)])
-                    down = level_raise(up, F)
-                    res = descend_rank1(down, F)
-                    if not res["ok"]:
-                        return {"pass": False, "trial": trial,
-                                "why": res["obstruction"]}
-                    g = res["gauge"]
-                    back = gauge(down, ((g,),))
-                    again = level_raise(res["connection"], F)
-                    if back.theta[0][0][0] != again.theta[0][0][0]:
-                        return {"pass": False, "trial": trial,
-                                "why": "round-trip"}
-                bad = Connection.rank1(ctx, 1, 0,
-                                       [LaurentPoly.var(ctx, 1, 1)])
-                res = descend_rank1(bad, F)
-                if res["ok"] or res["obstruction"] is None:
-                    return {"pass": False, "why": "missing obstruction"}
-                return {"pass": True}
-            cases.append((f"p={p} n={n}", run))
-    return "rank-1 Frobenius descent with gauge witnesses", cases
+def case_tau(opts, p, n, m, d):
+    ctx = RingCtx(p, n)
+    ctx_ext = RingCtx(p, n + m)
+    rng = _rng(opts.seed, f"tau:{p}:{n}:{m}")
+    for trial in range(4):
+        C = Connection.rank1(ctx, 1, m,
+                             [LaurentPoly.const(ctx, 1, ctx.p ** m)])
+        if trial % 2:
+            C = _rank2_nilpotent(rng, ctx, m)
+        a1 = _rand_poly(rng, ctx_ext, 1, 1, deg=1)
+        a2 = _rand_poly(rng, ctx_ext, 1, 1, deg=1)
+        f1 = FrobLift(ctx_ext, 1, (a1 * (ctx.p ** (n - 1)),))
+        f2 = FrobLift(ctx_ext, 1, (a2 * (ctx.p ** (n - 1)),))
+        T = tau_transition(C, f1, f2)
+        if not verify_tau(C, f1, f2, T, level_raise):
+            return {"pass": False, "trial": trial, "why": "gauge relation"}
+        # tau is the identity when the lifts agree mod p^{n+m}
+        Tid = tau_transition(C, f1, f1)
+        ident = all(
+            Tid[i][j] == (LaurentPoly.one(ctx, 1) if i == j
+                          else LaurentPoly.zero(ctx, 1))
+            for i in range(C.rank) for j in range(C.rank))
+        if not ident:
+            return {"pass": False, "trial": trial, "why": "not-id"}
+    return {"pass": True}
 
 
-def suite_theorem25(opts):
-    cases = []
-    ps = [opts.p] if opts.p is not None else [2, 3]
-    for p in ps:
-        for n, m in [(2, 1), (3, 2), (4, 2)]:
-            if opts.n is not None and n != opts.n:
-                continue
-            if opts.m is not None and m != opts.m:
-                continue
-            def run(p=p, n=n, m=m):
-                ctx = RingCtx(p, n)
-                zero = LaurentPoly.zero(ctx, 1)
-                one = LaurentPoly.one(ctx, 1)
-                C = Connection(ctx, 1, m, 2, (((zero, one), (zero, zero)),))
-                pres = ExtensionPresentation(C, (1, 1),
-                                             ("trivial", "trivial"))
-                F = FrobLift.pure(ctx, 1)
-                rep = compare_theorem25(C, F, pres, 2)
-                if not rep["pass"]:
-                    return {"pass": False, "report": rep["degrees"]}
-                return {"pass": True}
-            cases.append((f"p={p} n={n} m={m}", run))
-    for p in ps:
-        def run_h(p=p):
-            for a in range(1, p):
-                rep = higgs_vanishing(p, 1, (a,))
-                if any(rep[i] for i in range(2)):
-                    return {"pass": False, "a": a}
-            return {"pass": True}
-        cases.append((f"higgs vanishing p={p}", run_h))
-    return "level-raise cohomology against the twist decomposition", cases
+def case_level_raise(opts, p, n, m, d):
+    ctx = RingCtx(p, n)
+    F = FrobLift.pure(ctx, 1)
+    rng = _rng(opts.seed, f"lr:{p}:{n}:{m}")
+    for trial in range(6):
+        f = _rand_poly(rng, ctx, 1, 2)
+        C = Connection.rank1(ctx, 1, m, [f])
+        C2 = level_raise(C, F)
+        want = frob_substitute(f, F)
+        if C2.theta[0][0][0] != want:
+            return {"pass": False, "law": "rank1-rule", "trial": trial}
+        D = _rank2_nilpotent(rng, ctx, m)
+        D2 = level_raise(D, F)
+        if not D2.is_integrable():
+            return {"pass": False, "law": "integrability"}
+        if is_quasi_nilpotent(D) and not is_quasi_nilpotent(D2):
+            return {"pass": False, "law": "quasi-nilpotence"}
+    if m >= 2:
+        chain = LiftChain(tuple(FrobLift.pure(ctx, 1) for _ in range(m)))
+        f = _rand_poly(_rng(opts.seed, f"lrc:{p}:{n}:{m}"), ctx, 1, 1)
+        C = Connection.rank1(ctx, 1, m, [f])
+        top = psi(C, chain)
+        sub = f
+        for _ in range(m):
+            sub = frob_substitute(sub, FrobLift.pure(ctx, 1))
+        if top.theta[0][0][0] != sub or top.m != 0:
+            return {"pass": False, "law": "lift-chain"}
+    return {"pass": True}
 
 
-def suite_ov_example(opts):
-    cases = []
-    ps = [opts.p] if opts.p is not None else list(DEFAULT_PRIMES)
-    ns = [opts.n] if opts.n is not None else [2, 3]
-    for p in ps:
-        for n in ns:
-            def run(p=p, n=n):
-                ctx = RingCtx(p, n)
-                one = LaurentPoly.one(ctx, 1)
-                C1 = Connection.rank1(ctx, 1, 0, [one])
-                C0 = Connection.trivial(ctx, 1, 0)
-                gens = hom_space(C1, C0, 5)
-                witness = [g for g, e in gens
-                           if e == n and len(g[0][0].terms) == 1
-                           and g[0][0].terms[0][0] == (-1,)]
-                if not witness:
-                    return {"pass": False, "why": "no t^-1 witness"}
-                g = witness[0]
-                moved = gauge(C1, g)
-                if moved.theta[0][0][0] != C0.theta[0][0][0]:
-                    return {"pass": False, "why": "witness not horizontal"}
-                C1m = Connection.rank1(ctx, 1, 1, [one])
-                C0m = Connection.trivial(ctx, 1, 1)
-                if hom_space(C1m, C0m, 5):
-                    return {"pass": False, "why": "level-1 hom not zero"}
-                Ct = Connection.rank1(ctx, 1, 0, [LaurentPoly.var(ctx, 1, 1)])
-                rep = essential_image_rank1(Ct)
-                if rep["in_image"] is not False:
-                    return {"pass": False, "why": "no obstruction certificate"}
-                return {"pass": True}
-            cases.append((f"p={p} n={n}", run))
-    return "torus example: hom collapse and essential-image obstruction", cases
+def case_descent(opts, p, n, m, d):
+    ctx = RingCtx(p, n)
+    F = FrobLift.pure(ctx, 1)
+    rng = _rng(opts.seed, f"descent:{p}:{n}")
+    for trial in range(8):
+        up = Connection.rank1(ctx, 1, 1, [_rand_poly(rng, ctx, 1, 1, deg=1)])
+        down = level_raise(up, F)
+        res = descend_rank1(down, F)
+        if not res["ok"]:
+            return {"pass": False, "trial": trial, "why": res["obstruction"]}
+        g = res["gauge"]
+        back = gauge(down, ((g,),))
+        again = level_raise(res["connection"], F)
+        if back.theta[0][0][0] != again.theta[0][0][0]:
+            return {"pass": False, "trial": trial, "why": "round-trip"}
+    bad = Connection.rank1(ctx, 1, 0, [LaurentPoly.var(ctx, 1, 1)])
+    res = descend_rank1(bad, F)
+    if res["ok"] or res["obstruction"] is None:
+        return {"pass": False, "why": "missing obstruction"}
+    return {"pass": True}
 
 
-def suite_witt_identities(opts):
-    cases = []
-    ps = [opts.p] if opts.p is not None else list(DEFAULT_PRIMES)
-    ns = [opts.n] if opts.n is not None else [2, 3, 4]
-    for p in ps:
-        for n in ns:
-            def run(p=p, n=n):
-                rng = _rng(opts.seed, f"witt:{p}:{n}")
-                ctx1 = RingCtx(p, 1)
-
-                def rand_comp():
-                    return _rand_poly(rng, ctx1, 1, 1, deg=3)
-
-                def rand_wv():
-                    return WittVector(p, n, tuple(rand_comp()
-                                                  for _ in range(n)))
-                for trial in range(6):
-                    x, y = rand_wv(), rand_wv()
-                    s = x + y
-                    for k, g in enumerate(s.ghosts()):
-                        diff = g - (x.ghost(k) + y.ghost(k))
-                        if any(c % p ** (k + 1) for _, c in diff.terms):
-                            return {"pass": False, "law": "ghost-add"}
-                    m_ = x * y
-                    for k, g in enumerate(m_.ghosts()):
-                        diff = g - x.ghost(k) * y.ghost(k)
-                        if any(c % p ** (k + 1) for _, c in diff.terms):
-                            return {"pass": False, "law": "ghost-mul"}
-                    i, fr = x.normal_form()
-                    if nf_to_witt(i, fr, p, n).comps != x.comps:
-                        return {"pass": False, "law": "normal-form"}
-                    if n >= 2:
-                        if x.verschiebung().frobenius().comps != \
-                                (x * p).restrict().comps:
-                            return {"pass": False, "law": "FV=p"}
-                        if drw_F(drw_d(x)) * p != drw_d(x.frobenius()):
-                            return {"pass": False, "law": "dF=pFd"}
-                        if drw_F(drw_d(x.verschiebung())) != \
-                                drw_d(x.restrict()):
-                            return {"pass": False, "law": "FdV=d"}
-                    if drw_d(x + y) != drw_d(x) + drw_d(y):
-                        return {"pass": False, "law": "d-additive"}
-                for r in range(1, n):
-                    rep = fractional_presentation_orders(p, n, r, p + 1)
-                    if not rep["verified"] or \
-                            rep["orders"] != rep["predicted"]:
-                        return {"pass": False, "law": "fractional-orders",
-                                "r": r, "report": rep}
-                return {"pass": True}
-            cases.append((f"p={p} n={n}", run))
-    return "Witt arithmetic against the ghost oracle; F/V/d identities", cases
+def case_theorem25(opts, p, n, m, d):
+    ctx = RingCtx(p, n)
+    zero = LaurentPoly.zero(ctx, 1)
+    one = LaurentPoly.one(ctx, 1)
+    C = Connection(ctx, 1, m, 2, (((zero, one), (zero, zero)),))
+    pres = ExtensionPresentation(C, (1, 1), ("trivial", "trivial"))
+    rep = compare_theorem25(C, FrobLift.pure(ctx, 1), pres, 2)
+    if not rep["pass"]:
+        return {"pass": False, "report": rep["degrees"]}
+    return {"pass": True}
 
 
-def suite_witt_compare(opts):
-    cases = []
-    ps = [opts.p] if opts.p is not None else [2, 3]
-    for p in ps:
-        for n, m in [(2, 1), (3, 1), (3, 2)]:
-            if opts.n is not None and n != opts.n:
-                continue
-            if opts.m is not None and m != opts.m:
-                continue
-            def run(p=p, n=n, m=m):
-                ctx1 = RingCtx(p, 1)
-                t = LaurentPoly.var(ctx1, 1, 1)
-                T = WittVector.teichmuller
-                pm = p ** m
-                catalog = [
-                    ("zero", WittVector.zero(p, n)),
-                    ("p^m[t]", T(t, n) * pm),
-                    ("p^m[t^-1]", T(LaurentPoly.var(ctx1, 1, 1, -1), n) * pm),
-                ]
-                for name, f in catalog:
-                    rep = witt_compare(WittConnection(m, f), 2)
-                    if not rep["pass"]:
-                        return {"pass": False, "object": name,
-                                "components": [c for c in rep["components"]
-                                               if not (c["h0_ok"]
-                                                       and c["h1_ok"])]}
-                # agreement with the classical rule through [t]
-                ctx = RingCtx(p, n)
-                f = LaurentPoly.from_dict(ctx, 1, {(1,): pm, (0,): pm})
-                wf = integral_to_witt(f, n)
-                raised = witt_level_raise(WittConnection(m, wf))
-                want = integral_to_witt(
-                    frob_substitute(f, FrobLift.pure(ctx, 1)), n)
-                if raised.f.comps != want.comps:
-                    return {"pass": False, "object": "integral-embedding"}
-                return {"pass": True}
-            cases.append((f"p={p} n={n} m={m}", run))
-    return "Witt-side level-raise cohomology comparison", cases
+def case_higgs(opts, p, n, m, d):
+    for a in range(1, p):
+        rep = higgs_vanishing(p, 1, (a,))
+        if any(rep[i] for i in range(2)):
+            return {"pass": False, "a": a}
+    return {"pass": True}
 
 
-# The grid flags each suite reads; cmd_check rejects the others rather than
-# ignore them.
-SUITE_FLAGS = {
-    "prop4": ("p", "n", "m", "d"),
-    "taylor-cocycle": ("p", "n", "m"),
-    "tau": ("p", "n", "m"),
-    "level-raise": ("p", "n", "m"),
-    "descent": ("p", "n"),
-    "theorem25": ("p", "n", "m"),
-    "ov-example": ("p", "n"),
-    "witt-identities": ("p", "n"),
-    "witt-compare": ("p", "n", "m"),
-}
+def case_ov_example(opts, p, n, m, d):
+    ctx = RingCtx(p, n)
+    one = LaurentPoly.one(ctx, 1)
+    C1 = Connection.rank1(ctx, 1, 0, [one])
+    C0 = Connection.trivial(ctx, 1, 0)
+    gens = hom_space(C1, C0, 5)
+    witness = [g for g, e in gens
+               if e == n and len(g[0][0].terms) == 1
+               and g[0][0].terms[0][0] == (-1,)]
+    if not witness:
+        return {"pass": False, "why": "no t^-1 witness"}
+    g = witness[0]
+    moved = gauge(C1, g)
+    if moved.theta[0][0][0] != C0.theta[0][0][0]:
+        return {"pass": False, "why": "witness not horizontal"}
+    C1m = Connection.rank1(ctx, 1, 1, [one])
+    C0m = Connection.trivial(ctx, 1, 1)
+    if hom_space(C1m, C0m, 5):
+        return {"pass": False, "why": "level-1 hom not zero"}
+    Ct = Connection.rank1(ctx, 1, 0, [LaurentPoly.var(ctx, 1, 1)])
+    rep = essential_image_rank1(Ct)
+    if rep["in_image"] is not False:
+        return {"pass": False, "why": "no obstruction certificate"}
+    return {"pass": True}
 
-GRID_RANGES = {
-    "p": (is_prime, "a prime"),
-    "n": (lambda v: v >= 1, "n >= 1"),
-    "m": (lambda v: v >= 0, "m >= 0"),
-    "d": (lambda v: v >= 1, "d >= 1"),
-}
+
+def case_witt_identities(opts, p, n, m, d):
+    rng = _rng(opts.seed, f"witt:{p}:{n}")
+    ctx1 = RingCtx(p, 1)
+
+    def rand_comp():
+        return _rand_poly(rng, ctx1, 1, 1, deg=3)
+
+    def rand_wv():
+        return WittVector(p, n, tuple(rand_comp() for _ in range(n)))
+    for trial in range(6):
+        x, y = rand_wv(), rand_wv()
+        s = x + y
+        for k, g in enumerate(s.ghosts()):
+            diff = g - (x.ghost(k) + y.ghost(k))
+            if any(c % p ** (k + 1) for _, c in diff.terms):
+                return {"pass": False, "law": "ghost-add"}
+        m_ = x * y
+        for k, g in enumerate(m_.ghosts()):
+            diff = g - x.ghost(k) * y.ghost(k)
+            if any(c % p ** (k + 1) for _, c in diff.terms):
+                return {"pass": False, "law": "ghost-mul"}
+        i, fr = x.normal_form()
+        if nf_to_witt(i, fr, p, n).comps != x.comps:
+            return {"pass": False, "law": "normal-form"}
+        if n >= 2:
+            if x.verschiebung().frobenius().comps != \
+                    (x * p).restrict().comps:
+                return {"pass": False, "law": "FV=p"}
+            if drw_F(drw_d(x)) * p != drw_d(x.frobenius()):
+                return {"pass": False, "law": "dF=pFd"}
+            if drw_F(drw_d(x.verschiebung())) != drw_d(x.restrict()):
+                return {"pass": False, "law": "FdV=d"}
+        if drw_d(x + y) != drw_d(x) + drw_d(y):
+            return {"pass": False, "law": "d-additive"}
+    for r in range(1, n):
+        rep = fractional_presentation_orders(p, n, r, p + 1)
+        if not rep["verified"] or rep["orders"] != rep["predicted"]:
+            return {"pass": False, "law": "fractional-orders", "r": r,
+                    "report": rep}
+    return {"pass": True}
+
+
+def case_witt_compare(opts, p, n, m, d):
+    ctx1 = RingCtx(p, 1)
+    t = LaurentPoly.var(ctx1, 1, 1)
+    T = WittVector.teichmuller
+    pm = p ** m
+    catalog = [
+        ("zero", WittVector.zero(p, n)),
+        ("p^m[t]", T(t, n) * pm),
+        ("p^m[t^-1]", T(LaurentPoly.var(ctx1, 1, 1, -1), n) * pm),
+    ]
+    for name, f in catalog:
+        rep = witt_compare(WittConnection(m, f), 2)
+        if not rep["pass"]:
+            return {"pass": False, "object": name,
+                    "components": [c for c in rep["components"]
+                                   if not (c["h0_ok"] and c["h1_ok"])]}
+    # agreement with the classical rule through [t]
+    ctx = RingCtx(p, n)
+    f = LaurentPoly.from_dict(ctx, 1, {(1,): pm, (0,): pm})
+    wf = integral_to_witt(f, n)
+    raised = witt_level_raise(WittConnection(m, wf))
+    want = integral_to_witt(frob_substitute(f, FrobLift.pure(ctx, 1)), n)
+    if raised.f.comps != want.comps:
+        return {"pass": False, "object": "integral-embedding"}
+    return {"pass": True}
+
+
+def _with_higgs(build):
+    def theorem25(opts):
+        anchor, cases = build(opts)
+        ps = [opts.p] if opts.p is not None else [2, 3]
+        return anchor, cases + [(f"higgs vanishing p={p}",
+                                 partial(case_higgs, opts, p, 1, 1, None))
+                                for p in ps]
+    return theorem25
+
 
 SUITES = {
-    "prop4": suite_prop4,
-    "taylor-cocycle": suite_taylor,
-    "tau": suite_tau,
-    "level-raise": suite_level_raise,
-    "descent": suite_descent,
-    "theorem25": suite_theorem25,
-    "ov-example": suite_ov_example,
-    "witt-identities": suite_witt_identities,
-    "witt-compare": suite_witt_compare,
+    "prop4": _suite(
+        "operator algebra: associativity, module action, composition",
+        Family(case_prop4, {"p": DEFAULT_PRIMES, "n": range(1, 5),
+                            "m": lambda n: range(n + 1), "d": (1, 2)})),
+    "taylor-cocycle": _suite(
+        "stratification series: comultiplication cocycle and inverse",
+        Family(case_taylor, {"p": DEFAULT_PRIMES, "n": range(1, 4),
+                             "m": lambda n: range(n + 1)})),
+    # tau and level-raise pull back along a raise, which needs m >= 1 also
+    # when --m pins the level
+    "tau": _suite(
+        "transition isomorphisms between Frobenius lifts",
+        Family(case_tau, {"p": DEFAULT_PRIMES, "n": range(1, 4),
+                          "m": lambda n: range(1, min(n, 2) + 1)},
+               keep=lambda n, m: m >= 1)),
+    "level-raise": _suite(
+        "level raising: rank-1 rule, functoriality, lift chains",
+        Family(case_level_raise, {"p": DEFAULT_PRIMES, "n": range(1, 4),
+                                  "m": lambda n: range(1, min(n, 2) + 1)},
+               keep=lambda n, m: m >= 1)),
+    "descent": _suite(
+        "rank-1 Frobenius descent with gauge witnesses",
+        Family(case_descent, {"p": (2, 3), "n": (2, 3)})),
+    "theorem25": _with_higgs(_suite(
+        "level-raise cohomology against the twist decomposition",
+        Family(case_theorem25, {"p": (2, 3), "n": (2, 3, 4),
+                                "m": lambda n: (1, 2)},
+               keep=lambda n, m: (n, m) in {(2, 1), (3, 2), (4, 2)}))),
+    "ov-example": _suite(
+        "torus example: hom collapse and essential-image obstruction",
+        Family(case_ov_example, {"p": DEFAULT_PRIMES, "n": (2, 3)})),
+    "witt-identities": _suite(
+        "Witt arithmetic against the ghost oracle; F/V/d identities",
+        Family(case_witt_identities, {"p": DEFAULT_PRIMES, "n": (2, 3, 4)})),
+    "witt-compare": _suite(
+        "Witt-side level-raise cohomology comparison",
+        Family(case_witt_compare, {"p": (2, 3), "n": (2, 3),
+                                   "m": lambda n: (1, 2)},
+               keep=lambda n, m: (n, m) in {(2, 1), (3, 1), (3, 2)})),
 }
 
 
@@ -534,21 +518,12 @@ def cmd_check(opts):
         print(f"unknown suite {opts.suite!r}; choose from "
               f"{', '.join(sorted(SUITES))}", file=sys.stderr)
         return 2
-    ignored = [f"--{f}" for f in ("p", "n", "m", "d")
-               if getattr(opts, f) is not None
-               and f not in SUITE_FLAGS[opts.suite]]
-    if ignored:
-        print(f"suite {opts.suite} does not read {' '.join(ignored)}",
-              file=sys.stderr)
-        return 2
-    for flag, (ok, want) in GRID_RANGES.items():
-        value = getattr(opts, flag)
-        if value is not None and not ok(value):
-            print(f"--{flag} {value} is out of range: need {want}",
-                  file=sys.stderr)
-            return 2
     t0 = time.time()
-    anchor, cases = SUITES[opts.suite](opts)
+    try:
+        anchor, cases = SUITES[opts.suite](opts)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if not cases:
         print(f"the grid flags select no case of suite {opts.suite}",
               file=sys.stderr)

@@ -1,9 +1,10 @@
 import hashlib
 import json
+from argparse import Namespace
 
 import pytest
 
-from pmconn.cli import main, connection_from_json, connection_to_json
+from pmconn.cli import SUITES, main, connection_from_json, connection_to_json
 
 
 def run(capsys, *argv):
@@ -32,13 +33,96 @@ def test_check_suite_passes_and_is_deterministic(capsys):
     assert code3 == 0
 
 
+# The case names of each suite's default grid, in SUITES order, recorded
+# before the suites were declared as grids.
+DEFAULT_CASES = {
+    "prop4": (
+        "p=2 n=1 m=0 d=1, p=2 n=1 m=0 d=2, p=2 n=1 m=1 d=1, p=2 n=1 m=1 d=2, "
+        "p=2 n=2 m=0 d=1, p=2 n=2 m=0 d=2, p=2 n=2 m=1 d=1, p=2 n=2 m=1 d=2, "
+        "p=2 n=2 m=2 d=1, p=2 n=2 m=2 d=2, p=2 n=3 m=0 d=1, p=2 n=3 m=0 d=2, "
+        "p=2 n=3 m=1 d=1, p=2 n=3 m=1 d=2, p=2 n=3 m=2 d=1, p=2 n=3 m=2 d=2, "
+        "p=2 n=3 m=3 d=1, p=2 n=3 m=3 d=2, p=2 n=4 m=0 d=1, p=2 n=4 m=0 d=2, "
+        "p=2 n=4 m=1 d=1, p=2 n=4 m=1 d=2, p=2 n=4 m=2 d=1, p=2 n=4 m=2 d=2, "
+        "p=2 n=4 m=3 d=1, p=2 n=4 m=3 d=2, p=2 n=4 m=4 d=1, p=2 n=4 m=4 d=2, "
+        "p=3 n=1 m=0 d=1, p=3 n=1 m=0 d=2, p=3 n=1 m=1 d=1, p=3 n=1 m=1 d=2, "
+        "p=3 n=2 m=0 d=1, p=3 n=2 m=0 d=2, p=3 n=2 m=1 d=1, p=3 n=2 m=1 d=2, "
+        "p=3 n=2 m=2 d=1, p=3 n=2 m=2 d=2, p=3 n=3 m=0 d=1, p=3 n=3 m=0 d=2, "
+        "p=3 n=3 m=1 d=1, p=3 n=3 m=1 d=2, p=3 n=3 m=2 d=1, p=3 n=3 m=2 d=2, "
+        "p=3 n=3 m=3 d=1, p=3 n=3 m=3 d=2, p=3 n=4 m=0 d=1, p=3 n=4 m=0 d=2, "
+        "p=3 n=4 m=1 d=1, p=3 n=4 m=1 d=2, p=3 n=4 m=2 d=1, p=3 n=4 m=2 d=2, "
+        "p=3 n=4 m=3 d=1, p=3 n=4 m=3 d=2, p=3 n=4 m=4 d=1, p=3 n=4 m=4 d=2, "
+        "p=5 n=1 m=0 d=1, p=5 n=1 m=0 d=2, p=5 n=1 m=1 d=1, p=5 n=1 m=1 d=2, "
+        "p=5 n=2 m=0 d=1, p=5 n=2 m=0 d=2, p=5 n=2 m=1 d=1, p=5 n=2 m=1 d=2, "
+        "p=5 n=2 m=2 d=1, p=5 n=2 m=2 d=2, p=5 n=3 m=0 d=1, p=5 n=3 m=0 d=2, "
+        "p=5 n=3 m=1 d=1, p=5 n=3 m=1 d=2, p=5 n=3 m=2 d=1, p=5 n=3 m=2 d=2, "
+        "p=5 n=3 m=3 d=1, p=5 n=3 m=3 d=2, p=5 n=4 m=0 d=1, p=5 n=4 m=0 d=2, "
+        "p=5 n=4 m=1 d=1, p=5 n=4 m=1 d=2, p=5 n=4 m=2 d=1, p=5 n=4 m=2 d=2, "
+        "p=5 n=4 m=3 d=1, p=5 n=4 m=3 d=2, p=5 n=4 m=4 d=1, p=5 n=4 m=4 d=2"
+    ),
+    "taylor-cocycle": (
+        "p=2 n=1 m=0, p=2 n=1 m=1, p=2 n=2 m=0, p=2 n=2 m=1, p=2 n=2 m=2, "
+        "p=2 n=3 m=0, p=2 n=3 m=1, p=2 n=3 m=2, p=2 n=3 m=3, p=3 n=1 m=0, "
+        "p=3 n=1 m=1, p=3 n=2 m=0, p=3 n=2 m=1, p=3 n=2 m=2, p=3 n=3 m=0, "
+        "p=3 n=3 m=1, p=3 n=3 m=2, p=3 n=3 m=3, p=5 n=1 m=0, p=5 n=1 m=1, "
+        "p=5 n=2 m=0, p=5 n=2 m=1, p=5 n=2 m=2, p=5 n=3 m=0, p=5 n=3 m=1, "
+        "p=5 n=3 m=2, p=5 n=3 m=3"
+    ),
+    "tau": (
+        "p=2 n=1 m=1, p=2 n=2 m=1, p=2 n=2 m=2, p=2 n=3 m=1, p=2 n=3 m=2, "
+        "p=3 n=1 m=1, p=3 n=2 m=1, p=3 n=2 m=2, p=3 n=3 m=1, p=3 n=3 m=2, "
+        "p=5 n=1 m=1, p=5 n=2 m=1, p=5 n=2 m=2, p=5 n=3 m=1, p=5 n=3 m=2"
+    ),
+    "level-raise": (
+        "p=2 n=1 m=1, p=2 n=2 m=1, p=2 n=2 m=2, p=2 n=3 m=1, p=2 n=3 m=2, "
+        "p=3 n=1 m=1, p=3 n=2 m=1, p=3 n=2 m=2, p=3 n=3 m=1, p=3 n=3 m=2, "
+        "p=5 n=1 m=1, p=5 n=2 m=1, p=5 n=2 m=2, p=5 n=3 m=1, p=5 n=3 m=2"
+    ),
+    "descent": (
+        "p=2 n=2, p=2 n=3, p=3 n=2, p=3 n=3"
+    ),
+    "theorem25": (
+        "p=2 n=2 m=1, p=2 n=3 m=2, p=2 n=4 m=2, p=3 n=2 m=1, p=3 n=3 m=2, "
+        "p=3 n=4 m=2, higgs vanishing p=2, higgs vanishing p=3"
+    ),
+    "ov-example": (
+        "p=2 n=2, p=2 n=3, p=3 n=2, p=3 n=3, p=5 n=2, p=5 n=3"
+    ),
+    "witt-identities": (
+        "p=2 n=2, p=2 n=3, p=2 n=4, p=3 n=2, p=3 n=3, p=3 n=4, p=5 n=2, "
+        "p=5 n=3, p=5 n=4"
+    ),
+    "witt-compare": (
+        "p=2 n=2 m=1, p=2 n=3 m=1, p=2 n=3 m=2, p=3 n=2 m=1, p=3 n=3 m=1, "
+        "p=3 n=3 m=2"
+    ),
+}
+
+
+def _case_names(suite, **pins):
+    opts = Namespace(suite=suite, seed=0, p=None, n=None, m=None, d=None)
+    for flag, value in pins.items():
+        setattr(opts, flag, value)
+    _, cases = SUITES[suite](opts)
+    return [name for name, _ in cases]
+
+
+def test_default_case_names_are_pinned():
+    assert list(SUITES) == list(DEFAULT_CASES)
+    for suite, names in DEFAULT_CASES.items():
+        assert _case_names(suite) == names.split(", "), suite
+
+
 def test_check_respects_grid_flags(capsys):
+    assert _case_names("prop4", p=3, n=2) == [
+        f"p=3 n=2 m={m} d={d}" for m in range(3) for d in (1, 2)]
+    assert _case_names("witt-compare", n=3) == [
+        "p=2 n=3 m=1", "p=2 n=3 m=2", "p=3 n=3 m=1", "p=3 n=3 m=2"]
+    assert _case_names("witt-compare", n=4) == []
+    assert _case_names("tau", m=0) == []
     code, out, _ = run(capsys, "check", "prop4", "--p", "3", "--n", "2",
                        "--format", "json")
     assert code == 0
-    rep = json.loads(out)
-    assert all(c["name"].startswith("p=3 n=2") for c in rep["cases_list"]) \
-        if "cases_list" in rep else rep["cases"] > 0
+    assert json.loads(out)["cases"] == 6
 
 
 @pytest.mark.parametrize("suite,flag", [
