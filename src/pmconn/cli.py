@@ -277,7 +277,7 @@ def case_tau(opts, p, n, m, d):
         f1 = FrobLift(ctx_ext, 1, (a1 * (ctx.p ** (n - 1)),))
         f2 = FrobLift(ctx_ext, 1, (a2 * (ctx.p ** (n - 1)),))
         T = tau_transition(C, f1, f2)
-        if not verify_tau(C, f1, f2, T, level_raise):
+        if not verify_tau(C, f1, f2, T):
             return {"pass": False, "trial": trial, "why": "gauge relation"}
         # tau is the identity when the lifts agree mod p^{n+m}
         Tid = tau_transition(C, f1, f1)

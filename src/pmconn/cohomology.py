@@ -17,7 +17,8 @@ import itertools
 from dataclasses import dataclass
 from operator import add, sub
 
-from .arith import int_val_p
+from .arith import RingCtx, int_val_p
+from .connection import Connection, check_presentation
 from .frobenius import (gauge_intertwiner_lattice, level_raise,
                         twist_decompose, _vec_to_matrix, _window_exponents)
 from .laurent import LaurentPoly
@@ -311,7 +312,6 @@ def compare_theorem25(C, F, presentation, D):
       (h0) divisors of H^0(C) at weight w equal divisors of the level-raise
           at weight p*w (the pullback map is weight-multiplication by p).
     """
-    from .connection import check_presentation
     rep = check_presentation(presentation)
     if rep.classification == "invalid":
         raise ValueError(f"invalid nilpotence presentation: {rep.reason}")
@@ -376,8 +376,6 @@ def higgs_vanishing(p, d, a):
 
     For a with some component not divisible by p this must vanish.
     """
-    from .arith import RingCtx
-    from .connection import Connection
     ctx = RingCtx(p, 1)
     coeffs = [LaurentPoly.const(ctx, d, ai) for ai in a]
     C = Connection.rank1(ctx, d, 1, coeffs)  # p^m = 0 mod p: a Higgs field

@@ -18,6 +18,8 @@ from operator import add, sub
 
 from .arith import (RingCtx, factorial_val, int_val_p, multi_binom_int,
                     multi_factorial, pd_product_coeff)
+from .connection import gauge, mat_det
+from .frobenius import level_raise
 from .laurent import ContextMismatch, FrobLift, LaurentPoly, frob_substitute
 
 
@@ -480,16 +482,15 @@ def tau_transition(C, f, f_prime, max_degree=512):
     return T
 
 
-def verify_tau(C, f, f_prime, T, level_raise_fn):
+def verify_tau(C, f, f_prime, T):
     """Check the gauge relation gauge(pullback_{f'}(C), T) = pullback_f(C)."""
-    from .connection import gauge, mat_det
     ctx = C.ctx
     Ff = FrobLift(ctx, C.d, tuple(a.reduce_to(ctx) for a in f.a)) \
         if f.ctx != ctx else f
     Fp = FrobLift(ctx, C.d, tuple(a.reduce_to(ctx) for a in f_prime.a)) \
         if f_prime.ctx != ctx else f_prime
-    Cf = level_raise_fn(C, Ff)
-    Cfp = level_raise_fn(C, Fp)
+    Cf = level_raise(C, Ff)
+    Cfp = level_raise(C, Fp)
     if not mat_det(T).is_unit():
         return False
     G = gauge(Cfp, T)

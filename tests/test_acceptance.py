@@ -179,7 +179,7 @@ def test_acceptance_4_transition_isomorphisms():
                         f1, f2 = lift(), lift()
                         T = tau_transition(C, f1, f2)
                         assert mat_det(T).is_unit()
-                        assert verify_tau(C, f1, f2, T, level_raise)
+                        assert verify_tau(C, f1, f2, T)
                         # tau = id when the lifts agree mod p^{n+m}
                         Tid = tau_transition(C, f1, f1)
                         ident = all(
