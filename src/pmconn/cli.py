@@ -457,16 +457,6 @@ def case_witt_compare(opts, p, n, m, d):
     return {"pass": True}
 
 
-def _with_higgs(build):
-    def theorem25(opts):
-        anchor, cases = build(opts)
-        ps = [opts.p] if opts.p is not None else [2, 3]
-        return anchor, cases + [(f"higgs vanishing p={p}",
-                                 partial(case_higgs, opts, p, 1, 1, None))
-                                for p in ps]
-    return theorem25
-
-
 SUITES = {
     "prop4": _suite(
         "operator algebra: associativity, module action, composition",
@@ -491,11 +481,14 @@ SUITES = {
     "descent": _suite(
         "rank-1 Frobenius descent with gauge witnesses",
         Family(case_descent, {"p": (2, 3), "n": (2, 3)})),
-    "theorem25": _with_higgs(_suite(
+    "theorem25": _suite(
         "level-raise cohomology against the twist decomposition",
         Family(case_theorem25, {"p": (2, 3), "n": (2, 3, 4),
                                 "m": lambda n: (1, 2)},
-               keep=lambda n, m: (n, m) in {(2, 1), (3, 2), (4, 2)}))),
+               keep=lambda n, m: (n, m) in {(2, 1), (3, 2), (4, 2)}),
+        # the Higgs object lives over Z/p at level 1, the point n = m = 1
+        Family(case_higgs, {"p": (2, 3), "n": (1,), "m": lambda n: (1,)},
+               keep=lambda n, m: n == m == 1, name="higgs vanishing p={p}")),
     "ov-example": _suite(
         "torus example: hom collapse and essential-image obstruction",
         Family(case_ov_example, {"p": DEFAULT_PRIMES, "n": (2, 3)})),

@@ -119,6 +119,9 @@ def test_check_respects_grid_flags(capsys):
         "p=2 n=3 m=1", "p=2 n=3 m=2", "p=3 n=3 m=1", "p=3 n=3 m=2"]
     assert _case_names("witt-compare", n=4) == []
     assert _case_names("tau", m=0) == []
+    # the Higgs cases of theorem25 are the points n = m = 1
+    assert _case_names("theorem25", n=2) == ["p=2 n=2 m=1", "p=3 n=2 m=1"]
+    assert _case_names("theorem25", n=1, p=3) == ["higgs vanishing p=3"]
     code, out, _ = run(capsys, "check", "prop4", "--p", "3", "--n", "2",
                        "--format", "json")
     assert code == 0
@@ -159,6 +162,7 @@ def test_check_prop4_reads_every_grid_flag(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("prop4", "--n", "1", "--m", "3"), ("level-raise", "--n", "2", "--m", "3"),
+    ("theorem25", "--n", "5"),
 ])
 def test_check_with_no_selected_case_exits_2(capsys, argv):
     code, out, err = run(capsys, "check", *argv)
