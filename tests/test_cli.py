@@ -33,8 +33,8 @@ def test_check_suite_passes_and_is_deterministic(capsys):
     assert code3 == 0
 
 
-# The case names of each suite's default grid, in SUITES order, recorded
-# before the suites were declared as grids.
+# The case names of each suite's default grid, in SUITES order, written out
+# in full so that the table shares no code with the declarations it checks.
 DEFAULT_CASES = {
     "prop4": (
         "p=2 n=1 m=0 d=1, p=2 n=1 m=0 d=2, p=2 n=1 m=1 d=1, p=2 n=1 m=1 d=2, "
