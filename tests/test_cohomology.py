@@ -10,7 +10,8 @@ from pmconn.laurent import LaurentPoly, FrobLift, parse_poly
 from pmconn.connection import (Connection, gauge, ExtensionPresentation,
                                mat_matmul)
 from pmconn.cohomology import (compute_H, de_rham_complex, weight_components,
-                               hom_space, rank1_trivial_test,
+                               hom_space, gauge_intertwiner_lattice,
+                               rank1_trivial_test,
                                compare_theorem25, higgs_vanishing,
                                CohomologyReport, _form_basis, _theta_shifts)
 from pmconn.linalg import homology_divisors
@@ -139,6 +140,45 @@ def test_hom_space_level_mismatch_rejected():
     B = Connection.trivial(ctx, 1, 1)
     with pytest.raises(ValueError):
         hom_space(A, B, 4)
+
+
+def _lattice_pairs():
+    # Per (p, n, m, d): one pair with C2 = C1 and one of two random connections,
+    # ranks 1-3 drawn independently, windows 1-4 at d = 1 and 1-2 at d = 2.
+    rng = random.Random(14)
+
+    def theta(ctx, d, r):
+        return tuple(tuple(tuple(
+            LaurentPoly.from_dict(ctx, d, {
+                tuple(rng.randrange(-1, 2) for _ in range(d)):
+                    rng.randrange(ctx.modulus)
+                for _ in range(rng.randrange(3))})
+            for _ in range(r)) for _ in range(r)) for _ in range(d))
+
+    for p in (2, 3, 5):
+        for n in (1, 2, 3):
+            ctx = RingCtx(p, n)
+            for m in (0, 1, 2):
+                for d in (1, 2):
+                    r1, r2 = rng.randrange(1, 4), rng.randrange(1, 4)
+                    C1 = Connection(ctx, d, m, r1, theta(ctx, d, r1))
+                    C2 = Connection(ctx, d, m, r2, theta(ctx, d, r2))
+                    yield C1, C1, rng.randrange(1, 7 - 2 * d)
+                    yield C1, C2, rng.randrange(1, 7 - 2 * d)
+
+
+# SHA-256 over repr(gauge_intertwiner_lattice(C1, C2, D)) for the 108 pairs
+# of _lattice_pairs, in order: the window exponents, the generators chosen
+# by the Smith form and their orders.
+LATTICE_SHA256 = \
+    "e2e25dc34fb706fabdaee7f8784097af2e0b8b1dbe7946c2c76c9f8e1b8ccd53"
+
+
+def test_gauge_intertwiner_lattice_is_pinned():
+    h = hashlib.sha256()
+    for C1, C2, D in _lattice_pairs():
+        h.update(repr(gauge_intertwiner_lattice(C1, C2, D)).encode())
+    assert h.hexdigest() == LATTICE_SHA256
 
 
 def test_rank1_trivial_test_three_outcomes():
