@@ -571,7 +571,7 @@ def witt_compare(C, D):
     # chain map: F(nabla x) = nabla'(F x) at truncation n-1
     chain = True
     if n >= 2:
-        Cr = WittConnection(m - 1, C.f.frobenius())
+        Cr = C2.restrict()
         for key, _, _ in _window_gens(p, n, min(D, 2)):
             x = _gen_vector(key, p, n)
             lhs = drw_F(C.nabla(x))

@@ -223,6 +223,18 @@ def test_witt_compare_rejects_non_nilpotent():
         witt_compare(C, 3)
 
 
+def test_witt_compare_chain_map_reads_the_raise(monkeypatch):
+    # A raise that keeps f is not F(f): the chain-map check must compare
+    # against the raise it was given, not recompute F(f) on its own.
+    p, n, m = 3, 3, 1
+    t = LaurentPoly.monomial(_ctx1(p), 1, (1,), 1)
+    C = WittConnection(m, WittVector.teichmuller(t, n) * p)
+    assert witt_compare(C, 2)["chain_map"] is True
+    monkeypatch.setattr("pmconn.witt.witt_level_raise",
+                        lambda C: WittConnection(C.m - 1, C.f))
+    assert witt_compare(C, 2)["chain_map"] is False
+
+
 def test_fractional_presentation_orders():
     for p in (2, 3):
         for n in (2, 3):
