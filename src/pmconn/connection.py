@@ -118,6 +118,10 @@ class Connection:
     theta: tuple  # d matrices, rank x rank, dlog basis
 
     def __post_init__(self):
+        # nested tuples whatever the caller passed, so that == on theta
+        # compares entries
+        object.__setattr__(self, "theta",
+                           tuple(tuple(map(tuple, M)) for M in self.theta))
         if len(self.theta) != self.d:
             raise ValueError("need one Theta matrix per axis")
         for M in self.theta:

@@ -485,18 +485,11 @@ def tau_transition(C, f, f_prime, max_degree=512):
 def verify_tau(C, f, f_prime, T):
     """Check the gauge relation gauge(pullback_{f'}(C), T) = pullback_f(C)."""
     ctx = C.ctx
-    Ff = FrobLift(ctx, C.d, tuple(a.reduce_to(ctx) for a in f.a)) \
-        if f.ctx != ctx else f
-    Fp = FrobLift(ctx, C.d, tuple(a.reduce_to(ctx) for a in f_prime.a)) \
-        if f_prime.ctx != ctx else f_prime
-    Cf = level_raise(C, Ff)
-    Cfp = level_raise(C, Fp)
+    Cf, Cfp = (level_raise(C, F if F.ctx == ctx else FrobLift(
+        ctx, C.d, tuple(a.reduce_to(ctx) for a in F.a))) for F in (f, f_prime))
     if not mat_det(T).is_unit():
         return False
-    G = gauge(Cfp, T)
-    return all((a - b).is_zero()
-               for ga, gb in zip(G.theta, Cf.theta)
-               for ra, rb in zip(ga, gb) for a, b in zip(ra, rb))
+    return gauge(Cfp, T).theta == Cf.theta
 
 
 # -- divided Frobenius on the PD algebra --------------------------------------

@@ -9,13 +9,11 @@ coordinate image, so the log-basis matrices transform by that same matrix.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .arith import int_val_p
-from .connection import Connection, gauge, mat_det, mat_id
+from .connection import Connection
 from .laurent import ContextMismatch, FrobLift, LaurentPoly, frob_substitute
-from .linalg import kernel_generators, snf_int
 
 
 def level_raise(C, F):
@@ -106,174 +104,6 @@ def twist_decompose(C, F):
             theta.append(tuple(tuple(row) for row in M))
         out[a] = Connection(C.ctx, d, C.m, r, tuple(theta))
     return out
-
-
-# -- gauge search -------------------------------------------------------------
-
-# The most F_p-combinations of intertwiner generators a rank >= 2 pullback
-# search tries before it reports the window as undetermined.
-MAX_GAUGE_COMBINATIONS = 4096
-
-
-def _window_exponents(d, D):
-    """The exponent vectors of the window [-D, D]^d, in lexicographic order."""
-    return list(itertools.product(range(-D, D + 1), repeat=d))
-
-
-def gauge_intertwiner_lattice(C1, C2, D):
-    """Generators of the group of matrices g over Z/p^n (entries supported on
-    the exponent window [-D, D]^d) with Theta1 g + p^m t_i dg/dlog t_i =
-    g Theta2 for all i, i.e. candidate gauges with gauge(C1, g) = C2
-    whenever g is invertible.
-
-    Returns (exponent list, list of (vector, e)): the group is the direct sum
-    of the cyclic groups of order p^e generated by the vectors, and a vector
-    lists the coefficient of each (row, col, exponent) slot.
-    """
-    if (C1.ctx, C1.d, C1.m) != (C2.ctx, C2.d, C2.m):
-        raise ContextMismatch("gauge search needs matching levels and rings")
-    ctx, d = C1.ctx, C1.d
-    r1, r2 = C1.rank, C2.rank
-    exps = _window_exponents(d, D)
-    pos = {e: k for k, e in enumerate(exps)}
-    nvar = r1 * r2 * len(exps)
-    pm = C1.p_to_m()
-    reach = max([1] + [f.log_degree()
-                       for M in C1.theta + C2.theta for row in M for f in row])
-    out_exps = _window_exponents(d, D + reach)
-    out_pos = {e: k for k, e in enumerate(out_exps)}
-    rows = []
-    for i in range(1, d + 1):
-        eq = [{} for _ in range(r1 * r2 * len(out_exps))]
-        for a in range(r1):
-            for b in range(r2):
-                for e in exps:
-                    var = (a * r2 + b) * len(exps) + pos[e]
-                    # p^m * e_i * g_{ab} t^e
-                    c = pm * e[i - 1]
-                    if c:
-                        row = (a * r2 + b) * len(out_exps) + out_pos[e]
-                        eq[row][var] = eq[row].get(var, 0) + c
-                    # (Theta1 g)_{ab} takes g_{kb}, k over C1 rows
-                    for k in range(r1):
-                        f = C1.theta[i - 1][a][k]
-                        for u, cu in f.terms:
-                            e2 = tuple(x + y for x, y in zip(e, u))
-                            if e2 in out_pos:
-                                var2 = (k * r2 + b) * len(exps) + pos[e]
-                                row = (a * r2 + b) * len(out_exps) + out_pos[e2]
-                                eq[row][var2] = eq[row].get(var2, 0) + cu
-                    # -(g Theta2)_{ab} takes g_{ak}
-                    for k in range(r2):
-                        f = C2.theta[i - 1][k][b]
-                        for u, cu in f.terms:
-                            e2 = tuple(x + y for x, y in zip(e, u))
-                            if e2 in out_pos:
-                                var2 = (a * r2 + k) * len(exps) + pos[e]
-                                row = (a * r2 + b) * len(out_exps) + out_pos[e2]
-                                eq[row][var2] = eq[row].get(var2, 0) - cu
-        rows.extend(eq)
-    rows = [row for row in rows if any(row.values())]
-    return exps, kernel_generators(rows, nvar, ctx.p, ctx.n)
-
-
-def _vec_to_matrix(vec, exps, r1, r2, ctx, d):
-    mats = []
-    L = len(exps)
-    for a in range(r1):
-        row = []
-        for b in range(r2):
-            chunk = vec[(a * r2 + b) * L:(a * r2 + b + 1) * L]
-            row.append(LaurentPoly.from_dict(
-                ctx, d, {e: c for e, c in zip(exps, chunk)}))
-        mats.append(tuple(row))
-    return tuple(mats)
-
-
-def verify_pullback_iso(C_up, C_down, F, D):
-    """Search for an invertible gauge g with
-    gauge(level_raise(C_up, F), g) = C_down, entries within the window.
-
-    Returns a dict with 'found', the 'witness' matrix when found, and an
-    'obstruction' record otherwise.  For rank 1 the failure is conclusive:
-    a gauge unit is c*t^v modulo p, so solvability modulo p over the window
-    is a complete monomial search.  For rank >= 2 it is too, but 'found' is
-    None when more than MAX_GAUGE_COMBINATIONS gauges mod p need trying.
-    """
-    if C_up.rank != C_down.rank:
-        raise ValueError("ranks differ")
-    LR = level_raise(C_up, F)
-    r = LR.rank
-    ctx, d = LR.ctx, LR.d
-    if all((a - b).is_zero()
-           for M1, M2 in zip(LR.theta, C_down.theta)
-           for r1, r2 in zip(M1, M2) for a, b in zip(r1, r2)):
-        return {"found": True, "witness": mat_id(ctx, d, r),
-                "obstruction": None}
-    exps, gens = gauge_intertwiner_lattice(LR, C_down, D)
-    if r == 1:
-        # a gauge unit is c*t^v mod p, so it exists iff some monomial lies in
-        # the mod-p span of the solutions; absence is a certificate of
-        # non-isomorphism on the window
-        lift = _unit_in_span([vec for vec, _ in gens], ctx.p, ctx.modulus)
-        if lift is not None:
-            return {"found": True, "obstruction": None,
-                    "witness": _vec_to_matrix(lift, exps, 1, 1, ctx, d)}
-        return {"found": False, "witness": None,
-                "obstruction": {
-                    "kind": "no-unit-in-solution-span",
-                    "window": D,
-                    "detail": "no monomial lies in the mod-p span of the "
-                              "intertwiner space, so no gauge unit exists "
-                              "with support in the window"}}
-    # g is invertible iff det(g) mod p is a unit monomial, and mod p the group
-    # is spanned by its generators of order p^n (the others are p times a
-    # vector), so trying their F_p-combinations decides the window
-    units = [vec for vec, e in gens if e == ctx.n]
-    if ctx.p ** len(units) - 1 > MAX_GAUGE_COMBINATIONS:
-        return {"found": None, "witness": None,
-                "obstruction": {"kind": "undetermined", "window": D,
-                                "generators": len(units)}}
-    for coeffs in itertools.product(range(ctx.p), repeat=len(units)):
-        if not any(coeffs):
-            continue
-        vec = [sum(c * x for c, x in zip(coeffs, col)) % ctx.modulus
-               for col in zip(*units)]
-        g = _vec_to_matrix(vec, exps, r, r, ctx, d)
-        if mat_det(g).is_unit():
-            return {"found": True, "witness": g, "obstruction": None}
-    return {"found": False, "witness": None,
-            "obstruction": {"kind": "no-invertible-candidate", "window": D}}
-
-
-def _unit_in_span(vectors, p, modulus):
-    """An integer combination of vectors, reduced mod modulus, that is
-    congruent mod p to a standard basis vector e_k, for the first k that
-    allows one; None when no e_k lies in the span mod p.
-
-    With U K V = D mod p for the matrix K whose columns are the vectors, e_k
-    lies in the span mod p iff p | (U e_k)_t at every t with p | d_t, and
-    then K V z with z_t = (U e_k)_t / d_t mod p is congruent to e_k.
-    """
-    if not vectors:
-        return None
-    nv, c = len(vectors[0]), len(vectors)
-    K = [{} for _ in range(nv)]
-    for j, v in enumerate(vectors):
-        for i, x in enumerate(v):
-            if x:
-                K[i][j] = x
-    U, D, V = snf_int(K, c, p)
-    diag = D + [0] * (nv - len(D))
-    for k in range(nv):
-        if any(U[t][k] % p for t in range(nv) if diag[t] % p == 0):
-            continue
-        z = [U[t][k] * pow(diag[t], -1, p) % p
-             if t < nv and diag[t] % p else 0 for t in range(c)]
-        Vz = [sum(x * y for x, y in zip(row, z)) for row in V]
-        return [sum(x * Vz[j] for j, x in row.items()) % modulus
-                for row in K]
-    return None
 
 
 # -- essential image and descent ----------------------------------------------

@@ -143,8 +143,9 @@ def test_hom_space_level_mismatch_rejected():
 
 
 def _lattice_pairs():
-    # Per (p, n, m, d): one pair with C2 = C1 and one of two random connections,
-    # ranks 1-3 drawn independently, windows 1-4 at d = 1 and 1-2 at d = 2.
+    # Per (p, n, m, d): one pair with C2 = C1 and one of two random
+    # connections, ranks 1-3 drawn independently, windows 1-4 at d = 1 and
+    # 1-2 at d = 2.
     rng = random.Random(14)
 
     def theta(ctx, d, r):

@@ -9,9 +9,9 @@ from pmconn.laurent import LaurentPoly, FrobLift, frob_substitute, parse_poly
 from pmconn.connection import (Connection, gauge, is_quasi_nilpotent,
                                mat_matmul, mat_inverse)
 from pmconn.frobenius import (level_raise, LiftChain, psi, twist_decompose,
-                              gauge_intertwiner_lattice, verify_pullback_iso,
-                              essential_image_rank1, descend_rank1,
-                              _unit_in_span)
+                              essential_image_rank1, descend_rank1)
+from pmconn.cohomology import (gauge_intertwiner_lattice, verify_pullback_iso,
+                               _unit_in_span)
 
 
 def _rand_poly(rng, ctx, d, terms, deg=2):
