@@ -9,8 +9,8 @@ which refuse to mix moduli instead of wrapping around silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 
 def is_prime(p):
@@ -34,16 +34,14 @@ class RingCtx:
 
     p: int
     n: int
+    modulus: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.n < 1:
             raise ValueError(f"n = {self.n} must be >= 1")
-
-    @cached_property
-    def modulus(self):
-        return self.p ** self.n
+        object.__setattr__(self, "modulus", self.p ** self.n)
 
 
 def int_val_p(v, p):

@@ -12,6 +12,12 @@ is read off from the top ghost component mod p^n: the exponent j*p^{n-1-r}
 carries p^r * c_{r,j}.  One-forms split into an integral part (a polynomial
 coefficient of dlog[t] in Teichmueller coordinates) and a fractional part
 supported on the generators dV^r([t^j]) with p !| j.
+
+A vector is immutable, so it computes its ghost components mod p^n once, on
+first use, and every later sum, product, Frobenius or normal form reads them.
+The result of an operation computes its own ghosts afresh from its
+components: the ghost-law checks of the `witt-identities` suite still compare
+them with fresh sums and products of the operands' ghosts.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from .arith import RingCtx, int_val_p
 from .laurent import LaurentPoly, parse_poly, format_poly
@@ -30,8 +37,10 @@ class NotNilpotent(ValueError):
     pass
 
 
-def _ctx1(p):
-    return RingCtx(p, 1)
+@lru_cache(maxsize=None)
+def _ring(p, n):
+    """The ring context Z/p^nZ, built once per (p, n)."""
+    return RingCtx(p, n)
 
 
 @dataclass(frozen=True)
@@ -51,7 +60,7 @@ class WittVector:
 
     @staticmethod
     def zero(p, n):
-        z = LaurentPoly.zero(_ctx1(p), 1)
+        z = LaurentPoly.zero(_ring(p, 1), 1)
         return WittVector(p, n, (z,) * n)
 
     @staticmethod
@@ -63,7 +72,7 @@ class WittVector:
     @staticmethod
     def from_int(c, p, n):
         """The image of the integer c under Z -> W_n (all ghosts equal c)."""
-        ctxN = RingCtx(p, n)
+        ctxN = _ring(p, n)
         g = [LaurentPoly.const(ctxN, 1, c) for _ in range(n)]
         return _ghost_invert(g, p, n)
 
@@ -76,16 +85,29 @@ class WittVector:
         """Ghost component w_k = sum_{i<=k} p^i x_i^{p^{k-i}} on canonical
         lifts, as a polynomial mod p^{n'} (default n' = n; well-defined mod
         p^{k+1} regardless of lifts, exact here since lifts are canonical)."""
+        if ctxN is None and k < self.n:
+            return self._ghosts[k]
         return self.ghosts(ctxN, k)[k]
 
     def ghosts(self, ctxN=None, top=None):
-        """Ghost components w_0, ..., w_top (default top = n - 1).  Each
-        power x_i^{p^j} is computed once, as the p-th power of the one
-        before."""
-        if ctxN is None:
-            ctxN = RingCtx(self.p, self.n)
+        """Ghost components w_0, ..., w_top (default top = n - 1), as a new
+        list.  Mod p^n with top < n they are read from the vector's memo;
+        an explicit ctxN computes them afresh."""
         if top is None:
             top = self.n - 1
+        if ctxN is None:
+            if top < self.n:
+                return list(self._ghosts[:top + 1])
+            ctxN = _ring(self.p, self.n)
+        return self._ghost_chain(ctxN, top)
+
+    @cached_property
+    def _ghosts(self):
+        return tuple(self._ghost_chain(_ring(self.p, self.n), self.n - 1))
+
+    def _ghost_chain(self, ctxN, top):
+        """w_0, ..., w_top mod ctxN.  Each power x_i^{p^j} is computed once,
+        as the p-th power of the one before."""
         powers = []  # powers[i][j] = x_i^{p^j} on the canonical lift
         for i in range(min(top + 1, self.n)):
             chain = [self.comps[i].reduce_to(ctxN)]
@@ -136,7 +158,7 @@ class WittVector:
 
     def verschiebung(self):
         """V: componentwise shift, W_n -> W_n (top component dropped)."""
-        z = LaurentPoly.zero(_ctx1(self.p), 1)
+        z = LaurentPoly.zero(_ring(self.p, 1), 1)
         return WittVector(self.p, self.n, (z,) + self.comps[:-1])
 
     def restrict(self):
@@ -157,7 +179,7 @@ class WittVector:
         Well-defined because the ambiguity F(V^n[z]) = V^{n-1}(p[z]) dies in
         W_n; this is the Frobenius used by level-raising at fixed truncation.
         """
-        gs = self.ghosts(RingCtx(self.p, self.n + 1), self.n)[1:]
+        gs = self.ghosts(_ring(self.p, self.n + 1), self.n)[1:]
         return _ghost_invert(gs, self.p, self.n)
 
     # -- normal form ---------------------------------------------------------
@@ -192,7 +214,7 @@ class WittVector:
 
 def _ghost_invert(gs, p, n):
     """Recover components from ghost polynomials (mod p^{n'} with n' >= n)."""
-    ctx1 = _ctx1(p)
+    ctx1 = _ring(p, 1)
     work_ctx = gs[0].ctx
     comps = []
     powers = []  # powers[i][j] = x_i^{p^j} on the canonical lift
@@ -220,7 +242,7 @@ def nf_to_witt(integral, fractional, p, n):
     once: w_k(c [t^w]) = c t^{w p^k}, and w_k(c V^r([t^j])) = p^r c
     t^{j p^{k-r}} for k >= r and 0 below.
     """
-    ctxN = RingCtx(p, n)
+    ctxN = _ring(p, n)
     gs = []
     for k in range(n):
         acc = {}
@@ -265,7 +287,7 @@ class WittOneForm:
 
     @staticmethod
     def zero(p, n):
-        return WittOneForm.make(p, n, LaurentPoly.zero(RingCtx(p, n), 1), {})
+        return WittOneForm.make(p, n, LaurentPoly.zero(_ring(p, n), 1), {})
 
     def frac_dict(self):
         return dict(self.frac)
@@ -299,7 +321,7 @@ class WittOneForm:
         if n2 < 1:
             raise ValueError("cannot restrict below length 1")
         return WittOneForm.make(
-            self.p, n2, self.integral.reduce_to(RingCtx(self.p, n2)),
+            self.p, n2, self.integral.reduce_to(_ring(self.p, n2)),
             {(r, j): c for (r, j), c in self.frac if r <= n2 - 1})
 
     def __str__(self):
@@ -315,7 +337,7 @@ def drw_d(x):
     """The de Rham-Witt differential on W_n in normal form:
     d(c[t^w]) = c*w*[t^w] dlog[t] and d(c V^r([t^j])) = c dV^r([t^j])."""
     integral, fractional = x.normal_form()
-    ctxN = RingCtx(x.p, x.n)
+    ctxN = _ring(x.p, x.n)
     f = LaurentPoly.from_dict(ctxN, 1, {(w,): c * w
                                         for w, c in integral.items()})
     return WittOneForm.make(x.p, x.n, f, dict(fractional))
@@ -328,7 +350,7 @@ def drw_F(omega):
     p, n = omega.p, omega.n
     if n < 2:
         raise ValueError("F needs length >= 2")
-    ctx2 = RingCtx(p, n - 1)
+    ctx2 = _ring(p, n - 1)
     acc = {(p * w,): c for (w,), c in omega.integral.terms}
     frac = {}
     for (r, j), c in omega.frac:
@@ -346,7 +368,7 @@ def mul_dlog(x):
     V(y F omega) = V(y) omega and V^r(dy) = p^r dV^r(y)."""
     p, n = x.p, x.n
     integral, fractional = x.normal_form()
-    ctxN = RingCtx(p, n)
+    ctxN = _ring(p, n)
     f = LaurentPoly.from_dict(ctxN, 1, {(w,): c for w, c in integral.items()})
     frac = {}
     for (r, j), c in fractional.items():
@@ -418,7 +440,7 @@ def witt_connection_to_json(C):
 
 def witt_connection_from_json(obj):
     p, n, m = int(obj["p"]), int(obj["n"]), int(obj["m"])
-    ctx1 = _ctx1(p)
+    ctx1 = _ring(p, 1)
     comps = tuple(parse_poly(s, ctx1, 1) if s.strip() != "0"
                   else LaurentPoly.zero(ctx1, 1)
                   for s in obj["f_components"])
@@ -447,7 +469,7 @@ def _window_gens(p, n, D):
 
 def _gen_vector(key, p, n):
     j, r = key
-    x = WittVector.teichmuller(LaurentPoly.monomial(_ctx1(p), 1, (j,)), n)
+    x = WittVector.teichmuller(LaurentPoly.monomial(_ring(p, 1), 1, (j,)), n)
     for _ in range(r):
         x = x.verschiebung()
     return x
@@ -595,7 +617,7 @@ def fractional_presentation_orders(p, n, r, j):
     gens = []
     for rp in range(r, n):
         x = WittVector.teichmuller(
-            LaurentPoly.monomial(_ctx1(p), 1, (j * p ** (rp - r),)), n)
+            LaurentPoly.monomial(_ring(p, 1), 1, (j * p ** (rp - r),)), n)
         for _ in range(rp):
             x = x.verschiebung()
         gens.append(x)

@@ -18,6 +18,17 @@ def test_ring_ctx_rejects_composite():
         RingCtx(3, 0)
 
 
+def test_ring_ctx_is_its_p_and_n():
+    # modulus is stored at construction, but repr, equality and hash still
+    # read (p, n) only
+    ctx = RingCtx(3, 2)
+    assert repr(ctx) == "RingCtx(p=3, n=2)"
+    assert ctx.modulus == 9
+    assert ctx == RingCtx(3, 2) and hash(ctx) == hash(RingCtx(3, 2))
+    assert ctx != RingCtx(3, 3) and ctx != RingCtx(5, 2)
+    assert len({ctx, RingCtx(3, 2), RingCtx(3, 3)}) == 2
+
+
 @given(ctxs, st.integers())
 def test_val_p_matches_int_val(ctx, a):
     # canonical lifts in [0, p^n) have valuation below n; 0 has none

@@ -1,8 +1,10 @@
 import random
+from argparse import Namespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pmconn import cli, witt
 from pmconn.arith import RingCtx
 from pmconn.laurent import LaurentPoly
 from pmconn.witt import (WittVector, WittOneForm, nf_to_witt, drw_d, drw_F,
@@ -55,6 +57,71 @@ def test_ring_ops_against_ghost_oracle(args):
     # distributivity is exact on components
     z = _rand_witt(rng, p, n)
     assert (x * (y + z)).comps == (x * y + x * z).comps
+
+
+def _ghosts_by_definition(x, ctx, top):
+    """w_k = sum_{i<=k} p^i x_i^{p^{k-i}} mod ctx, term by term."""
+    p = x.p
+    return [sum((x.comps[i].reduce_to(ctx) ** p ** (k - i) * p ** i
+                 for i in range(min(k + 1, x.n))), LaurentPoly.zero(ctx, 1))
+            for k in range(top + 1)]
+
+
+def _memo_grid():
+    for p in (2, 3, 5):
+        for n in range(1, 5):
+            rng = random.Random(100 * p + n)
+            for _ in range(2):
+                yield p, n, _rand_witt(rng, p, n), _rand_witt(rng, p, n)
+
+
+def test_ghost_memo_is_the_vectors_own():
+    # A result's ghosts are those of its components, not its operands'
+    # ghost sums (they agree with those only mod p^{k+1}).
+    for p, n, x, y in _memo_grid():
+        results = [x, x + y, x * y] + ([x.frobenius()] if n >= 2 else [])
+        for z in results:
+            fresh = WittVector(z.p, z.n, z.comps)
+            assert z.ghosts() == fresh.ghosts()
+            assert z.ghosts() == _ghosts_by_definition(
+                z, RingCtx(p, z.n), z.n - 1)
+            assert [z.ghost(k) for k in range(z.n)] == z.ghosts()
+
+
+def test_ghost_memo_is_not_shared_with_callers():
+    for p, n, x, _ in _memo_grid():
+        want = list(x.ghosts())
+        gs = x.ghosts()
+        gs.append(gs[0])
+        gs[0] = LaurentPoly.zero(RingCtx(p, n), 1)
+        assert x.ghosts() == want
+
+
+def test_ghosts_at_explicit_ring_are_computed_afresh():
+    for p, n, x, _ in _memo_grid():
+        ctx = RingCtx(p, n + 1)
+        want = _ghosts_by_definition(x, ctx, n)
+        assert x.ghosts(ctx, n) == want
+        assert x.ghost(n, ctx) == want[n]
+        # the memo at p^n is untouched by the wider call
+        assert x.ghosts() == _ghosts_by_definition(x, RingCtx(p, n), n - 1)
+
+
+def test_ghost_oracle_fails_on_a_wrong_inversion(monkeypatch):
+    # witt-identities compares each result's ghosts with fresh sums and
+    # products of its operands' ghosts; an inversion that loses the top
+    # component must fail the first of those laws.
+    opts = Namespace(seed=11)
+    assert cli.case_witt_identities(opts, 3, 3, None, None) == {"pass": True}
+    invert = witt._ghost_invert
+
+    def lossy(gs, p, n):
+        x = invert(gs, p, n)
+        zero = LaurentPoly.zero(_ctx1(p), 1)
+        return WittVector(p, n, x.comps[:-1] + (zero,))
+    monkeypatch.setattr("pmconn.witt._ghost_invert", lossy)
+    got = cli.case_witt_identities(opts, 3, 3, None, None)
+    assert got == {"pass": False, "law": "ghost-add"}
 
 
 @given(wparams)
