@@ -13,6 +13,12 @@ carries p^r * c_{r,j}.  One-forms split into an integral part (a polynomial
 coefficient of dlog[t] in Teichmueller coordinates) and a fractional part
 supported on the generators dV^r([t^j]) with p !| j.
 
+The top ghost w_{n-1} mod p^n is an injective ring map W_n(F_p[t^{+-1}]) ->
+Z/p^n[t^{+-1}] (Illusie, Ann. ENS 12, 1979, I.1-I.2).  So a Witt connection's
+nabla takes x as its top ghost w(x) and reads the normal forms of x and x f
+off w(x) and w(x) w(f); a window generator V^r([t^j]) enters as the monomial
+p^r t^(j p^(n-1-r)), never as a vector.
+
 A vector is immutable, so it computes its ghost components mod p^n once, on
 first use, and every later sum, product, Frobenius or normal form reads them.
 The result of an operation computes its own ghosts afresh from its
@@ -187,29 +193,33 @@ class WittVector:
     def normal_form(self):
         """Weight-graded coordinates: ({w: c_w mod p^n},
         {(r, j): c_{r,j} mod p^{n-r}})."""
-        p, n = self.p, self.n
-        g = self.ghost(n - 1)
-        integral = {}
-        fractional = {}
-        for (e,), c in g.terms:
-            if e == 0:
-                integral[0] = c
-                continue
-            v = int_val_p(e, p)
-            if v >= n - 1:
-                integral[e // p ** (n - 1)] = c
-            else:
-                r = n - 1 - v
-                j = e // p ** v
-                if c % p ** r:
-                    raise ArithmeticError(
-                        f"ghost coefficient {c} at t^{e} not divisible by "
-                        f"p^{r}; not in the image of the weight decomposition")
-                fractional[(r, j)] = (c // p ** r) % p ** (n - r)
-        return integral, fractional
+        return _decode(self.ghost(self.n - 1), self.p, self.n)
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.comps) + ")"
+
+
+def _decode(g, p, n):
+    """Normal-form coordinates of the vector of W_n whose top ghost mod p^n
+    is g (the exponent j*p^{n-1-r} carries p^r * c_{r,j})."""
+    integral = {}
+    fractional = {}
+    for (e,), c in g.terms:
+        if e == 0:
+            integral[0] = c
+            continue
+        v = int_val_p(e, p)
+        if v >= n - 1:
+            integral[e // p ** (n - 1)] = c
+        else:
+            r = n - 1 - v
+            j = e // p ** v
+            if c % p ** r:
+                raise ArithmeticError(
+                    f"ghost coefficient {c} at t^{e} not divisible by "
+                    f"p^{r}; not in the image of the weight decomposition")
+            fractional[(r, j)] = (c // p ** r) % p ** (n - r)
+    return integral, fractional
 
 
 def _ghost_invert(gs, p, n):
@@ -336,11 +346,13 @@ class WittOneForm:
 def drw_d(x):
     """The de Rham-Witt differential on W_n in normal form:
     d(c[t^w]) = c*w*[t^w] dlog[t] and d(c V^r([t^j])) = c dV^r([t^j])."""
-    integral, fractional = x.normal_form()
-    ctxN = _ring(x.p, x.n)
-    f = LaurentPoly.from_dict(ctxN, 1, {(w,): c * w
-                                        for w, c in integral.items()})
-    return WittOneForm.make(x.p, x.n, f, dict(fractional))
+    return _d_form(x.p, x.n, *x.normal_form())
+
+
+def _d_form(p, n, integral, fractional):
+    f = LaurentPoly.from_dict(_ring(p, n), 1,
+                              {(w,): c * w for w, c in integral.items()})
+    return WittOneForm.make(p, n, f, fractional)
 
 
 def drw_F(omega):
@@ -366,10 +378,12 @@ def mul_dlog(x):
     """x * dlog[t] in normal form.  Integral pieces pass straight through;
     V^r(c[t^j]) dlog[t] = c j^{-1} p^r dV^r([t^j]) via the projection formula
     V(y F omega) = V(y) omega and V^r(dy) = p^r dV^r(y)."""
-    p, n = x.p, x.n
-    integral, fractional = x.normal_form()
-    ctxN = _ring(p, n)
-    f = LaurentPoly.from_dict(ctxN, 1, {(w,): c for w, c in integral.items()})
+    return _dlog_form(x.p, x.n, *x.normal_form())
+
+
+def _dlog_form(p, n, integral, fractional):
+    f = LaurentPoly.from_dict(_ring(p, n), 1,
+                              {(w,): c for w, c in integral.items()})
     frac = {}
     for (r, j), c in fractional.items():
         jinv = pow(j % p ** (n - r), -1, p ** (n - r))
@@ -402,8 +416,12 @@ class WittConnection:
     def n(self):
         return self.f.n
 
-    def nabla(self, x):
-        return drw_d(x) * self.p ** self.m + mul_dlog(x * self.f)
+    def nabla(self, g):
+        """nabla(x) = p^m dx + x f dlog[t] for the x whose top ghost mod p^n
+        is g.  The top ghost is a ring map, so x f is read off g w_{n-1}(f)."""
+        p, n = self.p, self.n
+        return (_d_form(p, n, *_decode(g, p, n)) * p ** self.m
+                + _dlog_form(p, n, *_decode(g * self.f.ghost(n - 1), p, n)))
 
     def is_nilpotent(self):
         """The rank-1 nilpotence condition: f in p^m W_n, checked on the
@@ -467,12 +485,11 @@ def _window_gens(p, n, D):
     return gens
 
 
-def _gen_vector(key, p, n):
+def _gen_ghost(key, p, n):
+    """Top ghost mod p^n of the generator V^r([t^j]): p^r t^(j p^(n-1-r))."""
     j, r = key
-    x = WittVector.teichmuller(LaurentPoly.monomial(_ring(p, 1), 1, (j,)), n)
-    for _ in range(r):
-        x = x.verschiebung()
-    return x
+    return LaurentPoly.monomial(_ring(p, n), 1, (j * p ** (n - 1 - r),),
+                                p ** r)
 
 
 def _form_coords(omega):
@@ -482,28 +499,6 @@ def _form_coords(omega):
         out[(w, 0)] = c
     for (r, j), c in omega.frac:
         out[(j, r)] = c
-    return out
-
-
-def weight_cohomology(C, D):
-    """H^0 and H^1 of (W_n -> W_n Omega^1, nabla) per weight component
-    within the window |weight| <= D.
-
-    Returns a list of {"weights", "h0", "h1", "frac_gens"} entries keyed by
-    the sorted weight list of the component.
-    """
-    p, n = C.p, C.n
-    gens = _window_gens(p, n, D)
-    index = {key: k for k, (key, _, _) in enumerate(gens)}
-    images, leaks = _images(C, gens, index)
-    out = []
-    for members in components(range(len(gens)), _links(images, index)):
-        h0, h1 = _cluster_h(images, leaks, members, gens, index, p, n)
-        out.append({"weights": sorted(gens[k][2] for k in members),
-                    "h0": h0, "h1": h1,
-                    "frac_gens": sum(1 for k in members
-                                     if gens[k][0][1] > 0)})
-    out.sort(key=lambda e: e["weights"][0])
     return out
 
 
@@ -519,7 +514,7 @@ def _raise_key(key, p):
 def _images(C, gens, index):
     images, leaks = [], []
     for key, _, _ in gens:
-        coords = _form_coords(C.nabla(_gen_vector(key, C.p, C.n)))
+        coords = _form_coords(C.nabla(_gen_ghost(key, C.p, C.n)))
         images.append(coords)
         leaks.append(any(k not in index for k in coords))
     return images, leaks
@@ -553,7 +548,9 @@ def witt_compare(C, D):
     weights may differ by at most one power of p per fractional generator
     (the V-level drop shifts one unit of torsion).  H^1 total lengths must
     agree up to 14(m-1) + frac_gens + 1.  The raise is also certified as a
-    chain map through F at truncation n-1 on window generators.
+    chain map through F at truncation n-1 on window generators: F(nabla x)
+    = nabla'(F x), with F x entering nabla' as w_{n-1}(x) mod p^{n-1}, since
+    w_{n-2}(F x) = w_{n-1}(x).
     """
     if C.m < 1:
         raise ValueError("comparison needs level >= 1")
@@ -595,9 +592,9 @@ def witt_compare(C, D):
     if n >= 2:
         Cr = C2.restrict()
         for key, _, _ in _window_gens(p, n, min(D, 2)):
-            x = _gen_vector(key, p, n)
-            lhs = drw_F(C.nabla(x))
-            rhs = Cr.nabla(x.frobenius())
+            g = _gen_ghost(key, p, n)
+            lhs = drw_F(C.nabla(g))
+            rhs = Cr.nabla(g.reduce_to(_ring(p, n - 1)))
             if lhs != rhs:
                 chain = False
                 break

@@ -10,8 +10,7 @@ from pmconn.laurent import LaurentPoly
 from pmconn.witt import (WittVector, WittOneForm, nf_to_witt, drw_d, drw_F,
                          mul_dlog, integral_to_witt, WittConnection,
                          witt_level_raise, witt_connection_to_json,
-                         witt_connection_from_json, weight_cohomology,
-                         witt_compare, fractional_presentation_orders,
+                         witt_connection_from_json, witt_compare, fractional_presentation_orders,
                          NotNilpotent)
 
 
@@ -270,16 +269,38 @@ def test_witt_compare_trivial_and_monomial():
 def test_witt_compare_h0_example():
     # trivial connection, p = 3, n = 3, m = 2: H^0 on both sides is Z/p^3
     # at weight 0
-    from fractions import Fraction
     p, n, m = 3, 3, 2
-    C = WittConnection(m, WittVector.zero(p, n))
-    rep = weight_cohomology(C, 3)
-    at_zero = next(e for e in rep if e["weights"] == [Fraction(0)])
-    assert at_zero["h0"] == [n]
-    raised = weight_cohomology(witt_level_raise(C), 3)
-    at_zero2 = next(e for e in raised if e["weights"] == [Fraction(0)])
-    assert at_zero2["h0"] == [n]
-    assert witt_compare(C, 3)["pass"]
+    rep = witt_compare(WittConnection(m, WittVector.zero(p, n)), 3)
+    at_zero = next(e for e in rep["components"] if e["weights"] == ["0"])
+    assert at_zero["h0"] == at_zero["h0_raised"] == [n]
+    assert rep["pass"]
+
+
+def test_nabla_on_top_ghosts_matches_witt_arithmetic():
+    # nabla reads x and x f off top ghosts; the oracle forms x f as a Witt
+    # product and reads dx and x f dlog[t] through the vectors' normal forms
+    rng = random.Random(17)
+    for p in (2, 3, 5):
+        for n in range(1, 5):
+            for m in range(n + 1):
+                for _ in range(2):
+                    x = _rand_witt(rng, p, n)
+                    f = _rand_witt(rng, p, n) * p ** m
+                    want = drw_d(x) * p ** m + mul_dlog(x * f)
+                    assert WittConnection(m, f).nabla(x.ghost(n - 1)) == want
+
+
+def test_window_generator_ghost_is_v_of_teichmuller():
+    # the closed-form top ghost of V^r([t^j]) against V applied r times
+    for p in (2, 3, 5):
+        for n in range(1, 5):
+            for r in range(n):
+                for j in range(-3, 4):
+                    x = WittVector.teichmuller(
+                        LaurentPoly.monomial(_ctx1(p), 1, (j,)), n)
+                    for _ in range(r):
+                        x = x.verschiebung()
+                    assert witt._gen_ghost((j, r), p, n) == x.ghost(n - 1)
 
 
 def test_witt_compare_rejects_non_nilpotent():
