@@ -10,8 +10,8 @@ from pmconn.laurent import LaurentPoly
 from pmconn.witt import (WittVector, WittOneForm, nf_to_witt, drw_d, drw_F,
                          mul_dlog, integral_to_witt, WittConnection,
                          witt_level_raise, witt_connection_to_json,
-                         witt_connection_from_json, witt_compare, fractional_presentation_orders,
-                         NotNilpotent)
+                         witt_connection_from_json, witt_compare,
+                         fractional_presentation_orders, NotNilpotent)
 
 
 def _ctx1(p):
