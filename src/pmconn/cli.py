@@ -199,12 +199,10 @@ def case_prop4(opts, p, n, m, d):
         Q = _rand_op(rng, ctx, d, m, 4)
         R = _rand_op(rng, ctx, d, m, 4)
         f = _rand_poly(rng, ctx, d, 2)
-        lhs = op_mul(op_mul(P, Q), R)
-        rhs = op_mul(P, op_mul(Q, R))
-        if lhs.terms != rhs.terms:
+        PQ = op_mul(P, Q)
+        if op_mul(PQ, R).terms != op_mul(P, op_mul(Q, R)).terms:
             return {"pass": False, "law": "associativity", "trial": trial}
-        if op_apply(op_mul(P, Q), f).terms != \
-                op_apply(P, op_apply(Q, f)).terms:
+        if op_apply(PQ, f).terms != op_apply(P, op_apply(Q, f)).terms:
             return {"pass": False, "law": "module-action", "trial": trial}
         # divided operators compose by plain iteration
         l1 = tuple(rng.randint(0, 2) for _ in range(d))
@@ -218,8 +216,7 @@ def case_prop4(opts, p, n, m, d):
         if m >= 1:
             Pl = level_change(P, m - 1)
             Ql = level_change(Q, m - 1)
-            if level_change(op_mul(P, Q), m - 1).terms != \
-                    op_mul(Pl, Ql).terms:
+            if level_change(PQ, m - 1).terms != op_mul(Pl, Ql).terms:
                 return {"pass": False, "law": "level-change-hom",
                         "trial": trial}
     return {"pass": True}
@@ -420,7 +417,7 @@ def case_witt_identities(opts, p, n, m, d):
                 return {"pass": False, "law": "dF=pFd"}
             if drw_F(drw_d(x.verschiebung())) != drw_d(x.restrict()):
                 return {"pass": False, "law": "FdV=d"}
-        if drw_d(x + y) != drw_d(x) + drw_d(y):
+        if drw_d(s) != drw_d(x) + drw_d(y):
             return {"pass": False, "law": "d-additive"}
     for r in range(1, n):
         rep = fractional_presentation_orders(p, n, r, p + 1)

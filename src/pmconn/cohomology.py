@@ -450,6 +450,9 @@ def compare_theorem25(C, F, presentation, D):
       (c) the a = 0 twist is C itself;
       (h0) divisors of H^0(C) at weight w equal divisors of the level-raise
           at weight p*w (the pullback map is weight-multiplication by p).
+    Here theta is constant, so the raise keeps it, and p^(m-1)(p w + a) =
+    p^m w + p^(m-1) a: (a) and (h0) compare equal blocks mod p^n, and only
+    (b) and (c) can fail on such input.
     """
     rep = check_presentation(presentation)
     if rep.classification == "invalid":

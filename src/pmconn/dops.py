@@ -62,7 +62,7 @@ class DiffOp:
     def from_dict(ctx, d, m, mapping):
         items = []
         for l, c in mapping.items():
-            if c.ctx != ctx or c.d != d:
+            if (c.ctx is not ctx and c.ctx != ctx) or c.d != d:
                 raise ContextMismatch("operator coefficient in wrong ring")
             if not c.is_zero():
                 items.append((tuple(l), c))

@@ -19,11 +19,12 @@ nabla takes x as its top ghost w(x) and reads the normal forms of x and x f
 off w(x) and w(x) w(f); a window generator V^r([t^j]) enters as the monomial
 p^r t^(j p^(n-1-r)), never as a vector.
 
-A vector is immutable, so it computes its ghost components mod p^n once, on
-first use, and every later sum, product, Frobenius or normal form reads them.
-The result of an operation computes its own ghosts afresh from its
-components: the ghost-law checks of the `witt-identities` suite still compare
-them with fresh sums and products of the operands' ghosts.
+A vector is immutable, so its ghost components mod p^n are computed once: on
+first use, or for the result of an operation by the inversion that built it,
+summed from the powers x_i^{p^j} of its own components that it computes
+anyway, never copied from the ghost list it was inverted from (the two agree
+only mod p^{k+1}).  So the `witt-identities` ghost laws still compare two
+computations.  Every later sum, product, Frobenius or normal form reads them.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class WittVector:
 
     @staticmethod
     def from_int(c, p, n):
-        """The image of the integer c under Z -> W_n (all ghosts equal c)."""
+        """The image of the integer c under Z -> W_n (w_k = c mod p^{k+1})."""
         ctxN = _ring(p, n)
         g = [LaurentPoly.const(ctxN, 1, c) for _ in range(n)]
         return _ghost_invert(g, p, n)
@@ -120,13 +121,7 @@ class WittVector:
             for _ in range(top - i):
                 chain.append(chain[-1] ** self.p)
             powers.append(chain)
-        out = []
-        for k in range(top + 1):
-            acc = LaurentPoly.zero(ctxN, 1)
-            for i in range(min(k + 1, self.n)):
-                acc = acc + powers[i][k - i] * (self.p ** i)
-            out.append(acc)
-        return out
+        return _ghost_sums(powers, self.p, top, ctxN)
 
     # -- ring operations -----------------------------------------------------
 
@@ -146,11 +141,12 @@ class WittVector:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = WittVector.from_int(other, self.p, self.n)
-        self._chk(other)
-        ga, gb = self.ghosts(), other.ghosts()
-        return _ghost_invert([a * b for a, b in zip(ga, gb)], self.p, self.n)
+        if isinstance(other, int):  # w_k(from_int(c)) = c mod p^{k+1}
+            gs = [g * other for g in self.ghosts()]
+        else:
+            self._chk(other)
+            gs = [a * b for a, b in zip(self.ghosts(), other.ghosts())]
+        return _ghost_invert(gs, self.p, self.n)
 
     __rmul__ = __mul__
 
@@ -222,10 +218,22 @@ def _decode(g, p, n):
     return integral, fractional
 
 
+def _ghost_sums(powers, p, top, ctx):
+    """w_0, ..., w_top mod ctx from powers[i][j] = x_i^{p^j}, which may be
+    taken mod any p^{n'} at least ctx's modulus (reduction is a ring map)."""
+    out = []
+    for k in range(top + 1):
+        acc = LaurentPoly.zero(powers[0][0].ctx, 1)
+        for i in range(min(k + 1, len(powers))):
+            acc = acc + powers[i][k - i] * (p ** i)
+        out.append(acc if acc.ctx is ctx else acc.reduce_to(ctx))
+    return out
+
+
 def _ghost_invert(gs, p, n):
-    """Recover components from ghost polynomials (mod p^{n'} with n' >= n)."""
-    ctx1 = _ring(p, 1)
-    work_ctx = gs[0].ctx
+    """Recover components from ghost polynomials (mod p^{n'} with n' >= n);
+    the result's ghost memo is summed from the powers built here, not gs."""
+    ctx1, work_ctx = _ring(p, 1), gs[0].ctx
     comps = []
     powers = []  # powers[i][j] = x_i^{p^j} on the canonical lift
     for k in range(n):
@@ -242,7 +250,9 @@ def _ghost_invert(gs, p, n):
             out[e] = c // pk
         comps.append(LaurentPoly.from_dict(ctx1, 1, out))
         powers.append([comps[k].reduce_to(work_ctx)])
-    return WittVector(p, n, tuple(comps))
+    x = WittVector(p, n, tuple(comps))
+    x.__dict__["_ghosts"] = tuple(_ghost_sums(powers, p, n - 1, _ring(p, n)))
+    return x
 
 
 def nf_to_witt(integral, fractional, p, n):

@@ -13,7 +13,10 @@ from pmconn.cohomology import (compute_H, de_rham_complex, weight_components,
                                hom_space, gauge_intertwiner_lattice,
                                rank1_trivial_test,
                                compare_theorem25, higgs_vanishing,
-                               CohomologyReport, _form_basis, _theta_shifts)
+                               CohomologyReport, _boundary_matrix,
+                               _boundary_plan, _form_basis, _theta_shifts,
+                               _window_exponents)
+from pmconn.frobenius import level_raise, twist_decompose
 from pmconn.linalg import homology_divisors
 
 
@@ -235,6 +238,43 @@ def test_compare_theorem25_rejects_weight_mixing():
                               {0: [[LaurentPoly.one(ctx, 1)]]})
     with pytest.raises(ValueError):
         compare_theorem25(C, FrobLift.pure(ctx, 1), P, 3)
+
+
+def test_theorem25_blocks_agree_on_weight_preserving_input():
+    # Along the pure lift a constant theta stays constant under the raise,
+    # and p^(m-1) (p w + a) = p^m w + p^(m-1) a, so the raise's de Rham block
+    # at p w + a is twist a's block at w mod p^n (and twist 0 is C): checks
+    # (a) and (h0) of compare_theorem25 compare equal blocks on such input.
+    p, n, m, D = 3, 3, 2, 2
+    ctx = RingCtx(p, n)
+    zero = LaurentPoly.zero(ctx, 2)
+    theta = tuple(((zero, LaurentPoly.const(ctx, 2, x)), (zero, zero))
+                  for x in (5, 6))
+    C = Connection(ctx, 2, m, 2, theta)
+    F = FrobLift.pure(ctx, 2)
+    LR = level_raise(C, F)
+
+    def block(conn, q, w):
+        basis_in = _form_basis([w], 2, 2, q)
+        basis_out = _form_basis([w], 2, 2, q + 1)
+        cols, leaks = _boundary_matrix(conn, _boundary_plan(conn, q),
+                                       basis_in, basis_out)
+        assert not any(leaks)
+        return [{r: c % ctx.modulus for r, c in col.items()
+                 if c % ctx.modulus} for col in cols]
+
+    twists = twist_decompose(C, F)
+    assert twists[(0, 0)].theta == C.theta
+    checked = 0
+    for a, Ct in twists.items():
+        for q in range(2):
+            for w in _window_exponents(2, D):
+                u = tuple(p * x + y for x, y in zip(w, a))
+                assert block(LR, q, u) == block(Ct, q, w), (a, q, w)
+                checked += 1
+    assert checked == 9 * 2 * 25
+    # the blocks do depend on the weight: a raise that kept level m differs
+    assert block(C, 0, (1, 0)) != block(LR, 0, (1, 0))
 
 
 def test_weight_components_split_by_theta_support():

@@ -75,16 +75,40 @@ def _memo_grid():
 
 
 def test_ghost_memo_is_the_vectors_own():
-    # A result's ghosts are those of its components, not its operands'
-    # ghost sums (they agree with those only mod p^{k+1}).
+    # A result's ghosts are those of its components, not the ghost list it
+    # was inverted from (the two agree only mod p^{k+1}).
     for p, n, x, y in _memo_grid():
-        results = [x, x + y, x * y] + ([x.frobenius()] if n >= 2 else [])
+        rng = random.Random(7 * p + n)
+        scalars = (0, 1, -1, p, p * p, rng.randrange(-p ** n, p ** n))
+        results = [x, x + y, x * y, x - y, x.frobenius_same_level(),
+                   nf_to_witt(*x.normal_form(), p, n)]
+        results += [x * c for c in scalars]
+        results += [WittVector.from_int(c, p, n) for c in scalars]
+        results += [x.frobenius()] if n >= 2 else []
         for z in results:
             fresh = WittVector(z.p, z.n, z.comps)
             assert z.ghosts() == fresh.ghosts()
             assert z.ghosts() == _ghosts_by_definition(
                 z, RingCtx(p, z.n), z.n - 1)
             assert [z.ghost(k) for k in range(z.n)] == z.ghosts()
+
+
+def test_int_scaling_matches_the_vector_product():
+    # x * c scales x's ghosts by c and inverts once; the inversion reads
+    # ghost k only mod p^{k+1}, where w_k(from_int(c)) = c.
+    checked = 0
+    for p in (2, 3, 5):
+        for n in range(1, 5):
+            rng = random.Random(1000 * p + n)
+            for _ in range(50):
+                x = _rand_witt(rng, p, n)
+                c = rng.choice((0, 1, -1, p, p * p,
+                                rng.randrange(-p ** (n + 1), p ** (n + 1))))
+                want = x * WittVector.from_int(c, p, n)
+                assert (x * c).comps == want.comps, (p, n, c)
+                assert (c * x).comps == want.comps, (p, n, c)
+                checked += 1
+    assert checked == 600
 
 
 def test_ghost_memo_is_not_shared_with_callers():
