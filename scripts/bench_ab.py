@@ -1,22 +1,22 @@
 #!/usr/bin/env python3
-"""A/B runs of the benchmark in two checkouts, written to BENCH_<PR>.json.
+"""A/B runs of the benchmark in two checkouts, written to BENCH_<N>.json.
 
 Usage (from the repository root):
 
-    python3 scripts/bench_ab.py --parent HEAD~1 --pr 18 \\
+    python3 scripts/bench_ab.py --parent HEAD~1 --number N \\
         --workloads witt-dense operator-sparse --seeds 1 3 --pairs 10
 
 Each run is ``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` started as its own process in a checkout, one run at a time,
-with ``T`` and the end-to-end metrics read from ``BENCHMARK.json``.
-The parent side is the commit ``--parent``, exported with ``git archive``
-into a temporary directory; the change side is this working tree.  Within
-a workload and seed, even pairs run the parent first and odd pairs the
-change first.  The file keeps
-every run line under ``raw`` and, per workload, seed and end-to-end metric,
-the median and quartiles of each side, the pairs the change wins (in the
-direction ``BENCHMARK.json`` calls better), whether all runs were correct and
-how many operations failed.  Each median is printed beside the previous BENCH file's.
+with ``T`` and the end-to-end metrics read from ``BENCHMARK.json``.  The
+parent side is the commit ``--parent``, exported with ``git archive`` into
+a temporary directory; the change side is this working tree.  Within a
+workload and seed, even pairs run the parent first and odd pairs the change
+first.  The file keeps every run line under ``raw`` and, per workload, seed
+and end-to-end metric, the median and quartiles of each side, the pairs the
+change wins (in the direction ``BENCHMARK.json`` calls better), whether all
+runs were correct and how many operations failed.  Each median is printed
+beside the previous BENCH file's.
 """
 
 from __future__ import annotations
@@ -101,12 +101,12 @@ def summarize(raw, better):
     return out
 
 
-def previous_bench(pr):
-    """The BENCH file with the largest number below pr, or None."""
+def previous_bench(number):
+    """The BENCH file with the largest number below number, or None."""
     found = []
     for path in glob.glob(os.path.join(ROOT, "BENCH_*.json")):
         m = re.fullmatch(r"BENCH_(\d+)\.json", os.path.basename(path))
-        if m and int(m.group(1)) < pr:
+        if m and int(m.group(1)) < number:
             found.append((int(m.group(1)), path))
     return max(found)[1] if found else None
 
@@ -127,6 +127,14 @@ def print_medians(summary, prev_path):
               f"{e['parent']['median']:>9} {e['change']['median']:>9} "
               f"{e['change_wins']:>3}/{e['pairs']:<2}  "
               f"{'-' if old is None else old}")
+
+
+def write_bench(doc, fh):
+    """doc as indented JSON, with each run under "raw" on one line."""
+    head = json.dumps({k: v for k, v in doc.items() if k != "raw"},
+                      indent=1)
+    runs = ",\n".join("  " + json.dumps(r) for r in doc["raw"])
+    fh.write(head[:-2] + ',\n "raw": [\n' + runs + "\n ]\n}\n")
 
 
 def run_pairs(args, sides, seconds, metrics):
@@ -154,8 +162,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True,
                     help="the parent commit, e.g. HEAD~1")
-    ap.add_argument("--pr", type=int, required=True,
-                    help="number N of the BENCH_N.json file to write")
+    ap.add_argument("--number", type=int, required=True,
+                    help="N of the BENCH_N.json file to write")
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--seeds", nargs="+", type=int, default=[1])
     ap.add_argument("--pairs", type=int, default=10)
@@ -203,11 +211,10 @@ def main():
         "summary": summary,
         "raw": raw,
     }
-    out = os.path.join(ROOT, f"BENCH_{args.pr}.json")
+    out = os.path.join(ROOT, f"BENCH_{args.number}.json")
     with open(out, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    print_medians(summary, previous_bench(args.pr))
+        write_bench(doc, fh)
+    print_medians(summary, previous_bench(args.number))
     print(f"wrote {out}")
 
 

@@ -264,15 +264,12 @@ def test_theorem25_blocks_agree_on_weight_preserving_input():
                  if c % ctx.modulus} for col in cols]
 
     twists = twist_decompose(C, F)
-    assert twists[(0, 0)].theta == C.theta
-    checked = 0
+    assert len(twists) == p ** 2 and twists[(0, 0)].theta == C.theta
     for a, Ct in twists.items():
         for q in range(2):
             for w in _window_exponents(2, D):
                 u = tuple(p * x + y for x, y in zip(w, a))
                 assert block(LR, q, u) == block(Ct, q, w), (a, q, w)
-                checked += 1
-    assert checked == 9 * 2 * 25
     # the blocks do depend on the weight: a raise that kept level m differs
     assert block(C, 0, (1, 0)) != block(LR, 0, (1, 0))
 

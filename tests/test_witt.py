@@ -96,7 +96,7 @@ def test_ghost_memo_is_the_vectors_own():
 def test_int_scaling_matches_the_vector_product():
     # x * c scales x's ghosts by c and inverts once; the inversion reads
     # ghost k only mod p^{k+1}, where w_k(from_int(c)) = c.
-    checked = 0
+    # 3 primes x 4 lengths x 50 vectors = 600 seeded vectors
     for p in (2, 3, 5):
         for n in range(1, 5):
             rng = random.Random(1000 * p + n)
@@ -107,8 +107,6 @@ def test_int_scaling_matches_the_vector_product():
                 want = x * WittVector.from_int(c, p, n)
                 assert (x * c).comps == want.comps, (p, n, c)
                 assert (c * x).comps == want.comps, (p, n, c)
-                checked += 1
-    assert checked == 600
 
 
 def test_ghost_memo_is_not_shared_with_callers():
