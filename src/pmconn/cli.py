@@ -23,9 +23,10 @@ from .cohomology import (compare_theorem25, compute_H, higgs_vanishing,
                          hom_space)
 from .dops import (DiffOp, check_taylor_cocycle, check_taylor_inverse,
                    level_change, op_apply, op_mul, tau_transition, verify_tau)
-from .frobenius import (FrobLift, LiftChain, descend_rank1,
-                        essential_image_rank1, level_raise, psi)
-from .laurent import LaurentPoly, frob_substitute, parse_poly, format_poly
+from .frobenius import (LiftChain, descend_rank1, essential_image_rank1,
+                        level_raise, psi)
+from .laurent import (FrobLift, LaurentPoly, frob_substitute, parse_poly,
+                      format_poly)
 from .witt import (WittConnection, WittVector, drw_F, drw_d,
                    fractional_presentation_orders, integral_to_witt,
                    nf_to_witt, witt_compare, witt_level_raise)
@@ -565,6 +566,10 @@ def cmd_cohomology(opts):
         C = connection_from_json(_load_json(opts.file))
     except (OSError, ValueError, KeyError, IndexError) as exc:
         print(f"cannot read connection file: {exc}", file=sys.stderr)
+        return 2
+    if opts.window < 0:
+        print(f"--window {opts.window} is out of range: need >= 0",
+              file=sys.stderr)
         return 2
     if not C.is_integrable():
         K = C.curvature()

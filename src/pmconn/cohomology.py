@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from operator import add, sub
 
-from .arith import RingCtx, int_val_p
+from .arith import RingCtx
 from .connection import (Connection, check_presentation, dual, mat_det,
                          mat_id, tensor)
 from .frobenius import level_raise, twist_decompose
@@ -355,76 +355,6 @@ def _unit_in_span(vectors, p, modulus):
         return [sum(x * Vz[j] for j, x in row.items()) % modulus
                 for row in K]
     return None
-
-
-# -- rank-1 triviality ----------------------------------------------------------
-
-
-def rank1_trivial_test(f, m, ctx, max_stages=200):
-    """Decide whether (O, p^m d + f dlog t) is gauge-isomorphic to
-    (O, p^m d) on the 1-dimensional chart.
-
-    Necessary filter: modulo p^{m+1}, f must be a constant in p^m Z (any
-    gauge unit c t^N (1+z) with z in pR contributes p^m N plus terms in
-    p^{m+1}).  When the filter passes, a gauge witness is built order by
-    order; a residual that stops shrinking leaves the answer undetermined.
-
-    Returns {"status": "iso"|"not-iso"|"undetermined", "witness": (N, u),
-    "obstruction": ...}; the witness unit is t^N * u.
-    """
-    if f.d != 1:
-        raise ValueError("the classification is implemented for d = 1")
-    p, n = ctx.p, ctx.n
-    pm = p ** m
-    pn = p ** n
-    if m >= n:
-        # Higgs range: p^m = 0, the connection is O-linear multiplication
-        if all(c % pn == 0 for _, c in f.terms):
-            return {"status": "iso", "witness": (0, LaurentPoly.one(ctx, 1)),
-                    "obstruction": None}
-        return {"status": "not-iso", "witness": None,
-                "obstruction": {"kind": "nonzero-higgs-field"}}
-    f0 = f.coeff((0,))
-    if f0 % pm:
-        return {"status": "not-iso", "witness": None,
-                "obstruction": {"kind": "constant-term",
-                                "detail": "constant term not in p^m Z"}}
-    for e, c in f.terms:
-        if e != (0,) and c % (p ** min(m + 1, n)):
-            return {"status": "not-iso", "witness": None,
-                    "obstruction": {"kind": "non-constant-term-mod-p^{m+1}",
-                                    "exponent": e[0], "coefficient": c}}
-    N = (-(f0 // pm)) % (p ** (n - m))
-    u = LaurentPoly.one(ctx, 1)
-    residual = f + LaurentPoly.const(ctx, 1, pm * N)
-    for _ in range(max_stages):
-        if residual.is_zero():
-            return {"status": "iso", "witness": (N, u), "obstruction": None}
-        c0 = residual.coeff((0,))
-        if c0:
-            if c0 % pm:
-                return {"status": "undetermined", "witness": None,
-                        "obstruction": {"kind": "constant-residue",
-                                        "value": c0}}
-            N = (N - c0 // pm) % (p ** (n - m))
-            residual = residual - LaurentPoly.const(ctx, 1, c0)
-            continue
-        terms = [(e[0], c) for e, c in residual.terms]
-        k, c = min(terms, key=lambda t: (int_val_p(t[1], p), abs(t[0])))
-        vk = int_val_p(k, p)
-        # killing c t^k with 1 + gamma t^k needs gamma = -c / (p^m k), and
-        # gamma in pR so the geometric tail keeps gaining valuation
-        if int_val_p(c, p) < m + vk + 1:
-            return {"status": "undetermined", "witness": None,
-                    "obstruction": {"kind": "stalled", "exponent": k,
-                                    "coefficient": c}}
-        k_unit = k // p ** vk
-        gamma = (-(c // (pm * p ** vk)) * pow(k_unit, -1, pn)) % pn
-        g = LaurentPoly.from_dict(ctx, 1, {(0,): 1, (k,): gamma})
-        u = u * g
-        residual = residual + g.log_partial(1) * g.invert() * pm
-    return {"status": "undetermined", "witness": None,
-            "obstruction": {"kind": "no-convergence"}}
 
 
 # -- Theorem-25-style comparison -------------------------------------------------

@@ -118,6 +118,9 @@ class Connection:
     theta: tuple  # d matrices, rank x rank, dlog basis
 
     def __post_init__(self):
+        if self.d < 1 or self.m < 0:
+            raise ValueError(f"need d >= 1 and m >= 0, got d = {self.d}, "
+                             f"m = {self.m}")
         # nested tuples whatever the caller passed, so that == on theta
         # compares entries
         object.__setattr__(self, "theta",
@@ -147,25 +150,11 @@ class Connection:
     def p_to_m(self):
         return pow(self.ctx.p, self.m, self.ctx.modulus)
 
-    def is_higgs(self):
-        return self.m >= self.ctx.n
-
     # the operator theta_i = p^m t_i d/dt_i + Theta_i on column vectors
     def theta_apply(self, i, v):
         pm = self.p_to_m()
         der = tuple(x.log_partial(i) * pm for x in v)
         return tuple(a + b for a, b in zip(mat_apply(self.theta[i - 1], v), der))
-
-    def theta_power_apply(self, a, v):
-        """theta^a = prod_i theta_i^{a_i}; requires integrability."""
-        if len(a) != self.d:
-            raise ValueError("multi-index arity mismatch")
-        if not self.is_integrable():
-            raise ValueError("theta powers are only well-defined when integrable")
-        for i in range(self.d, 0, -1):
-            for _ in range(a[i - 1]):
-                v = self.theta_apply(i, v)
-        return v
 
     @cached_property
     def _theta_dt(self):
@@ -241,13 +230,6 @@ def gauge(C, g):
     return Connection(C.ctx, C.d, C.m, C.rank, tuple(new))
 
 
-def iota(C):
-    """The twist (E, theta) -> (E, -theta); relevant for Higgs objects when
-    matching sign conventions of the classical mod-p correspondence."""
-    return Connection(C.ctx, C.d, C.m, C.rank,
-                      tuple(mat_scale(M, -1) for M in C.theta))
-
-
 def tensor(C1, C2):
     if (C1.ctx, C1.d, C1.m) != (C2.ctx, C2.d, C2.m):
         raise ContextMismatch("tensor needs equal ctx, d and level")
@@ -274,11 +256,6 @@ def dual(C):
         new.append(tuple(tuple(-M[j][i] for j in range(C.rank))
                          for i in range(C.rank)))
     return Connection(C.ctx, C.d, C.m, C.rank, tuple(new))
-
-
-def internal_hom(C1, C2):
-    """Hom(E1, E2) with nabla(phi) = nabla_2 phi - phi nabla_1."""
-    return tensor(dual(C1), C2)
 
 
 # -- quasi-nilpotence ---------------------------------------------------------
@@ -397,53 +374,6 @@ def _find_cycle(edges):
                 stack.pop()
                 path.pop()
     return None
-
-
-# -- coordinate change --------------------------------------------------------
-
-def coordinate_change(C, A, units):
-    """Transform along the torus automorphism t'_j = c_j prod_i t_i^{A_ji}.
-
-    A must be in GL_d(Z) (ValueError otherwise); units are the c_j as
-    integers, read mod p^n.  In the logarithmic basis the matrices transform
-    by Theta'_j = sum_i B_ij Theta_i (B = A^{-1}), with coefficients
-    rewritten in the t' coordinates.
-    """
-    d = C.d
-    if len(A) != d or any(len(r) != d for r in A):
-        raise ValueError("transform matrix of wrong shape")
-    # A^-1 = det(A) * adj(A), as det(A) = +-1 in GL_d(Z)
-    det = mat_det(A)
-    if det not in (1, -1):
-        raise ValueError("transform matrix is not invertible over Z")
-    B = [[det]] if d == 1 else [
-        [det * (-1) ** (i + j) * mat_det([r[:i] + r[i + 1:] for k, r in
-                                          enumerate(A) if k != j])
-         for j in range(d)] for i in range(d)]
-    mod = C.ctx.modulus
-    for c in units:
-        if c % C.ctx.p == 0:
-            raise ValueError("scaling factors must be units")
-    cinv = [pow(c, -1, mod) for c in units]
-
-    def subst(f):
-        acc = {}
-        for e, coeff in f.terms:
-            e2 = tuple(sum(e[i] * B[i][j] for i in range(d)) for j in range(d))
-            scale = 1
-            for j in range(d):
-                scale = scale * pow(cinv[j], e2[j], mod) % mod
-            acc[e2] = acc.get(e2, 0) + coeff * scale
-        return LaurentPoly.from_dict(C.ctx, d, acc)
-
-    new = []
-    for j in range(d):
-        M = mat_zero(C.ctx, d, C.rank)
-        for i in range(d):
-            if B[i][j]:
-                M = mat_add(M, mat_scale(mat_map(C.theta[i], subst), B[i][j]))
-        new.append(M)
-    return Connection(C.ctx, d, C.m, C.rank, tuple(new))
 
 
 # -- extension presentations ---------------------------------------------------

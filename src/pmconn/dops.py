@@ -339,17 +339,6 @@ def theta_table(C, v, K):
     return table
 
 
-def taylor_series(C, e, K):
-    """Order-K stratification of the vector e: the list, indexed by module
-    basis, of PD coefficients of sum_k D^<k>(e) (x) (tau/p^m)^[k]."""
-    coeffs = [{} for _ in range(C.rank)]
-    for k, v in theta_table(C, e, K).items():
-        for b in range(C.rank):
-            if not v[b].is_zero():
-                coeffs[b][k] = v[b]
-    return [PDElement.from_dict(C.ctx, C.d, C.m, K, mp) for mp in coeffs]
-
-
 def check_taylor_cocycle(C, e, K):
     """Comultiplication compatibility of the stratification: the coefficient
     of (tau)^[a] (x) (tau')^[b] computed by iterating the series must equal

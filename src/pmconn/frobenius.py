@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .arith import int_val_p
 from .connection import Connection
-from .laurent import ContextMismatch, FrobLift, LaurentPoly, frob_substitute
+from .laurent import ContextMismatch, LaurentPoly, frob_substitute
 
 
 def level_raise(C, F):

@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .arith import RingCtx, int_val_p
-from .laurent import LaurentPoly, parse_poly, format_poly
+from .laurent import LaurentPoly
 from .linalg import (components, diagonal_p_exponents, homology_divisors,
                      snf_int)
 
@@ -456,25 +456,6 @@ def witt_level_raise(C):
     if C.m < 1:
         raise ValueError("already at level 0")
     return WittConnection(C.m - 1, C.f.frobenius_same_level())
-
-
-# -- JSON form ----------------------------------------------------------------
-
-
-def witt_connection_to_json(C):
-    return {"p": C.p, "n": C.n, "m": C.m,
-            "f_components": [format_poly(c) for c in C.f.comps]}
-
-
-def witt_connection_from_json(obj):
-    p, n, m = int(obj["p"]), int(obj["n"]), int(obj["m"])
-    ctx1 = _ring(p, 1)
-    comps = tuple(parse_poly(s, ctx1, 1) if s.strip() != "0"
-                  else LaurentPoly.zero(ctx1, 1)
-                  for s in obj["f_components"])
-    if len(comps) != n:
-        raise ValueError("need exactly n components")
-    return WittConnection(m, WittVector(p, n, comps))
 
 
 # -- per-weight cohomology and the level-raise comparison ----------------------

@@ -203,6 +203,23 @@ def test_cohomology_malformed_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("cmd", ["cohomology", "raise", "descend"])
+def test_negative_level_and_empty_chart_are_unreadable(tmp_path, capsys, cmd):
+    lift = _write(tmp_path, "l.json", {"p": 3, "n": 2, "d": 1, "a": ["0"]})
+    for obj in (_trivial_conn(m=-1), {**_trivial_conn(), "d": 0, "theta": []}):
+        f = _write(tmp_path, "bad.json", obj)
+        code, out, err = run(capsys, cmd, f, *([lift] if cmd == "raise" else []))
+        assert (code, out) == (2, "")
+        assert err.startswith("cannot read")
+
+
+def test_cohomology_rejects_negative_window(tmp_path, capsys):
+    f = _write(tmp_path, "conn.json", _trivial_conn(m=0))
+    code, out, err = run(capsys, "cohomology", f, "--window", "-1")
+    assert (code, out) == (2, "")
+    assert "--window -1" in err
+
+
 def test_cohomology_non_integrable_exits_1(tmp_path, capsys):
     # rank 2, d = 2 with non-commuting constant matrices
     obj = {"p": 3, "n": 2, "m": 0, "d": 2, "rank": 2, "basis": "dlog",

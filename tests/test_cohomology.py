@@ -11,7 +11,6 @@ from pmconn.connection import (Connection, gauge, ExtensionPresentation,
                                mat_matmul)
 from pmconn.cohomology import (compute_H, de_rham_complex, weight_components,
                                hom_space, gauge_intertwiner_lattice,
-                               rank1_trivial_test,
                                compare_theorem25, higgs_vanishing,
                                CohomologyReport, _boundary_matrix,
                                _boundary_plan, _form_basis, _theta_shifts,
@@ -183,25 +182,6 @@ def test_gauge_intertwiner_lattice_is_pinned():
     for C1, C2, D in _lattice_pairs():
         h.update(repr(gauge_intertwiner_lattice(C1, C2, D)).encode())
     assert h.hexdigest() == LATTICE_SHA256
-
-
-def test_rank1_trivial_test_three_outcomes():
-    p, n, m = 3, 2, 1
-    ctx = RingCtx(p, n)
-    # f = p^m * k dlog t is killed by the witness t^{-k}
-    f = LaurentPoly.const(ctx, 1, 3)
-    res = rank1_trivial_test(f, m, ctx)
-    assert res["status"] == "iso"
-    # a unit constant term is obstructed at level 1
-    res2 = rank1_trivial_test(LaurentPoly.one(ctx, 1), m, ctx)
-    assert res2["status"] == "not-iso"
-    # dlog of the unit 1 + pt is a coboundary
-    u = parse_poly("1+3*t1^1", ctx, 1)
-    f3 = u.log_partial(1) * u.invert() * (p ** m)
-    assert rank1_trivial_test(f3, m, ctx)["status"] == "iso"
-    # Higgs range: iso iff the field vanishes
-    assert rank1_trivial_test(LaurentPoly.zero(ctx, 1), n, ctx)["status"] == "iso"
-    assert rank1_trivial_test(f, n, ctx)["status"] == "not-iso"
 
 
 def test_higgs_vanishing_ogus_input():

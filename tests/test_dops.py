@@ -12,7 +12,7 @@ from pmconn.laurent import LaurentPoly, FrobLift, parse_poly
 from pmconn.connection import Connection, mat_det
 from pmconn.dops import (DiffOp, op_apply, op_mul, level_change,
                          multi_indices, multi_indices_upto, PDElement,
-                         pd_gamma, taylor_series, check_taylor_cocycle,
+                         pd_gamma, check_taylor_cocycle,
                          check_taylor_inverse, tau_transition, verify_tau,
                          phi_rank_check, TruncationOverflow, theta_table,
                          _bareiss_det, _divided_power)
@@ -216,9 +216,7 @@ def test_non_integrable_theta_powers_raise_every_time():
     C = Connection.rank1(ctx, 2, 0, [LaurentPoly.zero(ctx, 2),
                                      LaurentPoly.var(ctx, 2, 1)])
     e = C.basis_vector(0)
-    calls = (lambda: C.theta_power_apply((1, 0), e),
-             lambda: C.theta_power_apply_dt((1, 0), e),
-             lambda: taylor_series(C, e, 2),
+    calls = (lambda: C.theta_power_apply_dt((1, 0), e),
              lambda: theta_table(C, e, 2))
     for call in calls:
         for _ in range(2):
@@ -290,42 +288,6 @@ def test_taylor_cocycle_and_inverse_rank1(args):
         e = C.basis_vector(j)
         assert check_taylor_cocycle(C, e, 4)
         assert check_taylor_inverse(C, e, 4)
-
-
-def test_taylor_series_leading_term():
-    ctx = RingCtx(3, 2)
-    C = Connection.trivial(ctx, 1, 1)
-    series = taylor_series(C, C.basis_vector(0), 3)
-    # identity at divided-power degree 0, nothing in higher degrees
-    assert series[0].order_zero_part() == LaurentPoly.one(ctx, 1)
-    assert series[0].coeff((1,)).is_zero()
-
-
-@pytest.mark.parametrize("p, n, m", [(2, 3, 1), (3, 2, 1), (3, 3, 0)])
-def test_taylor_series_matches_theta_powers_d2(p, n, m):
-    # rank 2, d = 2, theta_i = [[0, u_i p^(i-1)], [0, 0]]: constant nilpotent
-    # matrices that commute, so the connection is integrable.  taylor_series
-    # builds degree s from degree s - 1, one theta of the lowest nonzero axis
-    # at a time; theta_power_apply_dt iterates each theta_i from scratch.
-    ctx = RingCtx(p, n)
-    rng = random.Random(p * 100 + n * 10 + m)
-    z = LaurentPoly.zero(ctx, 2)
-    theta = tuple(((z, LaurentPoly.const(ctx, 2, rng.randrange(1, ctx.modulus)
-                                         * p ** i)), (z, z)) for i in range(2))
-    C = Connection(ctx, 2, m, 2, theta)
-    assert C.is_integrable()
-    K = 4
-    vectors = [C.basis_vector(j) for j in range(2)]
-    vectors.append(tuple(_rand_poly(rng, ctx, 2, 3) for _ in range(2)))
-    nonzero = 0
-    for e in vectors:
-        series = taylor_series(C, e, K)
-        for k in multi_indices_upto(2, K):
-            direct = C.theta_power_apply_dt(k, e)
-            assert tuple(s.coeff(k) for s in series) == direct
-            nonzero += any(not x.is_zero() for x in direct)
-    # the tables hold more than their order-0 entries
-    assert nonzero > len(vectors)
 
 
 def _lift_pair(rng, ctx, m):

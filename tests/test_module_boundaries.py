@@ -1,19 +1,48 @@
-"""No pmconn module imports a private name from another.
+"""Static guards on the shape of ``src/pmconn``, read with ``ast``.
 
-A ``_``-prefixed name is private to the module that defines it; a module that
-needs it belongs next to it.  Each ``src/pmconn/*.py`` is parsed with ``ast``
-and every relative or ``pmconn.``-absolute import is checked, at module level
-and inside functions.
+- No pmconn module imports a private name from another.  A ``_``-prefixed
+  name is private to the module that defines it; a module that needs it
+  belongs next to it.  Every relative or ``pmconn.``-absolute import is
+  checked, at module level and inside functions.
+- No pmconn module imports a name it never uses.  A name wanted elsewhere is
+  imported from the module that defines it, not passed through another.
+- Every public top-level function and class method is named somewhere in
+  ``src/pmconn``, ``scripts/`` or ``perfbench/`` outside its own definition,
+  so that no library code is reached by tests alone.  A name counts as named
+  when it occurs as a name, an attribute, an import alias or a dotted string
+  constant (``perfbench/tracing.py`` patches its targets by string).  The few
+  names kept without such a caller are listed in ``UNCALLED``, each with its
+  reason.
 """
 
 import ast
 import os
+import re
+from collections import Counter
 
 import pytest
 
-PKG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "pmconn")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PKG = os.path.join(ROOT, "src", "pmconn")
 MODULES = sorted(f for f in os.listdir(PKG) if f.endswith(".py"))
+
+# public names with no caller in the scanned trees, and why each stays
+UNCALLED = {
+    "de_rham_complex": "dense reference complex; oracle of "
+                       "test_compute_H_matches_reference",
+    "mul_dlog": "oracle of the WittConnection.nabla tests and acceptance_8",
+    "verify_pullback_iso": "gets its caller in the m = 1 equivalence suite "
+                           "(ROADMAP item 4)",
+    "phi_rank_check": "may be the paper's strong condition on the Frobenius "
+                      "lift (ROADMAP item 6)",
+}
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _read(path):
+    with open(path) as fh:
+        return fh.read()
 
 
 def _private_imports(source):
@@ -27,10 +56,78 @@ def _private_imports(source):
                 yield node.lineno, node.module, alias.name
 
 
+def _unused_imports(source):
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, a.asname or a.name.split(".")[0])
+                      for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [(line, name) for line, name in bound if name not in used]
+
+
+def _docstrings(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)):
+                yield body[0].value
+
+
+def _mentions(tree):
+    """Every name, attribute, import alias and dotted-string part in tree."""
+    skip = {id(c) for c in _docstrings(tree)}
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.split(".")[-1]] += 1
+            if node.asname:
+                out[node.asname] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in skip and _DOTTED.fullmatch(node.value)):
+            out.update(node.value.split("."))
+    return out
+
+
+def _definitions(tree):
+    """The public top-level functions and class methods of a module."""
+    for node in tree.body:
+        defs = node.body if isinstance(node, ast.ClassDef) else [node]
+        for d in defs:
+            if (isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not d.name.startswith("_")):
+                yield d
+
+
+def _uncalled():
+    """(module, name) of each public definition in src/pmconn that nothing
+    in src/pmconn, scripts/ or perfbench/ names outside its own definition."""
+    trees = {}
+    for top in (PKG, os.path.join(ROOT, "scripts"),
+                os.path.join(ROOT, "perfbench")):
+        for f in sorted(os.listdir(top)):
+            if f.endswith(".py"):
+                trees[os.path.join(top, f)] = ast.parse(
+                    _read(os.path.join(top, f)))
+    total = sum((_mentions(t) for t in trees.values()), Counter())
+    return [(os.path.basename(path), d.name)
+            for path, tree in trees.items() if os.path.dirname(path) == PKG
+            for d in _definitions(tree)
+            if total[d.name] <= _mentions(d)[d.name]]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_private_imports_across_modules(module):
-    with open(os.path.join(PKG, module)) as fh:
-        found = list(_private_imports(fh.read()))
+    found = list(_private_imports(_read(os.path.join(PKG, module))))
     assert not found, f"{module} imports private names: {found}"
 
 
@@ -39,3 +136,35 @@ def test_guard_sees_private_imports():
            "def f():\n    from pmconn.linalg import _axpy\n")
     assert [name for _, _, name in _private_imports(src)] == \
         ["_vec_to_matrix", "_axpy"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    found = _unused_imports(_read(os.path.join(PKG, module)))
+    assert not found, f"{module} imports names it never uses: {found}"
+
+
+def test_guard_sees_unused_imports():
+    src = ("from __future__ import annotations\n"
+           "import os.path\nimport itertools as it\n"
+           "from .laurent import FrobLift, LaurentPoly\n"
+           "def f(x: LaurentPoly):\n    return os.path.join(x)\n")
+    assert _unused_imports(src) == [(3, "it"), (4, "FrobLift")]
+
+
+def test_every_public_definition_has_a_caller():
+    found = _uncalled()
+    assert sorted(name for _, name in found) == sorted(UNCALLED), \
+        f"public names with no caller outside the tests: {found}"
+
+
+def test_guard_sees_uncalled_definitions():
+    tree = ast.parse(
+        "def f(n):\n    return f(n - 1)\n"
+        "def g():\n    '''f'''\n    return 1\n"
+        "class A:\n    def h(self):\n        return g()\n"
+        "    def k(self):\n        return self.h()\n"
+        "T = ('A.k', 'the f')\n")
+    total = _mentions(tree)
+    assert [d.name for d in _definitions(tree)
+            if total[d.name] <= _mentions(d)[d.name]] == ["f"]

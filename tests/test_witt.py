@@ -9,8 +9,7 @@ from pmconn.arith import RingCtx
 from pmconn.laurent import LaurentPoly
 from pmconn.witt import (WittVector, WittOneForm, nf_to_witt, drw_d, drw_F,
                          mul_dlog, integral_to_witt, WittConnection,
-                         witt_level_raise, witt_connection_to_json,
-                         witt_connection_from_json, witt_compare,
+                         witt_level_raise, witt_compare,
                          fractional_presentation_orders, NotNilpotent)
 
 
@@ -352,12 +351,3 @@ def test_fractional_presentation_orders():
                 rep = fractional_presentation_orders(p, n, r, p + 1)
                 assert rep["verified"]
                 assert rep["orders"] == rep["predicted"] == [n - r]
-
-
-def test_witt_connection_json_round_trip():
-    p, n, m = 3, 3, 1
-    rng = random.Random(8)
-    C = WittConnection(m, _rand_witt(rng, p, n) * (p ** m))
-    obj = witt_connection_to_json(C)
-    C2 = witt_connection_from_json(obj)
-    assert C2.m == C.m and C2.f.comps == C.f.comps
