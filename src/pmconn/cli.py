@@ -625,6 +625,9 @@ def cmd_descend(opts):
         print("descent is implemented for rank-1 level-0 connections on the "
               "1-dimensional chart", file=sys.stderr)
         return 2
+    if C.ctx != F.ctx or C.d != F.d:
+        print("connection and lift live on different charts", file=sys.stderr)
+        return 2
     res = descend_rank1(C, F)
     if not res["ok"]:
         _emit({"ok": False, "obstruction": _plain(res["obstruction"])},

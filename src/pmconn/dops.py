@@ -1,12 +1,11 @@
-"""Negative-level differential operators, divided-power elements, Taylor
-series, two-lift transition matrices, and the divided Frobenius on the PD
-algebra.
+"""Negative-level differential operators, Taylor series and two-lift
+transition matrices.
 
 Operators are kept in normal form: a dict from multi-indices l to Laurent
 coefficients, meaning sum of c_l * D^<l> with coefficients on the left.
 The single rewriting rule D^<k> f = sum_{k'+k''=k} C(k,k') D^<k'>(f) D^<k''>
-makes products canonical.  A PDElement is a truncated divided-power series
-sum of c_k * (tau/p^m)^[k].
+makes products canonical.  The Taylor checks and the transition series
+take the divided powers (tau/p^m)^[k] one coefficient at a time.
 """
 
 from __future__ import annotations
@@ -20,11 +19,7 @@ from .arith import (RingCtx, factorial_val, int_val_p, multi_binom_int,
                     multi_factorial, pd_product_coeff)
 from .connection import gauge, mat_det
 from .frobenius import level_raise
-from .laurent import ContextMismatch, FrobLift, LaurentPoly, frob_substitute
-
-
-class TruncationOverflow(ValueError):
-    pass
+from .laurent import ContextMismatch, FrobLift, LaurentPoly
 
 
 def _zero_idx(d):
@@ -176,150 +171,6 @@ def level_change(P, m_new):
     return DiffOp.from_dict(
         P.ctx, P.d, m_new,
         {l: c * p ** ((P.m - m_new) * sum(l)) for l, c in P.terms})
-
-
-# -- divided-power elements ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PDElement:
-    """Truncated divided-power series sum c_k * (tau/p^m)^[k], |k| <= K."""
-
-    ctx: RingCtx
-    d: int
-    m: int
-    K: int
-    terms: tuple  # sorted tuple of (multi-index, LaurentPoly)
-
-    @staticmethod
-    def from_dict(ctx, d, m, K, mapping, strict=True):
-        items = []
-        for k, c in mapping.items():
-            if c.is_zero():
-                continue
-            if sum(k) > K:
-                if strict:
-                    raise TruncationOverflow(
-                        f"index {k} exceeds truncation order {K}")
-                continue
-            items.append((tuple(k), c))
-        items.sort(key=lambda t: t[0])
-        return PDElement(ctx, d, m, K, tuple(items))
-
-    @staticmethod
-    def zero(ctx, d, m, K):
-        return PDElement(ctx, d, m, K, ())
-
-    @staticmethod
-    def const(ctx, d, m, K, f):
-        return PDElement.from_dict(ctx, d, m, K, {_zero_idx(d): f})
-
-    @staticmethod
-    def monomial(ctx, d, m, K, k, c=None):
-        coeff = c if c is not None else LaurentPoly.one(ctx, d)
-        return PDElement.from_dict(ctx, d, m, K, {tuple(k): coeff})
-
-    def as_dict(self):
-        return dict(self.terms)
-
-    def coeff(self, k):
-        for kk, c in self.terms:
-            if kk == tuple(k):
-                return c
-        return LaurentPoly.zero(self.ctx, self.d)
-
-    def is_zero(self):
-        return not self.terms
-
-    def order_zero_part(self):
-        return self.coeff(_zero_idx(self.d))
-
-    def _chk(self, other):
-        if (self.ctx, self.d, self.m) != (other.ctx, other.d, other.m):
-            raise ContextMismatch("PD elements live in different algebras")
-
-    def __add__(self, other):
-        self._chk(other)
-        K = min(self.K, other.K)
-        acc = {}
-        for k, c in self.terms + other.terms:
-            acc[k] = acc[k] + c if k in acc else c
-        return PDElement.from_dict(self.ctx, self.d, self.m, K, acc)
-
-    def __neg__(self):
-        return PDElement(self.ctx, self.d, self.m, self.K,
-                         tuple((k, -c) for k, c in self.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, f):
-        acc = {k: c * f for k, c in self.terms}
-        return PDElement.from_dict(self.ctx, self.d, self.m, self.K, acc,
-                                   strict=False)
-
-    def mul(self, other, strict=True):
-        """PD product: x^[a] x^[b] = C(a+b,a) x^[a+b] on the generators."""
-        self._chk(other)
-        K = min(self.K, other.K)
-        acc = {}
-        for a, c1 in self.terms:
-            for b, c2 in other.terms:
-                k = tuple(x + y for x, y in zip(a, b))
-                c = c1 * c2 * pd_product_coeff(a, b, self.ctx)
-                if c.is_zero():
-                    continue
-                if sum(k) > K:
-                    if strict:
-                        raise TruncationOverflow(
-                            f"product index {k} exceeds order {K}")
-                    continue
-                acc[k] = acc[k] + c if k in acc else c
-        return PDElement.from_dict(self.ctx, self.d, self.m, K, acc)
-
-
-def _gamma_mono_coeff(k, q):
-    """Integer c with gamma_q(x^[k]) = c * x^[kq], for a nonzero multi-index k:
-    c = prod_i (k_i q)! / (k_i!)^q, divided by q!."""
-    num = 1
-    for ki in k:
-        num *= math.factorial(ki * q) // (math.factorial(ki) ** q)
-    c, r = divmod(num, math.factorial(q))
-    if r:
-        raise ArithmeticError("divided power coefficient is not integral")
-    return c
-
-
-def pd_gamma(x, q, strict=True):
-    """The q-th divided power gamma_q(x) of a PD element with no order-0 term.
-
-    Expands gamma_q of a sum by the composition rule
-    gamma_q(u + v) = sum_{a+b=q} gamma_a(u) gamma_b(v).
-    """
-    if not x.order_zero_part().is_zero():
-        raise ValueError("divided powers require a zero order-0 part")
-    one = PDElement.const(x.ctx, x.d, x.m, x.K, LaurentPoly.one(x.ctx, x.d))
-
-    def rec(terms, q):
-        if q == 0:
-            return one
-        if not terms:
-            return PDElement.zero(x.ctx, x.d, x.m, x.K)
-        (k, c), rest = terms[0], terms[1:]
-        out = PDElement.zero(x.ctx, x.d, x.m, x.K)
-        for j in range(q + 1):
-            tail = rec(rest, q - j)
-            if tail.is_zero():
-                continue
-            kq = tuple(ki * j for ki in k)
-            if sum(kq) > x.K:
-                continue
-            head = PDElement.monomial(
-                x.ctx, x.d, x.m, x.K, kq, (c ** j) * _gamma_mono_coeff(k, j))
-            out = out + head.mul(tail, strict=strict)
-        return out
-
-    return rec(list(x.terms), q)
 
 
 # -- Taylor / stratification --------------------------------------------------
@@ -479,170 +330,3 @@ def verify_tau(C, f, f_prime, T):
     if not mat_det(T).is_unit():
         return False
     return gauge(Cfp, T).theta == Cf.theta
-
-
-# -- divided Frobenius on the PD algebra --------------------------------------
-
-
-def phi_star(x, F, K_out=None, a_order=None):
-    """Image of a level -m PD element on the target chart under the divided
-    Frobenius of the lift F, as a level -(m-1) PD element on the source.
-
-    The generator image, obtained by expanding (t+tau)^p + p a(t+tau) minus
-    the lift of t', is
-
-      tau'_i/p^m  |->  (p-1)! p^{(m-1)(p-1)} (tau_i/p^{m-1})^[p]
-                     + sum_{k=1}^{p-1} (C(p,k)/p) k! p^{(m-1)(k-1)} t_i^{p-k}
-                                                   (tau_i/p^{m-1})^[k]
-                     + sum_{k != 0} (k! del^[k] a_i) p^{(m-1)(|k|-1)}
-                                                   (tau/p^{m-1})^[k].
-
-    Order-0 coefficients pass through the lift substitution.
-    """
-    if x.m < 1:
-        raise ValueError("divided Frobenius needs level m >= 1")
-    ctx, d, p = x.ctx, x.d, x.ctx.p
-    if F.ctx != ctx or F.d != d:
-        raise ContextMismatch("lift in wrong ring")
-    m = x.m
-    K = K_out if K_out is not None else p * x.K
-    a_bound = a_order if a_order is not None else K
-    gen_images = []
-    for i in range(d):
-        mapping = {}
-        ei = lambda k: tuple(k if ax == i else 0 for ax in range(d))
-        top = math.factorial(p - 1) * p ** ((m - 1) * (p - 1))
-        mapping[ei(p)] = LaurentPoly.const(ctx, d, top)
-        for k in range(1, p):
-            c = (math.comb(p, k) // p) * math.factorial(k) \
-                * p ** ((m - 1) * (k - 1))
-            mono = LaurentPoly.var(ctx, d, i + 1, p - k) * c
-            mapping[ei(k)] = mapping.get(
-                ei(k), LaurentPoly.zero(ctx, d)) + mono
-        if not F.a[i].is_zero():
-            for k in multi_indices_upto(d, a_bound):
-                if sum(k) == 0:
-                    continue
-                der = F.a[i]
-                for ax in range(d):
-                    for _ in range(k[ax]):
-                        der = der.partial(ax + 1)
-                if der.is_zero():
-                    continue
-                c = p ** ((m - 1) * (sum(k) - 1))
-                mapping[k] = mapping.get(
-                    k, LaurentPoly.zero(ctx, d)) + der * c
-        gen_images.append(
-            PDElement.from_dict(ctx, d, m - 1, K, mapping, strict=False))
-    out = PDElement.zero(ctx, d, m - 1, K)
-    for k, c in x.terms:
-        term = PDElement.const(ctx, d, m - 1, K, frob_substitute(c, F))
-        for i, ki in enumerate(k):
-            if ki:
-                term = term.mul(pd_gamma(gen_images[i], ki, strict=False),
-                                strict=False)
-        out = out + term
-    return out
-
-
-# -- mod-p rank check for the divided Frobenius --------------------------------
-
-
-def _divexact(a, b):
-    """a / b for one-variable polynomials over F_p; raises ArithmeticError
-    unless b divides a."""
-    (db,), cb = b.terms[-1]
-    inv = pow(cb, -1, b.ctx.p)
-    quo = LaurentPoly.zero(a.ctx, 1)
-    while not a.is_zero():
-        (da,), ca = a.terms[-1]
-        if da < db:
-            raise ArithmeticError("inexact polynomial division")
-        step = LaurentPoly.monomial(a.ctx, 1, (da - db,), ca * inv)
-        quo = quo + step
-        a = a - step * b
-    return quo
-
-
-def _bareiss_det(M):
-    """Fraction-free determinant of a square matrix over F_p[s], its entries
-    one-variable Laurent polynomials mod p with polynomial support."""
-    k = len(M)
-    M = [row[:] for row in M]
-    sign = 1
-    prev = LaurentPoly.one(M[0][0].ctx, 1)
-    for t in range(k - 1):
-        if M[t][t].is_zero():
-            swap = next((i for i in range(t + 1, k)
-                         if not M[i][t].is_zero()), None)
-            if swap is None:
-                return LaurentPoly.zero(prev.ctx, 1)
-            M[t], M[swap] = M[swap], M[t]
-            sign = -sign
-        for i in range(t + 1, k):
-            for j in range(t + 1, k):
-                M[i][j] = _divexact(M[i][j] * M[t][t] - M[i][t] * M[t][j],
-                                    prev)
-        prev = M[t][t]
-    return M[k - 1][k - 1] if sign > 0 else -M[k - 1][k - 1]
-
-
-def phi_rank_check(p, d=1, L=1, a=None):
-    """Freeness check for the mod-p divided Frobenius at PD truncation L.
-
-    Target tiers are the divided generators y_l = tau^[p^l], l <= L; the
-    images x_l of the source generators are gamma_{p^l} of the generator
-    image, truncated to the same tiers.  Verifies that the p^{L+2} candidate
-    monomials t^i * prod_l x_l^{e_l} (0 <= i, e_l < p) form a basis of the
-    target over F_p[t^{p}, t^{-p}], by a fraction-free determinant: the map
-    is then finite free of relative rank p per coordinate direction.
-    """
-    if d != 1:
-        raise ValueError("rank check implemented on the 1-dimensional chart")
-    ctx1 = RingCtx(p, 1)
-    K = p ** (L + 1) - 1
-    report = {"p": p, "d": d, "L": L, "matrix_size": p ** (L + 2),
-              "relative_rank": p ** d}
-    # generator image mod p at level 1 -> 0 (a-corrections optional)
-    F = FrobLift(ctx1, 1, (a if a is not None else LaurentPoly.zero(ctx1, 1),))
-    gen = PDElement.monomial(ctx1, 1, 1, 1, (1,))
-    X = phi_star(gen, F, K_out=K, a_order=K)
-    images = [pd_gamma(X, p ** l, strict=False) for l in range(L + 1)]
-    # candidates t^i * prod x_l^{e_l}, expanded over the basis t^r tau^[c]
-    size = p ** (L + 2)
-    cols = []
-    for idx in range(size):
-        rem, i = divmod(idx, p)
-        elt = PDElement.const(ctx1, 1, 0, K,
-                              LaurentPoly.var(ctx1, 1, 1, i) if i
-                              else LaurentPoly.one(ctx1, 1))
-        for l in range(L + 1):
-            rem, e = divmod(rem, p)
-            for _ in range(e):
-                elt = elt.mul(images[l], strict=False)
-        cols.append(elt)
-    # matrix over F_p[s], s = t^p; row index (r, c) with r in [0,p), c <= K
-    rows = {}
-    for j, elt in enumerate(cols):
-        for (c,), poly in elt.terms:
-            for (e,), coeff in poly.terms:
-                row = rows.setdefault((e % p, c), [{} for _ in range(size)])
-                row[j][(e // p,)] = coeff
-    keys = sorted(rows)
-    if len(keys) != size:
-        report["det_is_unit_monomial"] = False
-        report["pass"] = False
-        return report
-    M = [[LaurentPoly.from_dict(ctx1, 1, entry) for entry in rows[key]]
-         for key in keys]
-    # shift every column to polynomial support (changes det by a monomial)
-    for j in range(size):
-        shift = min((e for row in M for (e,), _ in row[j].terms), default=0)
-        if shift:
-            mono = LaurentPoly.var(ctx1, 1, 1, -shift)
-            for row in M:
-                row[j] = row[j] * mono
-    det = _bareiss_det(M)
-    report["det_is_unit_monomial"] = len(det.terms) == 1
-    report["pass"] = len(det.terms) == 1
-    return report

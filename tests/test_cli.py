@@ -269,6 +269,22 @@ def test_descend_round_trip_and_obstruction(tmp_path, capsys):
     assert code3 == 2
 
 
+@pytest.mark.parametrize("lift", [
+    {"p": 3, "n": 3, "d": 1, "a": ["0"]},
+    {"p": 3, "n": 2, "d": 2, "a": ["0", "0"]},
+], ids=["ring", "chart"])
+def test_descend_rejects_lift_on_another_chart(tmp_path, capsys, lift):
+    conn = _write(tmp_path, "down.json",
+                  {"p": 3, "n": 2, "m": 0, "d": 1, "rank": 1,
+                   "basis": "dlog", "theta": [[["3*t1^3"]]]})
+    good = _write(tmp_path, "good.json", {"p": 3, "n": 2, "d": 1, "a": ["0"]})
+    assert run(capsys, "descend", conn, "--lift", good)[0] == 0
+    code, out, err = run(capsys, "descend", conn, "--lift",
+                         _write(tmp_path, "lift.json", lift))
+    assert (code, out) == (2, "")
+    assert "connection and lift live on different charts" in err
+
+
 def test_connection_json_round_trip():
     obj = {"p": 5, "n": 3, "m": 2, "d": 2, "rank": 2, "basis": "dlog",
            "theta": [[["1*t1^1*t2^-1", "0"], ["3", "0"]],

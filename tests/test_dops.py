@@ -9,13 +9,12 @@ from hypothesis import given, settings, strategies as st
 from pmconn.arith import (RingCtx, factorial_val, multi_binom_int,
                           multi_factorial)
 from pmconn.laurent import LaurentPoly, FrobLift, parse_poly
-from pmconn.connection import Connection, mat_det
+from pmconn.connection import Connection
 from pmconn.dops import (DiffOp, op_apply, op_mul, level_change,
-                         multi_indices, multi_indices_upto, PDElement,
-                         pd_gamma, check_taylor_cocycle,
-                         check_taylor_inverse, tau_transition, verify_tau,
-                         phi_rank_check, TruncationOverflow, theta_table,
-                         _bareiss_det, _divided_power)
+                         multi_indices, multi_indices_upto,
+                         check_taylor_cocycle, check_taylor_inverse,
+                         tau_transition, verify_tau, theta_table,
+                         _divided_power)
 
 
 def _rand_poly(rng, ctx, d, terms, deg=2):
@@ -256,25 +255,6 @@ def test_level_change_rescales():
     assert op_apply(P, f) == parse_poly("3", ctx, 1)
 
 
-def test_pd_gamma_binomial_law():
-    ctx = RingCtx(3, 3)
-    x = PDElement.monomial(ctx, 1, 1, 4, (1,))
-    g2 = pd_gamma(x, 2)
-    g3 = pd_gamma(x, 3)
-    # gamma_2(x) * x = 3 gamma_3(x)
-    assert g2.mul(x).as_dict() == g3.scale(3).as_dict()
-
-
-def test_pd_truncation_behaviour():
-    ctx = RingCtx(3, 2)
-    x = PDElement.monomial(ctx, 1, 1, 2, (1,))
-    y = PDElement.monomial(ctx, 1, 1, 2, (2,))
-    with pytest.raises(TruncationOverflow):
-        x.mul(y)
-    # gamma beyond the truncation order is cut off, not an error
-    assert pd_gamma(x, 3).is_zero()
-
-
 @given(grid)
 @settings(max_examples=25, deadline=None)
 def test_taylor_cocycle_and_inverse_rank1(args):
@@ -341,11 +321,6 @@ def test_tau_composition_law():
                for ra, rb in zip(comp, T13) for a, b in zip(ra, rb))
 
 
-def test_phi_rank_check_small_primes():
-    for p in (2, 3):
-        assert phi_rank_check(p)["pass"] is True
-
-
 def _gamma_int_reference(h, q, p, n):
     """gamma_q(h) on the exact integer lift of h: the integer power h^q,
     divided by p^v_p(q!) exactly and by the unit part of q! mod p^n."""
@@ -388,30 +363,3 @@ def test_divided_power_inexact_division_raises():
             fn(h, 2)
     # gamma_2(2t) = 2 t^2 is
     assert _divided_power(h * 2, 2) == LaurentPoly.monomial(ctx, 1, (2,), 2)
-
-
-def _rand_fp_matrix(rng, ctx, k, density):
-    return [[LaurentPoly.from_dict(ctx, 1, {
-        (e,): rng.randrange(ctx.p) for e in range(3)
-        if rng.random() < density}) for _ in range(k)] for _ in range(k)]
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_bareiss_det_matches_laplace_expansion(p):
-    ctx = RingCtx(p, 1)
-    rng = random.Random(p)
-    s = LaurentPoly.var(ctx, 1, 1)
-    one, z = LaurentPoly.one(ctx, 1), LaurentPoly.zero(ctx, 1)
-    mats = [_rand_fp_matrix(rng, ctx, k, density)
-            for k in range(1, 5) for density in (0.3, 0.6) for _ in range(8)]
-    # singular: two equal rows; zero pivot that needs a row swap; and
-    # determinant 1 + s^2 - s, not a monomial
-    row = [s + one, s, one]
-    mats += [[row, row[:], [one, z, s]],
-             [[z, one, s], [one, z, z], [s, z, one]],
-             [[one + s * s, s], [one, one]]]
-    dets = [mat_det(M) for M in mats]
-    assert any(d.is_zero() for d in dets)
-    assert any(len(d.terms) > 1 for d in dets)
-    for M, want in zip(mats, dets):
-        assert _bareiss_det(M) == want

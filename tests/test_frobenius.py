@@ -119,6 +119,21 @@ def test_descend_round_trip_with_witness():
                for a, b in zip(ra, rb))
 
 
+def test_descend_normalises_a_gauged_raise():
+    # gauging the raise of nabla_{3 + 3t} by 1 + 3t adds 3t, a term at an
+    # exponent prime to p that only the normalising gauge removes
+    p, n = 3, 2
+    ctx = RingCtx(p, n)
+    F = FrobLift.pure(ctx, 1)
+    C = Connection.rank1(ctx, 1, 1, [parse_poly("3+3*t1^1", ctx, 1)])
+    G = gauge(level_raise(C, F), [[parse_poly("1+3*t1^1", ctx, 1)]])
+    res = descend_rank1(G, F)
+    assert res["ok"]
+    assert res["gauge"] != LaurentPoly.one(ctx, 1)
+    assert gauge(G, [[res["gauge"]]]).theta == \
+        level_raise(res["connection"], F).theta
+
+
 def test_descend_obstruction_for_theta_t():
     # (O, nabla_t) at level 0 is not in the image of level raising
     p, n = 3, 2

@@ -6,13 +6,14 @@
   checked, at module level and inside functions.
 - No pmconn module imports a name it never uses.  A name wanted elsewhere is
   imported from the module that defines it, not passed through another.
-- Every public top-level function and class method is named somewhere in
-  ``src/pmconn``, ``scripts/`` or ``perfbench/`` outside its own definition,
-  so that no library code is reached by tests alone.  A name counts as named
-  when it occurs as a name, an attribute, an import alias or a dotted string
-  constant (``perfbench/tracing.py`` patches its targets by string).  The few
-  names kept without such a caller are listed in ``UNCALLED``, each with its
-  reason.
+- Every top-level function and class method, public or ``_``-prefixed
+  (dunder methods aside), is named somewhere in ``src/pmconn``, ``scripts/``
+  or ``perfbench/`` outside its own definition, so that no library code is
+  reached by tests alone and no helper outlives its last caller.  A name
+  counts as named when it occurs as a name, an attribute, an import alias or
+  a dotted string constant (``perfbench/tracing.py`` patches its targets by
+  string).  The few names kept without such a caller are listed in
+  ``UNCALLED``, each with its reason.
 """
 
 import ast
@@ -26,15 +27,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PKG = os.path.join(ROOT, "src", "pmconn")
 MODULES = sorted(f for f in os.listdir(PKG) if f.endswith(".py"))
 
-# public names with no caller in the scanned trees, and why each stays
+# names with no caller in the scanned trees, and why each stays
 UNCALLED = {
     "de_rham_complex": "dense reference complex; oracle of "
                        "test_compute_H_matches_reference",
     "mul_dlog": "oracle of the WittConnection.nabla tests and acceptance_8",
     "verify_pullback_iso": "gets its caller in the m = 1 equivalence suite "
                            "(ROADMAP item 4)",
-    "phi_rank_check": "may be the paper's strong condition on the Frobenius "
-                      "lift (ROADMAP item 6)",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
@@ -99,18 +98,20 @@ def _mentions(tree):
 
 
 def _definitions(tree):
-    """The public top-level functions and class methods of a module."""
+    """The top-level functions and class methods of a module, public and
+    ``_``-prefixed alike; dunder methods are called by the language."""
     for node in tree.body:
         defs = node.body if isinstance(node, ast.ClassDef) else [node]
         for d in defs:
             if (isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and not d.name.startswith("_")):
+                    and not (d.name.startswith("__")
+                             and d.name.endswith("__"))):
                 yield d
 
 
 def _uncalled():
-    """(module, name) of each public definition in src/pmconn that nothing
-    in src/pmconn, scripts/ or perfbench/ names outside its own definition."""
+    """(module, name) of each definition in src/pmconn that nothing in
+    src/pmconn, scripts/ or perfbench/ names outside its own definition."""
     trees = {}
     for top in (PKG, os.path.join(ROOT, "scripts"),
                 os.path.join(ROOT, "perfbench")):
@@ -155,16 +156,20 @@ def test_guard_sees_unused_imports():
 def test_every_public_definition_has_a_caller():
     found = _uncalled()
     assert sorted(name for _, name in found) == sorted(UNCALLED), \
-        f"public names with no caller outside the tests: {found}"
+        f"names with no caller outside the tests: {found}"
 
 
 def test_guard_sees_uncalled_definitions():
     tree = ast.parse(
         "def f(n):\n    return f(n - 1)\n"
         "def g():\n    '''f'''\n    return 1\n"
-        "class A:\n    def h(self):\n        return g()\n"
-        "    def k(self):\n        return self.h()\n"
+        "def _u(a, b):\n    return _u(a, b // 2)\n"
+        "def _v(x):\n    return g() + x\n"
+        "class A:\n    def __init__(self):\n        pass\n"
+        "    def h(self):\n        return g()\n"
+        "    def k(self):\n        return self.h() + _v(1)\n"
+        "    def _w(self):\n        return 0\n"
         "T = ('A.k', 'the f')\n")
     total = _mentions(tree)
     assert [d.name for d in _definitions(tree)
-            if total[d.name] <= _mentions(d)[d.name]] == ["f"]
+            if total[d.name] <= _mentions(d)[d.name]] == ["f", "_u", "_w"]
