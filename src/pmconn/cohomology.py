@@ -1,28 +1,31 @@
 """De Rham complexes of connections on the torus chart, computed exactly
 per weight over Z/p^nZ.
 
-The log basis makes every boundary map block-diagonal over the torus
-character (weight) grading whenever the connection matrices are constant;
-general Laurent entries couple weights in a band whose width is the max
-log-degree of the entries, and the window truncation is exact on interior
-components.  Blocks are assembled from a plan of the connection's terms,
-built once per call and degree, and each translation class of components,
-keyed by its shape and p^m w mod p^n, is solved once per call.  Homology
-groups are finite p-groups, reported as p-exponents of elementary divisors.
-
-Hom spaces and the gauge search read the same blocks: a horizontal map g
-with Theta1 g + p^m t dg = g Theta2 is a degree-0 cocycle of C1 (x) C2^dual.
+In the log basis nabla sends the weight w to the weights w + u, for u an
+exponent of the connection matrices or 0.  Two window weights are linked
+when their images meet, w + u = w2 + u2, so the windowed complex is block
+diagonal over the linked components; constant matrices leave each weight
+alone.  One routine builds each component's block, with every weight it
+reaches as target, and runs a solve once per translation class of
+components, keyed by its shape and p^m w mod p^n.  The blocks come from a
+plan of the connection's terms, built once per call and degree.  compute_H
+solves with homology_divisors: homology groups are finite p-groups,
+reported as p-exponents of elementary divisors, and exact on components
+away from the window boundary.  hom_space solves with kernel_generators:
+a horizontal map g with Theta1 g + p^m t dg = g Theta2 is a degree-0
+cocycle of C1 (x) C2^dual, and the gauge search reads hom_space.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import add, sub
 
 from .arith import RingCtx
-from .connection import (Connection, check_presentation, dual, mat_det,
-                         mat_id, tensor)
+from .connection import (Connection, check_presentation, dual, mat_add,
+                         mat_det, mat_id, mat_scale, tensor)
 from .frobenius import level_raise, twist_decompose
 from .laurent import LaurentPoly
 from .linalg import components, homology_divisors, kernel_generators, snf_int
@@ -47,14 +50,10 @@ class CohomologyReport:
 
 
 def _theta_shifts(C):
-    shifts = set()
-    for M in C.theta:
-        for row in M:
-            for f in row:
-                for u, _ in f.terms:
-                    if any(u):
-                        shifts.add(u)
-    return shifts
+    """The weight shifts of nabla: the exponents of the theta entries, and 0
+    for the diagonal p^m w term."""
+    return {(0,) * C.d} | {u for M in C.theta for row in M for f in row
+                           for u, _ in f.terms}
 
 
 def _window_exponents(d, D):
@@ -63,14 +62,15 @@ def _window_exponents(d, D):
 
 
 def weight_components(C, D):
-    """Connected components of the window weights under the exponent shifts
-    appearing in the connection matrices."""
+    """Connected components of the window weights, two weights joined when
+    nabla sends both to a common weight (w + u = w2 + u2 for exponent shifts
+    u, u2 of the connection matrices or 0), inside the window or past it:
+    each weight is linked to its images.  The windowed complex is then block
+    diagonal over the components."""
     weights = _window_exponents(C.d, D)
-    shifts = _theta_shifts(C)
-    present = set(weights)
-    links = ((w, w2) for w in weights for u in shifts
-             if (w2 := tuple(a + b for a, b in zip(w, u))) in present)
-    return [sorted(ws) for ws in components(weights, links)]
+    shifts = [u for u in _theta_shifts(C) if any(u)]
+    return components(weights, ((w, tuple(map(add, w, u)))
+                                for w in weights for u in shifts))
 
 
 def _form_basis(weights, rank, d, q):
@@ -150,6 +150,47 @@ def de_rham_complex(C, D):
     return out
 
 
+def _component_solves(C, i, D, solve):
+    """Each weight component of the window [-D, D]^d, in the order of their
+    least weights, with solve(A, B, r) on its degree-i block: A the sparse
+    columns of nabla_(i-1) into the component's i-forms (the columns that
+    leak out of it dropped), B those of nabla_i from them onto the r
+    (i+1)-forms they reach.  The i-forms are _form_basis(comp, C.rank, C.d,
+    i), weight-major.
+
+    A translate of a component has the same blocks mod p^n: the bases and
+    the leaking columns move with it, theta's coefficients do not depend on
+    w, and the diagonal p^m w_i mod p^n is fixed by the key.  So solve runs
+    once per translation class, and translates share its result.  The memo
+    is local to the call: compute_H's stability pass compares its results
+    with a call at a wider window, and a shared memo would compare each
+    interior component with itself.
+    """
+    shifts = _theta_shifts(C)
+    pm = C.p_to_m()
+    plan = _boundary_plan(C, i)
+    plan_src = _boundary_plan(C, i - 1) if i else None
+    solved = {}
+    for comp in weight_components(C, D):
+        w0 = comp[0]
+        key = (tuple(tuple(map(sub, w, w0)) for w in comp),
+               tuple(pm * x % C.ctx.modulus for x in w0))
+        if key not in solved:
+            mid = _form_basis(comp, C.rank, C.d, i)
+            # every weight the component reaches, so that the kernel at the
+            # window is computed without truncation loss
+            ext = sorted({tuple(map(add, w, u)) for w in comp for u in shifts})
+            out_basis = _form_basis(ext, C.rank, C.d, i + 1)
+            B, _ = _boundary_matrix(C, plan, mid, out_basis)
+            A = []
+            if i:
+                src = _form_basis(comp, C.rank, C.d, i - 1)
+                A_full, leaks = _boundary_matrix(C, plan_src, src, mid)
+                A = [col for col, leak in zip(A_full, leaks) if not leak]
+            solved[key] = solve(A, B, len(out_basis))
+        yield comp, solved[key]
+
+
 def compute_H(C, i, D, stability=True):
     """Elementary divisor p-exponents of the i-th de Rham cohomology of C,
     per weight component within the window [-D, D]^d."""
@@ -159,43 +200,16 @@ def compute_H(C, i, D, stability=True):
         raise ValueError(f"degree {i} out of range for d = {C.d}")
     n = C.ctx.n
     p = C.ctx.p
-    shifts = _theta_shifts(C) | {(0,) * C.d}
-    reach = max(sum(abs(x) for x in u) for u in shifts)
-    pm = C.p_to_m()
-    plan = _boundary_plan(C, i)
-    plan_src = _boundary_plan(C, i - 1) if i else None
-    # A translate of a component has the same blocks mod p^n: the bases and
-    # the leaking columns move with it, theta's coefficients do not depend on
-    # w, and the diagonal p^m w_i mod p^n is fixed by the key.  The memo is
-    # local to this call so that the stability pass below computes its own
-    # blocks; sharing it would compare every interior component with itself.
-    solved = {}
-    entries = []
-    for comp in weight_components(C, D):
-        w0 = comp[0]
-        key = (tuple(tuple(map(sub, w, w0)) for w in comp),
-               tuple(pm * x % C.ctx.modulus for x in w0))
-        if key not in solved:
-            mid = _form_basis(comp, C.rank, C.d, i)
-            # extended target basis so that the kernel at the middle window
-            # is computed without truncation loss
-            ext = sorted({tuple(map(add, w, u)) for w in comp for u in shifts})
-            out_basis = _form_basis(ext, C.rank, C.d, i + 1)
-            B, _ = _boundary_matrix(C, plan, mid, out_basis)
-            A = []
-            if i:
-                src = _form_basis(comp, C.rank, C.d, i - 1)
-                A_full, leaks = _boundary_matrix(C, plan_src, src, mid)
-                A = [col for col, leak in zip(A_full, leaks) if not leak]
-            solved[key] = homology_divisors(A, B, [n] * len(mid),
-                                            [n] * len(out_basis), p, n)
-        if solved[key]:
-            entries.append({"w": w0, "weights": comp,
-                            "divisors": list(solved[key])})
-    entries.sort(key=lambda e: e["w"])
+
+    def divisors(A, B, r):
+        return homology_divisors(A, B, [n] * len(B), [n] * r, p, n)
+
+    entries = [{"w": comp[0], "weights": comp, "divisors": list(divs)}
+               for comp, divs in _component_solves(C, i, D, divisors) if divs]
     free_rank = sum(1 for e in entries for x in e["divisors"] if x == n)
     stable = True
     if stability:
+        reach = max(sum(map(abs, u)) for u in _theta_shifts(C))
         bigger = compute_H(C, i, D + 2, stability=False)
         big = {tuple(e["w"]): e["divisors"] for e in bigger.entries}
         for e in entries:
@@ -213,64 +227,42 @@ def compute_H(C, i, D, stability=True):
 MAX_GAUGE_COMBINATIONS = 4096
 
 
-def gauge_intertwiner_lattice(C1, C2, D):
+def hom_space(C1, C2, D):
     """Generators of the group of matrices g over Z/p^n (entries supported on
     the exponent window [-D, D]^d) with Theta1 g + p^m t_i dg/dlog t_i =
-    g Theta2 for all i, i.e. candidate gauges with gauge(C1, g) = C2
-    whenever g is invertible.
-
-    Such a g is a degree-0 cocycle of H = C1 (x) C2^dual, whose basis index
-    a*r2 + b is the slot of g[a][b]: the system is H's nabla_0 from the
-    window to the window widened by the reach of the entries of C1 and C2.
-
-    Returns (exponent list, list of (vector, e)): the group is the direct sum
-    of the cyclic groups of order p^e generated by the vectors, and a vector
-    lists the coefficient of each (row, col, exponent) slot.
-    """
-    H = tensor(C1, dual(C2))
-    d, slots = H.d, range(H.rank)
-    exps = _window_exponents(d, D)
-    reach = max([1] + [f.log_degree()
-                       for M in C1.theta + C2.theta for row in M for f in row])
-    out_exps = _window_exponents(d, D + reach)
-    basis_in = [(e, j, ()) for j in slots for e in exps]
-    basis_out = [(e, j, (i,)) for i in range(1, d + 1) for j in slots
-                 for e in out_exps]
-    cols, _ = _boundary_matrix(H, _boundary_plan(H, 0), basis_in, basis_out)
-    rows = [{} for _ in basis_out]
-    for k, col in enumerate(cols):
-        for r, c in col.items():
-            rows[r][k] = c
-    rows = [row for row in rows if any(row.values())]
-    return exps, kernel_generators(rows, len(basis_in), H.ctx.p, H.ctx.n)
-
-
-def _vec_to_matrix(vec, exps, r1, r2, ctx, d):
-    mats = []
-    L = len(exps)
-    for a in range(r1):
-        row = []
-        for b in range(r2):
-            chunk = vec[(a * r2 + b) * L:(a * r2 + b + 1) * L]
-            row.append(LaurentPoly.from_dict(ctx, d, dict(zip(exps, chunk))))
-        mats.append(tuple(row))
-    return tuple(mats)
-
-
-def hom_space(C1, C2, D):
-    """Generators of the group of matrices g with
-    Theta1 g + p^m t_i dg/dlog t_i = g Theta2 (entries within the window),
-    i.e. horizontal maps in the gauge-action convention
+    g Theta2 for all i, i.e. horizontal maps in the gauge-action convention
     gauge(C1, g) = C2 for invertible g.
 
-    Returns a list of (matrix, p_exponent_of_order) whose cyclic groups sum
-    directly to the whole group; trivial generators are left out.
+    Such a g is a degree-0 cocycle of H = C1 (x) C2^dual, whose basis index
+    a*r2 + b is the slot of g[a][b], so the group is the direct sum of the
+    kernels of H's nabla_0 on its weight components.  Returns a list of
+    (matrix, p_exponent_of_order) whose cyclic groups sum directly to the
+    whole group, in window order; trivial generators are left out.
     """
     if C1.m != C2.m:
         raise ValueError("hom spaces need equal levels")
-    exps, gens = gauge_intertwiner_lattice(C1, C2, D)
-    return [(_vec_to_matrix(vec, exps, C1.rank, C2.rank, C1.ctx, C1.d), e)
-            for vec, e in gens]
+    H = tensor(C1, dual(C2))
+    ctx, d, r2 = H.ctx, H.d, C2.rank
+
+    def kernel(A, B, r):
+        # the rows of B that hold an entry; the others constrain nothing
+        rows = {}
+        for k, col in enumerate(B):
+            for row, c in col.items():
+                rows.setdefault(row, {})[k] = c
+        return kernel_generators(list(rows.values()), len(B), ctx.p, ctx.n)
+
+    out = []
+    for comp, gens in _component_solves(H, 0, D, kernel):
+        for vec, e in gens:
+            g = [[{} for _ in range(r2)] for _ in range(C1.rank)]
+            for k, x in enumerate(vec):
+                if x:
+                    w, slot = divmod(k, H.rank)
+                    g[slot // r2][slot % r2][comp[w]] = x
+            out.append((tuple(tuple(LaurentPoly.from_dict(ctx, d, f)
+                                    for f in row) for row in g), e))
+    return out
 
 
 def verify_pullback_iso(C_up, C_down, F, D):
@@ -291,15 +283,19 @@ def verify_pullback_iso(C_up, C_down, F, D):
     if LR.theta == C_down.theta:
         return {"found": True, "witness": mat_id(ctx, d, r),
                 "obstruction": None}
-    exps, gens = gauge_intertwiner_lattice(LR, C_down, D)
+    gens = hom_space(LR, C_down, D)
     if r == 1:
         # a gauge unit is c*t^v mod p, so it exists iff some monomial lies in
         # the mod-p span of the solutions; absence is a certificate of
         # non-isomorphism on the window
-        lift = _unit_in_span([vec for vec, _ in gens], ctx.p, ctx.modulus)
+        exps = _window_exponents(d, D)
+        coeffs = [g[0][0].as_dict() for g, _ in gens]
+        lift = _unit_in_span([[f.get(x, 0) for x in exps] for f in coeffs],
+                             ctx.p, ctx.modulus)
         if lift is not None:
+            unit = LaurentPoly.from_dict(ctx, d, dict(zip(exps, lift)))
             return {"found": True, "obstruction": None,
-                    "witness": _vec_to_matrix(lift, exps, 1, 1, ctx, d)}
+                    "witness": ((unit,),)}
         return {"found": False, "witness": None,
                 "obstruction": {
                     "kind": "no-unit-in-solution-span",
@@ -309,8 +305,8 @@ def verify_pullback_iso(C_up, C_down, F, D):
                               "with support in the window"}}
     # g is invertible iff det(g) mod p is a unit monomial, and mod p the group
     # is spanned by its generators of order p^n (the others are p times a
-    # vector), so trying their F_p-combinations decides the window
-    units = [vec for vec, e in gens if e == ctx.n]
+    # matrix), so trying their F_p-combinations decides the window
+    units = [g for g, e in gens if e == ctx.n]
     if ctx.p ** len(units) - 1 > MAX_GAUGE_COMBINATIONS:
         return {"found": None, "witness": None,
                 "obstruction": {"kind": "undetermined", "window": D,
@@ -318,9 +314,8 @@ def verify_pullback_iso(C_up, C_down, F, D):
     for coeffs in itertools.product(range(ctx.p), repeat=len(units)):
         if not any(coeffs):
             continue
-        vec = [sum(c * x for c, x in zip(coeffs, col)) % ctx.modulus
-               for col in zip(*units)]
-        g = _vec_to_matrix(vec, exps, r, r, ctx, d)
+        g = functools.reduce(mat_add, (mat_scale(u, c)
+                                       for c, u in zip(coeffs, units) if c))
         if mat_det(g).is_unit():
             return {"found": True, "witness": g, "obstruction": None}
     return {"found": False, "witness": None,
@@ -361,7 +356,7 @@ def _unit_in_span(vectors, p, modulus):
 
 
 def _require_weight_preserving(C):
-    if _theta_shifts(C):
+    if len(_theta_shifts(C)) > 1:
         raise ValueError(
             "the comparison is implemented for weight-preserving "
             "(constant-matrix) connections")

@@ -204,14 +204,15 @@ def homology_divisors(A, B, orders_mid, orders_out, p, cap):
 def components(items, links):
     """Connected components of items under the pairs (a, b) in links.
 
-    Members keep the order of items, and components come in the order of
-    their first members.
+    A link may name a point outside items: the point joins the components
+    of the items linked to it and is listed in none.  Members keep the order
+    of items, and components come in the order of their first members.
     """
     parent = {x: x for x in items}
 
     def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
+        while (up := parent.setdefault(x, x)) != x:
+            parent[x] = parent[up]
             x = parent[x]
         return x
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -8,9 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from pmconn.arith import RingCtx
 from pmconn.laurent import LaurentPoly, FrobLift, parse_poly
 from pmconn.connection import (Connection, gauge, ExtensionPresentation,
-                               mat_matmul)
+                               dual, mat_add, mat_is_zero, mat_map,
+                               mat_matmul, mat_scale, mat_sub, tensor)
 from pmconn.cohomology import (compute_H, de_rham_complex, weight_components,
-                               hom_space, gauge_intertwiner_lattice,
+                               hom_space,
                                compare_theorem25, higgs_vanishing,
                                CohomologyReport, _boundary_matrix,
                                _boundary_plan, _form_basis, _theta_shifts,
@@ -170,18 +172,112 @@ def _lattice_pairs():
                     yield C1, C2, rng.randrange(1, 7 - 2 * d)
 
 
-# SHA-256 over repr(gauge_intertwiner_lattice(C1, C2, D)) for the 108 pairs
-# of _lattice_pairs, in order: the window exponents, the generators chosen
-# by the Smith form and their orders.
-LATTICE_SHA256 = \
-    "e2e25dc34fb706fabdaee7f8784097af2e0b8b1dbe7946c2c76c9f8e1b8ccd53"
+def _intertwines(C1, C2, g):
+    """Theta1 g + p^m t_i dg/dlog t_i = g Theta2 on every axis, in Connection
+    matrix arithmetic alone."""
+    pm = C1.p_to_m()
+    return all(mat_is_zero(mat_sub(
+        mat_add(mat_matmul(T1, g), mat_map(g, lambda f: f.log_partial(i) * pm)),
+        mat_matmul(g, T2)))
+        for i, (T1, T2) in enumerate(zip(C1.theta, C2.theta), 1))
 
 
-def test_gauge_intertwiner_lattice_is_pinned():
+# SHA-256 over repr(sorted(orders)) of hom_space(C1, C2, D), pair by pair for
+# the 108 pairs of _lattice_pairs in order.  The orders are invariants of the
+# group, so any correct solve gives this digest, whichever generators it picks.
+HOM_ORDERS_SHA256 = \
+    "c0ab343b455143134f4da3c1c825829605d513fcd06e1e2df82c0645dd98cf74"
+
+
+def test_hom_space_orders_are_pinned_and_generators_intertwine():
     h = hashlib.sha256()
     for C1, C2, D in _lattice_pairs():
-        h.update(repr(gauge_intertwiner_lattice(C1, C2, D)).encode())
-    assert h.hexdigest() == LATTICE_SHA256
+        gens = hom_space(C1, C2, D)
+        h.update(repr(sorted(e for _, e in gens)).encode())
+        for g, e in gens:
+            assert _intertwines(C1, C2, g)
+            # order exactly p^e: p^(e-1) g is still nonzero
+            assert not mat_is_zero(mat_scale(g, C1.ctx.p ** (e - 1)))
+    assert h.hexdigest() == HOM_ORDERS_SHA256
+
+
+def _count_intertwiners(C1, C2, D):
+    """The number of g with entries supported on [-D, D]^d that intertwine,
+    by trying every one."""
+    ctx, d = C1.ctx, C1.d
+    exps = _window_exponents(d, D)
+    polys = [LaurentPoly.from_dict(ctx, d, dict(zip(exps, cs)))
+             for cs in itertools.product(range(ctx.modulus), repeat=len(exps))]
+    r2 = C2.rank
+    return sum(
+        _intertwines(C1, C2, tuple(tuple(entries[a * r2:(a + 1) * r2])
+                                   for a in range(C1.rank)))
+        for entries in itertools.product(polys, repeat=C1.rank * r2))
+
+
+def _oracle_pairs():
+    # (id, C1, C2): rank 1 over Z/2 and Z/4 at d = 1 (at most 4^3 candidates)
+    # and over Z/2 at d = 2 (2^9), rank 2 over Z/2 at d = 1 (2^12); each draw
+    # gives the pairs (C, C) and (C, C'), theta with exponents in -1..3 so
+    # that most of them couple weights
+    rng = random.Random(22)
+
+    def theta(ctx, d, r):
+        return tuple(tuple(tuple(
+            LaurentPoly.from_dict(ctx, d, {
+                tuple(rng.randrange(-1, 4) for _ in range(d)):
+                    rng.randrange(ctx.modulus)
+                for _ in range(rng.randrange(3))})
+            for _ in range(r)) for _ in range(r)) for _ in range(d))
+
+    for n, d, r, draws in ((1, 1, 1, 2), (2, 1, 1, 3), (1, 2, 1, 1),
+                           (1, 1, 2, 1)):
+        ctx = RingCtx(2, n)
+        for k in range(draws):
+            m = rng.randrange(3)
+            C = Connection(ctx, d, m, r, theta(ctx, d, r))
+            name = f"n{n}-d{d}-r{r}-m{m}-{k}"
+            yield name + "-self", C, C
+            yield name, C, Connection(ctx, d, m, r, theta(ctx, d, r))
+    # shifts {2, 3}: the components {-1, 1} and {0} of a linking that joins
+    # only w and w + u inside the window both reach weights 2 and 3
+    ctx = RingCtx(2, 1)
+    z, one = LaurentPoly.zero(ctx, 1), LaurentPoly.one(ctx, 1)
+    t2, t3 = (LaurentPoly.var(ctx, 1, 1, k) for k in (2, 3))
+    yield ("shifts-2-3", Connection(ctx, 1, 0, 2, (((z, z), (t3, z)),)),
+           Connection(ctx, 1, 0, 2, (((z, t2), (z, one)),)))
+
+
+ORACLE_PAIRS = list(_oracle_pairs())
+
+
+@pytest.mark.parametrize("C1,C2", [pair[1:] for pair in ORACLE_PAIRS],
+                         ids=[pair[0] for pair in ORACLE_PAIRS])
+def test_hom_space_order_matches_enumeration(C1, C2):
+    D = 1
+    order = C1.ctx.p ** sum(e for _, e in hom_space(C1, C2, D))
+    assert order == _count_intertwiners(C1, C2, D)
+
+
+def test_components_linked_by_shared_images():
+    # the windowed degree-0 complex of C1 (x) C2^dual couples -1 and 0 only
+    # past the window: both reach weights 2 and 3, so a per-component solve
+    # over {-1, 1} and {0} found order 2^0 where the group has order 2^1
+    ctx = RingCtx(2, 3)
+
+    def conn(rows):
+        return Connection(ctx, 1, 0, 2, (tuple(
+            tuple(parse_poly(f, ctx, 1) for f in row) for row in rows),))
+
+    C1 = conn([["1+2*t1^2", "1+2*t1^3"], ["2+2*t1^2+5*t1^3", "2+t1^2+t1^3"]])
+    C2 = conn([["0", "0"], ["5*t1^2+t1^3", "0"]])
+    H = tensor(C1, dual(C2))
+    assert weight_components(H, 1) == [[(-1,), (0,), (1,)]]
+    gens = hom_space(C1, C2, 1)
+    assert [e for _, e in gens] == [1]
+    assert _intertwines(C1, C2, gens[0][0])
+    h0 = compute_H(H, 0, 1, stability=False)
+    assert [e["divisors"] for e in h0.entries] == [[1]]
 
 
 def test_higgs_vanishing_ogus_input():

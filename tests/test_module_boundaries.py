@@ -133,10 +133,10 @@ def test_no_private_imports_across_modules(module):
 
 
 def test_guard_sees_private_imports():
-    src = ("from .frobenius import level_raise, _vec_to_matrix\n"
+    src = ("from .frobenius import level_raise, _unit_in_span\n"
            "def f():\n    from pmconn.linalg import _axpy\n")
     assert [name for _, _, name in _private_imports(src)] == \
-        ["_vec_to_matrix", "_axpy"]
+        ["_unit_in_span", "_axpy"]
 
 
 @pytest.mark.parametrize("module", MODULES)

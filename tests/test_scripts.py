@@ -18,7 +18,7 @@ STDOUT_SHA256 = {
     "cohomology_sweep.py":
         "5e68204c96ab9f10a71346577eb8f3dc4bffbb2b743d2830d9a44d55c191d199",
     "torus_example.py":
-        "ac8d7cf45e05e9f424c869e845d49b2eafdd48514f01b3e230cefa00eb9d9424",
+        "aaec548094b685a82437dd9680c432bf9ff0f7bf27832159ff9c2564b6e701e0",
     "witt_demo.py":
         "dc212521b133496f292f163cf08170f4751424e77d57bc9ad9aa27dae47fad70",
 }
