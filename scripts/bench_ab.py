@@ -15,8 +15,9 @@ workload and seed, even pairs run the parent first and odd pairs the change
 first.  The file keeps every run line under ``raw`` and, per workload, seed
 and end-to-end metric, the median and quartiles of each side, the pairs the
 change wins (in the direction ``BENCHMARK.json`` calls better), whether all
-runs were correct and how many operations failed.  Each median is printed
-beside the previous BENCH file's.
+runs were correct and how many operations failed.  It also records each
+side's ``src_lines``, the ``wc -l`` total of its ``src/pmconn/*.py``.  Each
+median is printed beside the previous BENCH file's.
 """
 
 from __future__ import annotations
@@ -59,6 +60,15 @@ def export(rev, dest):
                          check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
         tf.extractall(dest)
+
+
+def src_lines(checkout):
+    """The line count of checkout's src/pmconn/*.py, as wc -l totals it."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "pmconn", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def side_stats(values):
@@ -178,6 +188,7 @@ def main():
     parent_dir = tempfile.mkdtemp(prefix="bench-ab-parent-")
     try:
         export(args.parent, parent_dir)
+        lines = {"parent": src_lines(parent_dir), "change": src_lines(ROOT)}
         raw = run_pairs(args, {"parent": parent_dir, "change": ROOT},
                         seconds, list(better))
     finally:
@@ -192,6 +203,7 @@ def main():
         "parent_commit": git_commit(args.parent),
         "change_commit": git_commit("HEAD"),
         "src_sha256": sha,
+        "src_lines": lines,
         "interpreter": f"{platform.python_implementation()} "
                        f"{platform.python_version()}",
         "nproc": len(os.sched_getaffinity(0)),
@@ -215,6 +227,8 @@ def main():
     with open(out, "w") as fh:
         write_bench(doc, fh)
     print_medians(summary, previous_bench(args.number))
+    print(f"src/pmconn lines: parent {lines['parent']}, "
+          f"change {lines['change']}")
     print(f"wrote {out}")
 
 

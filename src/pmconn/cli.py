@@ -87,17 +87,17 @@ def _rng(seed, tag):
     return random.Random(f"{seed}:{tag}")
 
 
-def _rand_poly(rng, ctx, d, terms, deg=2, scale=1):
+def _rand_poly(rng, ctx, d, terms, deg=2):
     acc = {}
     for _ in range(terms):
         e = tuple(rng.randint(-deg, deg) for _ in range(d))
-        acc[e] = acc.get(e, 0) + rng.randrange(1, ctx.modulus) * scale
+        acc[e] = acc.get(e, 0) + rng.randrange(1, ctx.modulus)
     return LaurentPoly.from_dict(ctx, d, acc)
 
 
-def _rand_op(rng, ctx, d, m, order, terms=2):
+def _rand_op(rng, ctx, d, m, order):
     acc = {}
-    for _ in range(terms):
+    for _ in range(2):
         l = tuple(rng.randint(0, order) for _ in range(d))
         if sum(l) > order:
             continue

@@ -20,11 +20,6 @@ from .laurent import LaurentPoly, ContextMismatch
 
 # -- matrix helpers over the Laurent ring ------------------------------------
 
-def mat_zero(ctx, d, r, c=None):
-    c = r if c is None else c
-    z = LaurentPoly.zero(ctx, d)
-    return tuple(tuple(z for _ in range(c)) for _ in range(r))
-
 def mat_id(ctx, d, r):
     one = LaurentPoly.one(ctx, d)
     z = LaurentPoly.zero(ctx, d)
@@ -137,10 +132,9 @@ class Connection:
 
     # constructors
     @staticmethod
-    def trivial(ctx, d, m, rank=1):
-        """(O, p^m d)^rank: the unit object at level -m."""
-        return Connection(ctx, d, m, rank,
-                          tuple(mat_zero(ctx, d, rank) for _ in range(d)))
+    def trivial(ctx, d, m):
+        """(O, p^m d): the unit object at level -m."""
+        return Connection.rank1(ctx, d, m, [LaurentPoly.zero(ctx, d)] * d)
 
     @staticmethod
     def rank1(ctx, d, m, coeffs):
@@ -264,10 +258,8 @@ def dual(C):
 class QNResult:
     status: str               # "true" | "false" | "undetermined"
     N: int | None             # generator bound (max over basis vectors)
-    N_per_generator: tuple
-    margin: int | None        # N + p^n d, valid for arbitrary sections
-    cap: int
-    certificate: object = None
+    # on "false", a closed walk v, theta_i(v), ..., v of nonzero vectors
+    certificate: tuple | None = None
 
     def __bool__(self):
         return self.status == "true"
@@ -277,103 +269,76 @@ def _vec_key(v):
     return tuple(x.terms for x in v)
 
 
-def quasi_nilpotence_cap(C):
-    return 4 * C.ctx.n * C.rank * C.d * (1 + C.max_log_degree())
-
-
-def is_quasi_nilpotent(C, cap=None):
+def is_quasi_nilpotent(C):
     """Three-valued quasi-nilpotence test by iterating theta on generators.
 
-    True comes with the smallest per-generator N such that theta^a(e_k) = 0
-    for |a| >= N; a revisited nonzero vector is a certificate of failure;
-    hitting the cap without either outcome reports undetermined.
+    The orbit of each basis vector e_k under theta_1, ..., theta_d is found
+    breadth first, to depth 4 n rank d (1 + max log degree of Theta).  A
+    cycle of nonzero vectors in it is a certificate of failure; an orbit
+    that dies out inside the cap gives the smallest N_k with
+    theta^a(e_k) = 0 for |a| >= N_k, and True reports N = max_k N_k;
+    anything else reports undetermined.
     """
     if not C.is_integrable():
         raise ValueError("quasi-nilpotence needs an integrable connection")
-    cap = quasi_nilpotence_cap(C) if cap is None else cap
-    Ns = []
+    cap = 4 * C.ctx.n * C.rank * C.d * (1 + C.max_log_degree())
+    N = 0
     for k in range(C.rank):
         e = C.basis_vector(k)
         root = _vec_key(e)
-        edges = {}
-        layer = {root: e}
-        seen = {root}
-        closed = False
-        for depth in range(1, cap + 1):
-            nxt = {}
-            for key, v in layer.items():
-                succ = []
+        found = {root: e}
+        edges = {}  # expanded node -> keys of its nonzero images
+        layer = [root]
+        for _ in range(cap):
+            nxt = []
+            for key in layer:
+                succ = edges[key] = []
                 for i in range(1, C.d + 1):
-                    w = C.theta_apply(i, v)
+                    w = C.theta_apply(i, found[key])
                     if any(not x.is_zero() for x in w):
                         wkey = _vec_key(w)
                         succ.append(wkey)
-                        if wkey not in seen:
-                            seen.add(wkey)
-                            nxt[wkey] = w
-                edges[key] = succ
+                        if wkey not in found:
+                            found[wkey] = w
+                            nxt.append(wkey)
             layer = nxt
             if not layer:
-                closed = True
                 break
-        cycle = _find_cycle(edges)
+        cycle, longest = _walk(edges, root)
         if cycle is not None:
-            return QNResult("false", None, (), None, cap, certificate=cycle)
-        if not closed:
-            return QNResult("undetermined", None, (), None, cap)
-        Ns.append(_longest_path(edges, root) + 1)
-    N = max(Ns)
-    margin = N + C.ctx.modulus * C.d
-    return QNResult("true", N, tuple(Ns), margin, cap)
+            return QNResult("false", None, tuple(found[x] for x in cycle))
+        if layer:
+            return QNResult("undetermined", None)
+        N = max(N, longest + 1)
+    return QNResult("true", N)
 
 
-def _longest_path(edges, root):
-    """Number of edges on the longest path from root in an acyclic graph."""
-    depth = {}
-    stack = [root]
+def _walk(edges, root):
+    """One depth-first walk from root over the expanded nodes (the keys of
+    edges).  Returns (cycle, None) for the first cycle met, its first node
+    repeated at the end, or (None, the number of edges on the longest chain
+    from root).  Every expanded node was found from root, so a cycle among
+    them is met."""
+    depth = {}  # finished node -> longest chain below it
+    path, on_path = [root], {root}
+    stack = [iter(edges[root])]
     while stack:
-        node = stack[-1]
-        if node in depth:
+        for nb in stack[-1]:
+            if nb not in edges or nb in depth:
+                continue
+            if nb in on_path:
+                return path[path.index(nb):] + [nb], None
+            path.append(nb)
+            on_path.add(nb)
+            stack.append(iter(edges[nb]))
+            break
+        else:
             stack.pop()
-            continue
-        todo = [nb for nb in edges.get(node, ()) if nb not in depth]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        depth[node] = max((1 + depth[nb] for nb in edges.get(node, ())),
-                          default=0)
-    return depth[root]
-
-
-def _find_cycle(edges):
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {k: WHITE for k in edges}
-    for start in edges:
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(edges.get(start, ())))]
-        color[start] = GRAY
-        path = [start]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nb in it:
-                if nb not in edges:
-                    continue
-                if color.get(nb, WHITE) == GRAY:
-                    return tuple(path[path.index(nb):] + [nb])
-                if color.get(nb, WHITE) == WHITE:
-                    color[nb] = GRAY
-                    stack.append((nb, iter(edges.get(nb, ()))))
-                    path.append(nb)
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-                path.pop()
-    return None
+            node = path.pop()
+            on_path.discard(node)
+            depth[node] = max((1 + depth[nb] for nb in edges[node]
+                               if nb in depth), default=0)
+    return None, depth[root]
 
 
 # -- extension presentations ---------------------------------------------------

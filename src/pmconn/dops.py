@@ -65,14 +65,9 @@ class DiffOp:
         return DiffOp(ctx, d, m, tuple(items))
 
     @staticmethod
-    def zero(ctx, d, m):
-        return DiffOp(ctx, d, m, ())
-
-    @staticmethod
-    def partial(ctx, d, m, l, coeff=None):
-        """The single operator c * D^<l>."""
-        c = coeff if coeff is not None else LaurentPoly.one(ctx, d)
-        return DiffOp.from_dict(ctx, d, m, {tuple(l): c})
+    def partial(ctx, d, m, l):
+        """The single operator D^<l>."""
+        return DiffOp.from_dict(ctx, d, m, {tuple(l): LaurentPoly.one(ctx, d)})
 
     def as_dict(self):
         return dict(self.terms)
@@ -94,10 +89,6 @@ class DiffOp:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, f):
-        return DiffOp.from_dict(
-            self.ctx, self.d, self.m, {l: c * f for l, c in self.terms})
 
 
 def _action(l, terms, m, ctx):
@@ -208,7 +199,12 @@ def check_taylor_cocycle(C, e, K):
 def check_taylor_inverse(C, e, K):
     """The closed-form inverse e (x) 1 -> sum (-1)^{|l|} (tau)^[l] (x) D^<l>(e)
     composed with the series itself must give back e at order 0 and zero in
-    every higher PD degree."""
+    every higher PD degree.
+
+    As written this cannot return False: for k != 0 the sum over a <= k is
+    theta^k(e) prod_i (1 - 1)^{k_i} = 0 whatever theta^k(e) is, and at
+    k = 0 it compares e with itself.  A check that can fail reads
+    theta^{k-a}(theta^a e) from per-a tables (ROADMAP item 2)."""
     zero_vec = tuple(LaurentPoly.zero(C.ctx, C.d) for _ in range(C.rank))
     for k, v in theta_table(C, e, K).items():
         total = list(zero_vec)
@@ -249,7 +245,12 @@ def _divided_power(h, q):
     return LaurentPoly._canon(ctx, h.d, acc)
 
 
-def tau_transition(C, f, f_prime, max_degree=512):
+# The highest operator degree tau_transition's series reaches before it
+# gives up.
+TAU_MAX_DEGREE = 512
+
+
+def tau_transition(C, f, f_prime):
     """Transition matrix T between the two level-raised pullbacks of C along
     the Frobenius lifts f and f_prime (which must agree mod p^n).
 
@@ -310,7 +311,7 @@ def tau_transition(C, f, f_prime, max_degree=512):
             if h_val * s_next - (s_next - 1) // (p - 1) >= n:
                 break
         s += 1
-        if s > max_degree:
+        if s > TAU_MAX_DEGREE:
             raise ArithmeticError(
                 "transition series did not terminate within the bound")
         new = {}

@@ -130,7 +130,12 @@ def essential_image_rank1(C):
     return {"in_image": None, "obstruction": None}
 
 
-def descend_rank1(C, F, max_stages=400):
+# The most normalizing gauges descend_rank1 applies before it reports
+# no-convergence.
+DESCENT_MAX_STAGES = 400
+
+
+def descend_rank1(C, F):
     """Frobenius descent for a quasi-nilpotent rank-1 level-0 connection on
     the 1-dimensional chart, along a pure-power lift.
 
@@ -168,7 +173,7 @@ def descend_rank1(C, F, max_stages=400):
         f = f + g.log_partial(1) * g.invert()
         g_total = g_total * g
         stages += 1
-        if stages > max_stages:
+        if stages > DESCENT_MAX_STAGES:
             return {"ok": False, "connection": None, "gauge": None,
                     "obstruction": {"kind": "no-convergence",
                                     "stages": stages}}

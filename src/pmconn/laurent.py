@@ -90,12 +90,6 @@ class LaurentPoly:
     def is_zero(self):
         return not self.terms
 
-    def coeff(self, e):
-        for ee, c in self.terms:
-            if ee == tuple(e):
-                return c
-        return 0
-
     def log_degree(self):
         """Max over terms of sum of |exponent| entries; 0 for the zero poly."""
         return max((sum(abs(x) for x in e) for e, _ in self.terms), default=0)

@@ -88,25 +88,16 @@ class WittVector:
 
     # -- ghost components ----------------------------------------------------
 
-    def ghost(self, k, ctxN=None):
+    def ghost(self, k):
         """Ghost component w_k = sum_{i<=k} p^i x_i^{p^{k-i}} on canonical
-        lifts, as a polynomial mod p^{n'} (default n' = n; well-defined mod
-        p^{k+1} regardless of lifts, exact here since lifts are canonical)."""
-        if ctxN is None and k < self.n:
-            return self._ghosts[k]
-        return self.ghosts(ctxN, k)[k]
+        lifts, as a polynomial mod p^n, for k < n (well-defined mod p^{k+1}
+        regardless of lifts, exact here since lifts are canonical).  Read
+        from the vector's memo."""
+        return self._ghosts[k]
 
-    def ghosts(self, ctxN=None, top=None):
-        """Ghost components w_0, ..., w_top (default top = n - 1), as a new
-        list.  Mod p^n with top < n they are read from the vector's memo;
-        an explicit ctxN computes them afresh."""
-        if top is None:
-            top = self.n - 1
-        if ctxN is None:
-            if top < self.n:
-                return list(self._ghosts[:top + 1])
-            ctxN = _ring(self.p, self.n)
-        return self._ghost_chain(ctxN, top)
+    def ghosts(self):
+        """Ghost components w_0, ..., w_{n-1} mod p^n, as a new list."""
+        return list(self._ghosts)
 
     @cached_property
     def _ghosts(self):
@@ -150,12 +141,6 @@ class WittVector:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        out = WittVector.from_int(1, self.p, self.n)
-        for _ in range(k):
-            out = out * self
-        return out
-
     # -- structure maps ------------------------------------------------------
 
     def verschiebung(self):
@@ -181,7 +166,7 @@ class WittVector:
         Well-defined because the ambiguity F(V^n[z]) = V^{n-1}(p[z]) dies in
         W_n; this is the Frobenius used by level-raising at fixed truncation.
         """
-        gs = self.ghosts(_ring(self.p, self.n + 1), self.n)[1:]
+        gs = self._ghost_chain(_ring(self.p, self.n + 1), self.n)[1:]
         return _ghost_invert(gs, self.p, self.n)
 
     # -- normal form ---------------------------------------------------------
@@ -304,10 +289,6 @@ class WittOneForm:
                 items.append(((r, j), c))
         items.sort()
         return WittOneForm(p, n, integral, tuple(items))
-
-    @staticmethod
-    def zero(p, n):
-        return WittOneForm.make(p, n, LaurentPoly.zero(_ring(p, n), 1), {})
 
     def frac_dict(self):
         return dict(self.frac)

@@ -299,7 +299,7 @@ def test_dt_basis_is_converted():
            "theta": [[["1"]]]}
     C = connection_from_json(obj)
     # theta dt = theta * t dlog t
-    assert C.theta[0][0][0].coeff((1,)) == 1
+    assert dict(C.theta[0][0][0].terms).get((1,), 0) == 1
 
 
 # SHA-256 of `pmconn cohomology FILE --window W --format json` for rank-1,

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import random
 import sys
 
@@ -8,7 +10,7 @@ from pmconn.laurent import LaurentPoly, parse_poly
 from pmconn.connection import (Connection, gauge, tensor, dual,
                                is_quasi_nilpotent, ExtensionPresentation,
                                check_presentation, mat_id, mat_det,
-                               _longest_path)
+                               _vec_key, _walk)
 
 
 def _rand_poly(rng, ctx, d, terms, deg=2):
@@ -168,11 +170,116 @@ def test_longest_path_is_iterative_on_deep_chains():
     edges = {k: [k + 1] for k in range(n)}
     edges[n] = []
     limit = sys.getrecursionlimit()
-    assert _longest_path(edges, 0) == n
+    assert _walk(edges, 0) == (None, n)
+    # a cycle through every node, closed at its start
+    edges = {k: [(k + 1) % n] for k in range(n)}
+    assert _walk(edges, 0) == (list(range(n)) + [0], None)
     assert sys.getrecursionlimit() == limit
     # diamond with a long and a short branch
     edges = {"a": ["b", "c"], "b": ["d"], "c": ["e"], "e": ["d"], "d": []}
-    assert _longest_path(edges, "a") == 3
+    assert _walk(edges, "a") == (None, 3)
+    # nodes that were never expanded are skipped
+    assert _walk({"a": ["b"], "b": ["a", "c"]}, "a") == (["a", "b", "a"], None)
+    assert _walk({"a": ["b", "c"], "b": []}, "a") == (None, 1)
+
+
+def _qn_poly(rng, ctx, d):
+    return LaurentPoly.from_dict(ctx, d, {
+        tuple(rng.randint(-1, 1) for _ in range(d)): rng.randrange(ctx.modulus)
+        for _ in range(rng.randint(1, 2))})
+
+
+def _qn_connections(count=300):
+    """Seeded integrable connections: p in {2, 3, 5}, n <= 3, m <= n,
+    d <= 2, rank <= 2.  Even seeds have constant theta, a_i A + b_i for one
+    matrix A.  Odd seeds have any theta at d = 1, and at d = 2
+    theta_i = [[p t_i d_i h + c_i, p t_i d_i k], [0, p t_i d_i h + c_i]]
+    for monomials h, k (its upper left entry at rank 1), whose curvature
+    vanishes."""
+    for seed in range(count):
+        rng = random.Random(f"qn:{seed}")
+        p = rng.choice((2, 3, 5))
+        n = rng.randint(1, 3)
+        m = rng.randint(0, n)
+        d = rng.randint(1, 2)
+        rank = rng.randint(1, 2)
+        ctx = RingCtx(p, n)
+
+        def const():
+            return LaurentPoly.const(ctx, d, rng.randrange(ctx.modulus))
+
+        def mono():
+            return LaurentPoly.monomial(
+                ctx, d, tuple(rng.randint(-2, 2) for _ in range(d)),
+                rng.randrange(ctx.modulus))
+
+        z = LaurentPoly.zero(ctx, d)
+        if seed % 2 == 0:
+            A = [[const() for _ in range(rank)] for _ in range(rank)]
+            theta = []
+            for _ in range(d):
+                a, b = rng.randrange(ctx.modulus), rng.randrange(ctx.modulus)
+                theta.append([[A[r][c] * a + (LaurentPoly.const(ctx, d, b)
+                                              if r == c else z)
+                               for c in range(rank)] for r in range(rank)])
+        elif d == 1:
+            theta = [[[_qn_poly(rng, ctx, d) for _ in range(rank)]
+                      for _ in range(rank)]]
+        else:
+            h, k = mono(), mono()
+            theta = []
+            for i in range(1, d + 1):
+                diag = h.log_partial(i) * p + const()
+                theta.append([[diag, k.log_partial(i) * p], [z, diag]]
+                             if rank == 2 else [[diag]])
+        C = Connection(ctx, d, m, rank, theta)
+        assert C.is_integrable()
+        yield C
+
+
+# SHA-256 of repr([(status, N)]) over _qn_connections(), recorded with the
+# breadth-first search, cycle search and longest-path pass that the one
+# depth-first walk replaced; 54 true, 179 false and 67 undetermined
+QN_DIGEST = "2a7d2c31e4b57165b94b324dabec9082cfea8be21fe39eae85a5dcaa121a9c30"
+
+
+@functools.cache
+def _qn_results():
+    return [(C, is_quasi_nilpotent(C)) for C in _qn_connections()]
+
+
+def test_quasi_nilpotence_digest_is_pinned():
+    assert hashlib.sha256(repr([(r.status, r.N) for _, r in _qn_results()])
+                          .encode()).hexdigest() == QN_DIGEST
+
+
+def test_quasi_nilpotence_false_comes_with_a_theta_cycle():
+    false = 0
+    for C, res in _qn_results():
+        if res.status != "false":
+            assert res.certificate is None
+            continue
+        false += 1
+        cycle = res.certificate
+        assert len(cycle) >= 2 and _vec_key(cycle[0]) == _vec_key(cycle[-1])
+        assert len({_vec_key(v) for v in cycle}) == len(cycle) - 1
+        for v, w in zip(cycle, cycle[1:]):
+            assert any(not x.is_zero() for x in v)
+            assert any(_vec_key(C.theta_apply(i, v)) == _vec_key(w)
+                       for i in range(1, C.d + 1))
+    assert false == 179
+
+
+def test_quasi_nilpotence_sees_a_theta_1_chain_past_the_cap():
+    # theta_1 = 12 cycles on the constants with period 20, past the cap of
+    # 16, while theta_2 = 5 and then theta_1 close the cycle 5, 10, 20, 15
+    # at depth 5.  A depth-first discovery capped by path length reaches
+    # those four first at the bottom of the theta_1 chain, where they are
+    # not expanded, and reports undetermined.
+    ctx = RingCtx(5, 2)
+    C = Connection.rank1(ctx, 2, 1, [LaurentPoly.const(ctx, 2, 12),
+                                     LaurentPoly.const(ctx, 2, 5)])
+    assert is_quasi_nilpotent(C).status == "false"
 
 
 def test_check_presentation_classifications():

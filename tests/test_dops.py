@@ -26,12 +26,12 @@ def _rand_poly(rng, ctx, d, terms, deg=2):
 
 
 def _rand_op(rng, ctx, d, m, order):
-    acc = DiffOp.zero(ctx, d, m)
+    acc = {}
     for _ in range(2):
         l = tuple(rng.randrange(order + 1) for _ in range(d))
-        acc = acc + DiffOp.partial(ctx, d, m, l).scale(
-            _rand_poly(rng, ctx, d, 1))
-    return acc
+        c = _rand_poly(rng, ctx, d, 1)
+        acc[l] = acc[l] + c if l in acc else c
+    return DiffOp.from_dict(ctx, d, m, acc)
 
 
 # recorded with the per-term operator kernel this package used before op_mul

@@ -1,3 +1,4 @@
+import math
 import random
 from argparse import Namespace
 
@@ -118,11 +119,10 @@ def test_ghost_memo_is_not_shared_with_callers():
 
 
 def test_ghosts_at_explicit_ring_are_computed_afresh():
+    # frobenius_same_level reads w_0, ..., w_n mod p^(n+1) this way
     for p, n, x, _ in _memo_grid():
         ctx = RingCtx(p, n + 1)
-        want = _ghosts_by_definition(x, ctx, n)
-        assert x.ghosts(ctx, n) == want
-        assert x.ghost(n, ctx) == want[n]
+        assert x._ghost_chain(ctx, n) == _ghosts_by_definition(x, ctx, n)
         # the memo at p^n is untouched by the wider call
         assert x.ghosts() == _ghosts_by_definition(x, RingCtx(p, n), n - 1)
 
@@ -200,7 +200,7 @@ def test_drw_d_on_teichmuller_and_verschiebung():
     t = LaurentPoly.monomial(_ctx1(p), 1, (1,), 1)
     # d[t] = [t] dlog[t]
     dt = drw_d(WittVector.teichmuller(t, n))
-    assert dt.integral.coeff((1,)) == 1 and not dt.frac
+    assert dict(dt.integral.terms).get((1,), 0) == 1 and not dt.frac
     # d(V[t]) = dV([t]): a pure fractional generator at level 1
     dv = drw_d(WittVector.teichmuller(t, n).verschiebung())
     assert dv.integral.is_zero()
@@ -208,7 +208,7 @@ def test_drw_d_on_teichmuller_and_verschiebung():
     # d(V[t^p]) = p [t] dlog[t]: the weight is integral
     dvp = drw_d(WittVector.teichmuller(t ** p, n).verschiebung())
     assert dvp.frac == ()
-    assert dvp.integral.coeff((1,)) == p
+    assert dict(dvp.integral.terms).get((1,), 0) == p
 
 
 def test_drw_f_identities():
@@ -232,7 +232,7 @@ def test_drw_f_on_teichmuller_power_rule():
         t = LaurentPoly.monomial(_ctx1(p), 1, (1,), 1)
         tx = WittVector.teichmuller(t, n)
         lhs = drw_F(drw_d(tx))
-        rhs = mul_dlog((tx ** (p - 1)).restrict() *
+        rhs = mul_dlog(math.prod([tx] * (p - 1)).restrict() *
                        integral_to_witt(
                            LaurentPoly.monomial(RingCtx(p, n - 1), 1, (1,), 1),
                            n - 1))
