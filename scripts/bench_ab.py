@@ -10,8 +10,11 @@ Each run is ``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` started as its own process in a checkout, one run at a time,
 with ``T`` and the end-to-end metrics read from ``BENCHMARK.json``.  The
 parent side is the commit ``--parent``, exported with ``git archive`` into
-a temporary directory; the change side is this working tree.  Within a
-workload and seed, even pairs run the parent first and odd pairs the change
+a temporary directory; the change side is a copy of this working tree
+without ``.git`` and ``__pycache__``.  So neither side starts with compiled
+bytecode: where ``PYTHONDONTWRITEBYTECODE`` is set, a stale cache in the
+working tree would otherwise spare the change side part of the compiling
+that ``setup_s`` times.  Within a workload and seed, even pairs run the parent first and odd pairs the change
 first.  The file keeps every run line under ``raw`` and, per workload, seed
 and end-to-end metric, the median and quartiles of each side, the pairs the
 change wins (in the direction ``BENCHMARK.json`` calls better), whether all
@@ -185,14 +188,17 @@ def main():
         bench = json.load(fh)
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    parent_dir = tempfile.mkdtemp(prefix="bench-ab-parent-")
+    sides = {side: tempfile.mkdtemp(prefix=f"bench-ab-{side}-")
+             for side in ("parent", "change")}
     try:
-        export(args.parent, parent_dir)
-        lines = {"parent": src_lines(parent_dir), "change": src_lines(ROOT)}
-        raw = run_pairs(args, {"parent": parent_dir, "change": ROOT},
-                        seconds, list(better))
+        export(args.parent, sides["parent"])
+        shutil.copytree(ROOT, sides["change"], dirs_exist_ok=True,
+                        ignore=shutil.ignore_patterns(".git", "__pycache__"))
+        lines = {side: src_lines(d) for side, d in sides.items()}
+        raw = run_pairs(args, sides, seconds, list(better))
     finally:
-        shutil.rmtree(parent_dir)
+        for d in sides.values():
+            shutil.rmtree(d)
     summary = summarize(raw, better)
     sha = {side: next(r["record"]["src_sha256"] for r in raw
                       if r["side"] == side) for side in ("parent", "change")}
@@ -209,9 +215,9 @@ def main():
         "nproc": len(os.sched_getaffinity(0)),
         "host": platform.machine(),
         "checkouts": "the parent ran from a git archive export of "
-                     "parent_commit, the change from the working tree at "
-                     "change_commit; src_sha256 identifies each side's "
-                     "src/pmconn",
+                     "parent_commit, the change from a copy of the working "
+                     "tree at change_commit without .git and __pycache__; "
+                     "src_sha256 identifies each side's src/pmconn",
         "run_order": f"one run at a time: workloads {args.workloads}, each "
                      f"at seeds {args.seeds}, {args.pairs} pairs each; even "
                      f"pairs ran the parent first, odd pairs the change "
