@@ -51,12 +51,10 @@ def main():
         print(f"FV(x) == p*x: {fv.comps == (x * p).restrict().comps}")
         lhs = drw_d(x.frobenius())
         rhs = drw_F(drw_d(x)) * p
-        print(f"dF == pFd:    "
-              f"{lhs.integral == rhs.integral and lhs.frac == rhs.frac}")
+        print(f"dF == pFd:    {lhs == rhs}")
         lhs2 = drw_F(drw_d(x.verschiebung()))
         rhs2 = drw_d(x.restrict())
-        print(f"FdV == d:     "
-              f"{lhs2.integral == rhs2.integral and lhs2.frac == rhs2.frac}")
+        print(f"FdV == d:     {lhs2 == rhs2}")
 
     print()
     print("orders of the fractional weight pieces dV^r[t^j]:")

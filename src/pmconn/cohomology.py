@@ -130,26 +130,6 @@ def _boundary_matrix(C, plan, basis_in, basis_out):
     return cols, leaks
 
 
-def de_rham_complex(C, D):
-    """Boundary maps of the windowed de Rham complex, per degree.
-
-    Returns a list over q = 0..d-1 of dicts with the source/target bases
-    and the integer matrix of nabla_q as sparse columns, "columns"[k] =
-    {target index: entry} for source element k.
-    """
-    if not C.is_integrable():
-        raise ValueError("the de Rham complex needs an integrable connection")
-    weights = _window_exponents(C.d, D)
-    out = []
-    for q in range(C.d):
-        bin_ = _form_basis(weights, C.rank, C.d, q)
-        bout = _form_basis(weights, C.rank, C.d, q + 1)
-        cols, leaks = _boundary_matrix(C, _boundary_plan(C, q), bin_, bout)
-        out.append({"q": q, "source": bin_, "target": bout,
-                    "columns": cols, "leaks": leaks})
-    return out
-
-
 def _component_solves(C, i, D, solve):
     """Each weight component of the window [-D, D]^d, in the order of their
     least weights, with solve(A, B, r) on its degree-i block: A the sparse
@@ -193,7 +173,14 @@ def _component_solves(C, i, D, solve):
 
 def compute_H(C, i, D, stability=True):
     """Elementary divisor p-exponents of the i-th de Rham cohomology of C,
-    per weight component within the window [-D, D]^d."""
+    per weight component within the window [-D, D]^d.
+
+    stable cannot be false.  The pass compares only interior components,
+    max|w| + reach <= D.  Under a nonzero theta shift u every chain w, w + u,
+    ... runs to the window edge, so no component is interior; on constant
+    theta an interior component has the same block at D + 2.  The D + 2
+    pass stays because dropping it read +20% peak_rss_mb on the
+    cohomology-coupled benchmark (ROADMAP 1a)."""
     if not C.is_integrable():
         raise ValueError("cohomology needs an integrable connection")
     if not 0 <= i <= C.d:

@@ -8,16 +8,23 @@ so the recursive inversion is exact.  The weight-graded normal form
 
     x = sum_w c_w [t^w]  +  sum_{r>=1, p!|j} c_{r,j} V^r([t^j])
 
-is read off from the top ghost component mod p^n: the exponent j*p^{n-1-r}
-carries p^r * c_{r,j}.  One-forms split into an integral part (a polynomial
-coefficient of dlog[t] in Teichmueller coordinates) and a fractional part
-supported on the generators dV^r([t^j]) with p !| j.
+is read off from the top ghost component mod p^n, the vector's code: c_w
+sits at t^(w p^{n-1}) and p^r c_{r,j} at t^(j p^{n-1-r}).  So each integer
+exponent e is one generator, of level r = n-1-v_p(e), or r = 0 (integral)
+where p^{n-1} | e, and of order p^{n-r}.  A one-form
+
+    omega = sum_w c_w [t^w] dlog[t]  +  sum_{r>=1, p!|j} c_{r,j} dV^r([t^j])
+
+has the same code, a LaurentPoly over Z/p^n with d = 1, and _decode reads
+vectors and one-forms alike.  d, x -> x dlog[t] and F change coefficients
+only, never exponents; sums, integer multiples and equality of one-forms
+are those of LaurentPoly.
 
 The top ghost w_{n-1} mod p^n is an injective ring map W_n(F_p[t^{+-1}]) ->
 Z/p^n[t^{+-1}] (Illusie, Ann. ENS 12, 1979, I.1-I.2).  So a Witt connection's
-nabla takes x as its top ghost w(x) and reads the normal forms of x and x f
-off w(x) and w(x) w(f); a window generator V^r([t^j]) enters as the monomial
-p^r t^(j p^(n-1-r)), never as a vector.
+nabla takes x as its top ghost w(x) and reads the code of p^m dx + x f
+dlog[t] off w(x) and w(x) w(f); a window generator V^r([t^j]) enters as its
+code p^r t^(j p^(n-1-r)), never as a vector.
 
 A vector is immutable, so its ghost components mod p^n are computed once: on
 first use, or for the result of an operation by the inversion that built it,
@@ -29,7 +36,6 @@ computations.  Every later sum, product, Frobenius or normal form reads them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -180,26 +186,36 @@ class WittVector:
         return "(" + ", ".join(str(c) for c in self.comps) + ")"
 
 
+def _level(e, p, n):
+    """The level r of the exponent e in a top-ghost code over Z/p^n:
+    n-1-v_p(e), or 0 (integral) where p^(n-1) | e.  The generator at e has
+    order p^(n-r)."""
+    return max(n - 1 - int_val_p(e, p), 0) if e else 0
+
+
+def _coded_terms(g, p, n):
+    """(e, r, c) per term c t^e of a top-ghost code over Z/p^n: r is the
+    level of e, and c is p^r times the coordinate."""
+    for (e,), c in g.terms:
+        r = _level(e, p, n)
+        if c % p ** r:
+            raise ArithmeticError(
+                f"ghost coefficient {c} at t^{e} not divisible by "
+                f"p^{r}; not in the image of the weight decomposition")
+        yield e, r, c
+
+
 def _decode(g, p, n):
-    """Normal-form coordinates of the vector of W_n whose top ghost mod p^n
-    is g (the exponent j*p^{n-1-r} carries p^r * c_{r,j})."""
+    """Normal-form coordinates of the vector of W_n, or the one-form, whose
+    top-ghost code mod p^n is g (the exponent j*p^{n-1-r} carries p^r *
+    c_{r,j})."""
     integral = {}
     fractional = {}
-    for (e,), c in g.terms:
-        if e == 0:
-            integral[0] = c
-            continue
-        v = int_val_p(e, p)
-        if v >= n - 1:
-            integral[e // p ** (n - 1)] = c
+    for e, r, c in _coded_terms(g, p, n):
+        if r:
+            fractional[(r, e // p ** (n - 1 - r))] = c // p ** r
         else:
-            r = n - 1 - v
-            j = e // p ** v
-            if c % p ** r:
-                raise ArithmeticError(
-                    f"ghost coefficient {c} at t^{e} not divisible by "
-                    f"p^{r}; not in the image of the weight decomposition")
-            fractional[(r, j)] = (c // p ** r) % p ** (n - r)
+            integral[e // p ** (n - 1)] = c
     return integral, fractional
 
 
@@ -265,121 +281,48 @@ def nf_to_witt(integral, fractional, p, n):
 # -- one-forms --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WittOneForm:
-    """omega = f(t) dlog[t] + sum c_{r,j} dV^r([t^j]), with f over Z/p^nZ in
-    Teichmueller coordinates and the fractional indices satisfying p !| j,
-    1 <= r <= n-1; the (r, j) coefficient lives mod p^{n-r}."""
+def _d(g, p, n):
+    """d on codes: c [t^w] -> c w [t^w] dlog[t] on integral exponents
+    e = w p^(n-1); a fractional V^r([t^j]) goes to dV^r([t^j]) unchanged."""
+    top = p ** (n - 1)
+    return LaurentPoly.from_dict(g.ctx, 1, {
+        (e,): c if r else c * (e // top) for e, r, c in _coded_terms(g, p, n)})
 
-    p: int
-    n: int
-    integral: LaurentPoly
-    frac: tuple  # sorted ((r, j), c) pairs
 
-    @staticmethod
-    def make(p, n, integral, frac):
-        items = []
-        for (r, j), c in frac.items():
-            if not 1 <= r <= n - 1:
-                raise ValueError(f"fractional level {r} out of range")
-            if j % p == 0:
-                raise ValueError(f"fractional index {j} divisible by p")
-            c = c % p ** (n - r)
-            if c:
-                items.append(((r, j), c))
-        items.sort()
-        return WittOneForm(p, n, integral, tuple(items))
-
-    def frac_dict(self):
-        return dict(self.frac)
-
-    def is_zero(self):
-        return self.integral.is_zero() and not self.frac
-
-    def __add__(self, other):
-        acc = self.frac_dict()
-        for k, c in other.frac:
-            acc[k] = acc.get(k, 0) + c
-        return WittOneForm.make(self.p, self.n,
-                                self.integral + other.integral, acc)
-
-    def __neg__(self):
-        return self * (-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, c):
-        return WittOneForm.make(
-            self.p, self.n, self.integral * c,
-            {k: v * c for k, v in self.frac})
-
-    __rmul__ = __mul__
-
-    def restrict(self):
-        """Reduce to truncation n-1 (top fractional level dies)."""
-        n2 = self.n - 1
-        if n2 < 1:
-            raise ValueError("cannot restrict below length 1")
-        return WittOneForm.make(
-            self.p, n2, self.integral.reduce_to(_ring(self.p, n2)),
-            {(r, j): c for (r, j), c in self.frac if r <= n2 - 1})
-
-    def __str__(self):
-        parts = []
-        if not self.integral.is_zero():
-            parts.append(f"({self.integral}) dlog[t]")
-        for (r, j), c in self.frac:
-            parts.append(f"{c}*dV^{r}([t^{j}])")
-        return " + ".join(parts) if parts else "0"
+def _dlog(g, p, n):
+    """x -> x dlog[t] on codes: V^r(c[t^j]) dlog[t] = c j^{-1} p^r
+    dV^r([t^j]), by the projection formula V(y F omega) = V(y) omega and
+    V^r(dy) = p^r dV^r(y); integral terms pass straight through."""
+    return LaurentPoly.from_dict(g.ctx, 1, {
+        (e,): c * p ** r * pow(e // p ** (n - 1 - r), -1, p ** n) if r else c
+        for e, r, c in _coded_terms(g, p, n)})
 
 
 def drw_d(x):
-    """The de Rham-Witt differential on W_n in normal form:
-    d(c[t^w]) = c*w*[t^w] dlog[t] and d(c V^r([t^j])) = c dV^r([t^j])."""
-    return _d_form(x.p, x.n, *x.normal_form())
-
-
-def _d_form(p, n, integral, fractional):
-    f = LaurentPoly.from_dict(_ring(p, n), 1,
-                              {(w,): c * w for w, c in integral.items()})
-    return WittOneForm.make(p, n, f, fractional)
-
-
-def drw_F(omega):
-    """F on one-forms, dropping one truncation level: F(dlog[t]) = dlog[t],
-    F(f dlog[t]) = F(f) dlog[t] (weights multiply by p), F(dV^r) = dV^{r-1},
-    and F(dV([t^j])) = d([t^j]) = j [t^j] dlog[t]."""
-    p, n = omega.p, omega.n
-    if n < 2:
-        raise ValueError("F needs length >= 2")
-    ctx2 = _ring(p, n - 1)
-    acc = {(p * w,): c for (w,), c in omega.integral.terms}
-    frac = {}
-    for (r, j), c in omega.frac:
-        if r == 1:
-            acc[(j,)] = acc.get((j,), 0) + c * j
-        else:
-            frac[(r - 1, j)] = c
-    return WittOneForm.make(p, n - 1,
-                            LaurentPoly.from_dict(ctx2, 1, acc), frac)
+    """The de Rham-Witt differential of x, as a one-form code."""
+    return _d(x.ghost(x.n - 1), x.p, x.n)
 
 
 def mul_dlog(x):
-    """x * dlog[t] in normal form.  Integral pieces pass straight through;
-    V^r(c[t^j]) dlog[t] = c j^{-1} p^r dV^r([t^j]) via the projection formula
-    V(y F omega) = V(y) omega and V^r(dy) = p^r dV^r(y)."""
-    return _dlog_form(x.p, x.n, *x.normal_form())
+    """x * dlog[t], as a one-form code."""
+    return _dlog(x.ghost(x.n - 1), x.p, x.n)
 
 
-def _dlog_form(p, n, integral, fractional):
-    f = LaurentPoly.from_dict(_ring(p, n), 1,
-                              {(w,): c for w, c in integral.items()})
-    frac = {}
-    for (r, j), c in fractional.items():
-        jinv = pow(j % p ** (n - r), -1, p ** (n - r))
-        frac[(r, j)] = c * jinv * p ** r
-    return WittOneForm.make(p, n, f, frac)
+def drw_F(omega):
+    """F on a one-form code over Z/p^n, into Z/p^(n-1) with every exponent
+    kept: F(f dlog[t]) = F(f) dlog[t] (weights multiply by p), F(dV^r) =
+    dV^{r-1}, and F(dV([t^j])) = d([t^j]) = j [t^j] dlog[t]."""
+    p, n = omega.ctx.p, omega.ctx.n
+    if n < 2:
+        raise ValueError("F needs length >= 2")
+    acc = {}
+    for e, r, c in _coded_terms(omega, p, n):
+        if r:
+            c //= p
+            if r == 1:
+                c *= e // p ** (n - 2)
+        acc[(e,)] = c
+    return LaurentPoly.from_dict(_ring(p, n - 1), 1, acc)
 
 
 def integral_to_witt(f, n):
@@ -409,10 +352,11 @@ class WittConnection:
 
     def nabla(self, g):
         """nabla(x) = p^m dx + x f dlog[t] for the x whose top ghost mod p^n
-        is g.  The top ghost is a ring map, so x f is read off g w_{n-1}(f)."""
+        is g, as a one-form code.  The top ghost is a ring map, so x f has
+        the code g w_{n-1}(f)."""
         p, n = self.p, self.n
-        return (_d_form(p, n, *_decode(g, p, n)) * p ** self.m
-                + _dlog_form(p, n, *_decode(g * self.f.ghost(n - 1), p, n)))
+        return (_d(g, p, n) * p ** self.m
+                + _dlog(g * self.f.ghost(n - 1), p, n))
 
     def is_nilpotent(self):
         """The rank-1 nilpotence condition: f in p^m W_n, checked on the
@@ -442,67 +386,37 @@ def witt_level_raise(C):
 # -- per-weight cohomology and the level-raise comparison ----------------------
 
 
-def _window_gens(p, n, D):
-    """Generators of W_n (equivalently of its one-forms) with weight of
-    absolute value <= D: (w, None) integral with order exponent n, and
-    (j, r) fractional with order exponent n - r."""
-    gens = []
-    for w in range(-D, D + 1):
-        gens.append(((w, 0), n, Fraction(w)))
-    for r in range(1, n):
-        bound = D * p ** r
-        for j in range(-bound, bound + 1):
-            if j % p:
-                gens.append(((j, r), n - r, Fraction(j, p ** r)))
-    return gens
+def _gen_ghost(e, p, n):
+    """The top-ghost code p^r t^e of the generator at exponent e of level r:
+    V^r([t^j]) for e = j p^(n-1-r)."""
+    return LaurentPoly.monomial(_ring(p, n), 1, (e,),
+                                p ** _level(e, p, n))
 
 
-def _gen_ghost(key, p, n):
-    """Top ghost mod p^n of the generator V^r([t^j]): p^r t^(j p^(n-1-r))."""
-    j, r = key
-    return LaurentPoly.monomial(_ring(p, n), 1, (j * p ** (n - 1 - r),),
-                                p ** r)
-
-
-def _form_coords(omega):
-    """Window coordinates of a one-form: {(w, 0): c} + {(j, r): c}."""
-    out = {}
-    for (w,), c in omega.integral.terms:
-        out[(w, 0)] = c
-    for (r, j), c in omega.frac:
-        out[(j, r)] = c
-    return out
-
-
-def _raise_key(key, p):
-    """Weight-times-p on generator labels: integral w -> pw, fractional
-    (j, r) -> (j, r-1), with level 0 meaning integral."""
-    j, r = key
-    if r == 0:
-        return (p * j, 0)
-    return (j, r - 1)
-
-
-def _images(C, gens, index):
+def _images(C, exps):
+    """Per generator exponent e of exps, nabla(t^e)'s coordinates on the
+    generators of exps as {position: c}, and whether a term fell outside."""
+    p, n = C.p, C.n
+    index = {e: k for k, e in enumerate(exps)}
     images, leaks = [], []
-    for key, _, _ in gens:
-        coords = _form_coords(C.nabla(_gen_ghost(key, C.p, C.n)))
+    for e in exps:
+        coords, leak = {}, False
+        for e2, r, c in _coded_terms(C.nabla(_gen_ghost(e, p, n)), p, n):
+            k = index.get(e2)
+            if k is None:
+                leak = True
+            else:
+                coords[k] = c // p ** r
         images.append(coords)
-        leaks.append(any(k not in index for k in coords))
+        leaks.append(leak)
     return images, leaks
 
 
-def _links(images, index):
-    """Generator pairs joined by a term of nabla inside the window."""
-    return ((col, index[key]) for col, coords in enumerate(images)
-            for key in coords if key in index)
-
-
-def _cluster_h(images, leaks, members, gens, index, p, n):
+def _cluster_h(images, leaks, members, orders, p, n):
     pos = {k: i for i, k in enumerate(members)}
-    cols = [{i: c for key, c in images[k].items()
-             if (i := pos.get(index.get(key))) is not None} for k in members]
-    ords = [gens[k][1] for k in members]
+    cols = [{pos[k2]: c for k2, c in images[k].items() if k2 in pos}
+            for k in members]
+    ords = [orders[k] for k in members]
     h0 = homology_divisors([], cols, ords, ords, p, n)
     h1 = homology_divisors([col for col, k in zip(cols, members)
                             if not leaks[k]],
@@ -513,16 +427,18 @@ def _cluster_h(images, leaks, members, gens, index, p, n):
 def witt_compare(C, D):
     """Per-weight comparison of the cohomology of C with its level-raise.
 
-    Weights multiply by p under the raise, so the raised complex is
-    restricted to the exact image of the window (a generator bijection),
-    and both sides are cut along the joint weight clustering.  H^0 must
-    agree exactly on purely integral clusters; clusters with fractional
-    weights may differ by at most one power of p per fractional generator
-    (the V-level drop shifts one unit of torsion).  H^1 total lengths must
-    agree up to 14(m-1) + frac_gens + 1.  The raise is also certified as a
-    chain map through F at truncation n-1 on window generators: F(nabla x)
-    = nabla'(F x), with F x entering nabla' as w_{n-1}(x) mod p^{n-1}, since
-    w_{n-2}(F x) = w_{n-1}(x).
+    The generators of the window are the exponents e with |e| <= D p^(n-1),
+    each of weight e / p^(n-1) and of order p^(n-r) at its level r.  Weights
+    multiply by p under the raise, so the raised complex is restricted to
+    the exact image of the window (e -> p e, each raised generator keeping
+    its source's order), and both sides are cut along the joint weight
+    clustering.  H^0 must agree exactly on purely integral clusters;
+    clusters with fractional weights may differ by at most one power of p
+    per fractional generator (the V-level drop shifts one unit of torsion).
+    H^1 total lengths must agree up to 14(m-1) + frac_gens + 1.  The raise
+    is also certified as a chain map through F at truncation n-1 on window
+    generators: F(nabla x) = nabla'(F x), with F x entering nabla' as
+    w_{n-1}(x) mod p^{n-1}, since w_{n-2}(F x) = w_{n-1}(x).
     """
     if C.m < 1:
         raise ValueError("comparison needs level >= 1")
@@ -530,22 +446,21 @@ def witt_compare(C, D):
         raise NotNilpotent("coefficient is not in p^m W_n")
     p, n, m = C.p, C.n, C.m
     C2 = witt_level_raise(C)
-    gens1 = _window_gens(p, n, D)
-    index1 = {key: k for k, (key, _, _) in enumerate(gens1)}
-    gens2 = [(_raise_key(key, p), o, p * w) for key, o, w in gens1]
-    index2 = {key: k for k, (key, _, _) in enumerate(gens2)}
-    img1, leak1 = _images(C, gens1, index1)
-    img2, leak2 = _images(C2, gens2, index2)
-    clusters = components(range(len(gens1)), itertools.chain(
-        _links(img1, index1), _links(img2, index2)))
+    top = p ** (n - 1)
+    window = range(-D * top, D * top + 1)
+    ords = [n - _level(e, p, n) for e in window]
+    img1, leak1 = _images(C, window)
+    img2, leak2 = _images(C2, [p * e for e in window])
+    clusters = components(range(len(window)), (
+        (col, k) for images in (img1, img2)
+        for col, coords in enumerate(images) for k in coords))
     report = {"p": p, "n": n, "m": m, "window": D, "nilpotent": True,
               "components": [], "pass": True}
     for members in clusters:
-        h0a, h1a = _cluster_h(img1, leak1, members, gens1, index1, p, n)
-        h0b, h1b = _cluster_h(img2, leak2, members, gens2, index2, p, n)
-        fg = sum(1 for k in members if gens1[k][0][1] > 0)
-        entry = {"weights": [str(gens1[k][2]) for k in sorted(
-                     members, key=lambda k: gens1[k][2])],
+        h0a, h1a = _cluster_h(img1, leak1, members, ords, p, n)
+        h0b, h1b = _cluster_h(img2, leak2, members, ords, p, n)
+        fg = sum(1 for k in members if ords[k] < n)
+        entry = {"weights": [str(Fraction(window[k], top)) for k in members],
                  "h0": h0a, "h1": h1a, "h0_raised": h0b, "h1_raised": h1b}
         if fg == 0:
             ok0 = h0a == h0b
@@ -558,16 +473,14 @@ def witt_compare(C, D):
         if not (ok0 and ok1):
             report["pass"] = False
         report["components"].append(entry)
-    report["components"].sort(key=lambda e: Fraction(e["weights"][0]))
     # chain map: F(nabla x) = nabla'(F x) at truncation n-1
     chain = True
     if n >= 2:
         Cr = C2.restrict()
-        for key, _, _ in _window_gens(p, n, min(D, 2)):
-            g = _gen_ghost(key, p, n)
-            lhs = drw_F(C.nabla(g))
-            rhs = Cr.nabla(g.reduce_to(_ring(p, n - 1)))
-            if lhs != rhs:
+        D2 = min(D, 2)
+        for e in range(-D2 * top, D2 * top + 1):
+            g = _gen_ghost(e, p, n)
+            if drw_F(C.nabla(g)) != Cr.nabla(g.reduce_to(_ring(p, n - 1))):
                 chain = False
                 break
     report["chain_map"] = chain

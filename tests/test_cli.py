@@ -351,3 +351,37 @@ def test_split_cohomology_output_is_pinned(tmp_path, capsys, flags, digest):
     code, out, _ = run(capsys, "cohomology", f, *flags, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of `pmconn check SUITE --seed 11 --format json` for every suite in
+# cli.SUITES: the byte-stable equivalence oracle that a refactor which keeps
+# behaviour must leave unchanged.
+SUITE_REPORT_SHA256 = {
+    "prop4":
+        "d89311dbc29b7cb039b8f69dcb8d4007c406754da634fbaf48db2a6d2811089d",
+    "taylor-cocycle":
+        "c4300d54e5100f6781d146450214eef56d1e3ff3d9eb9a1bf5a0e8dcd8886bca",
+    "tau":
+        "beeede0cd9757e95d51a68738a7fb913903548fb01777be4c743d9e4ab9c3f71",
+    "level-raise":
+        "95b5ab7239776d8beb7785b87645dfce66b69f2c23f7d9148054e7e36ad2eccb",
+    "descent":
+        "c118505b275f9287bdd7fc343bc7252a0f23d47246eb9267de171d3ceda7a816",
+    "theorem25":
+        "b57ac206cc6424c3b469c8893f07493cc0dbb9344f62a1c16335e4418a56c5f4",
+    "ov-example":
+        "6b8689a1d61afbda9dab92d2eaa2310da171e5a65684728c362494c91abfc102",
+    "witt-identities":
+        "65878de47cc25cff36ad7ef69cb0cbf3e20ad635302a7ea5ae023b83a3ab72f8",
+    "witt-compare":
+        "1211f0923e05bdeaf991eb46001646135b54e2e04e1bfc58c4471bc2245e1aa1",
+}
+
+
+def test_suite_reports_are_pinned(capsys):
+    assert sorted(SUITE_REPORT_SHA256) == sorted(SUITES)
+    for suite, digest in SUITE_REPORT_SHA256.items():
+        code, out, _ = run(capsys, "check", suite, "--seed", "11",
+                           "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, suite

@@ -11,7 +11,7 @@ from pmconn.laurent import LaurentPoly, FrobLift, parse_poly
 from pmconn.connection import (Connection, gauge, ExtensionPresentation,
                                dual, mat_add, mat_is_zero, mat_map,
                                mat_matmul, mat_scale, mat_sub, tensor)
-from pmconn.cohomology import (compute_H, de_rham_complex, weight_components,
+from pmconn.cohomology import (compute_H, weight_components,
                                hom_space,
                                compare_theorem25, higgs_vanishing,
                                CohomologyReport, _boundary_matrix,
@@ -75,11 +75,13 @@ def test_de_rham_complex_squares_to_zero_d2():
     th2 = LaurentPoly.const(ctx, d, 7)
     C = Connection(ctx, d, 1, 1, ([[th1]], [[th2]]))
     assert C.is_integrable()
-    complexes = de_rham_complex(C, 3)
     # constant thetas preserve weights, so there is no window leakage and
     # the composite of consecutive boundary maps must vanish exactly
-    M0 = _dense(complexes[0]["columns"], len(complexes[0]["target"]))
-    M1 = _dense(complexes[1]["columns"], len(complexes[1]["target"]))
+    weights = _window_exponents(d, 3)
+    bases = [_form_basis(weights, 1, d, q) for q in range(d + 1)]
+    M0, M1 = [_dense(_boundary_matrix(C, _boundary_plan(C, q), bases[q],
+                                      bases[q + 1])[0], len(bases[q + 1]))
+              for q in range(d)]
     assert any(x for row in M0 for x in row)
     assert any(x for row in M1 for x in row)
     comp = [[sum(a * b for a, b in zip(row, col)) for col in zip(*M0)]
@@ -478,11 +480,14 @@ def test_compute_H_matches_reference(C, D, stability):
         assert (got.free_rank, got.stable) == (want.free_rank, want.stable)
         assert [e["weights"] for e in got.entries] == \
             [e["weights"] for e in want.entries]
-    for block in de_rham_complex(C, D):
-        cols = block["columns"]
-        assert len(cols) == len(block["source"])
-        assert (_dense(cols, len(block["target"])), block["leaks"]) == \
-            _boundary_matrix_reference(C, block["source"], block["target"])
+    weights = _window_exponents(C.d, D)
+    for q in range(C.d):
+        bin_ = _form_basis(weights, C.rank, C.d, q)
+        bout = _form_basis(weights, C.rank, C.d, q + 1)
+        cols, leaks = _boundary_matrix(C, _boundary_plan(C, q), bin_, bout)
+        assert len(cols) == len(bin_)
+        assert (_dense(cols, len(bout)), leaks) == \
+            _boundary_matrix_reference(C, bin_, bout)
 
 
 def test_compute_H_entries_own_their_divisors():
@@ -507,6 +512,49 @@ def test_stability_pass_solves_its_own_blocks(monkeypatch):
     monkeypatch.setattr(cohomology, "compute_H", bigger_window)
     C = Connection.trivial(RingCtx(3, 2), 1, 0)
     assert real(C, 0, 6).stable is False
+
+
+def _shifted_connections(rng, count):
+    """Seeded integrable connections whose theta has a nonconstant term: rank
+    1 or 2 at d = 1, and rank 1 at d = 2 with theta_i = t_i d/dt_i h + a_i,
+    whose curvature vanishes."""
+    out = []
+    while len(out) < count:
+        p = rng.choice((2, 3, 5))
+        n = rng.randint(1, 3)
+        ctx = RingCtx(p, n)
+        m = rng.randint(0, n)
+        if rng.random() < 0.5:
+            rank = rng.randint(1, 2)
+            theta = ([[_rand_poly(rng, ctx, 1, 2) for _ in range(rank)]
+                      for _ in range(rank)],)
+            C = Connection(ctx, 1, m, rank, theta)
+        else:
+            h = [(tuple(rng.randrange(-2, 3) for _ in range(2)),
+                  rng.randrange(ctx.modulus)) for _ in range(2)]
+            C = Connection.rank1(ctx, 2, m, [
+                LaurentPoly.from_dict(ctx, 2, {(0, 0): rng.randrange(p)})
+                + LaurentPoly.from_dict(ctx, 2, {e: e[i] * c for e, c in h})
+                for i in range(2)])
+        if any(any(u) for u in _theta_shifts(C)):
+            out.append(C)
+    return out
+
+
+def test_no_entry_is_interior_under_a_theta_shift():
+    # weight_components links each weight w to its images w + u, so under a
+    # nonzero shift u the chain w, w + u, ... runs to the window edge and no
+    # component passes the stability pass's interior test: that pass
+    # compares no entry, and stable stays true
+    for C in _shifted_connections(random.Random(24), 60):
+        reach = max(sum(map(abs, u)) for u in _theta_shifts(C))
+        for i in range(C.d + 1):
+            D = 1 + i
+            rep = compute_H(C, i, D)
+            assert rep.stable
+            for e in rep.entries:
+                assert max(abs(x) for w in e["weights"] for x in w) \
+                    + reach > D
 
 
 # SHA-256 of json.dumps(compare_theorem25(...), sort_keys=True) for rank-2,

@@ -31,8 +31,6 @@ MODULES = sorted(f for f in os.listdir(PKG) if f.endswith(".py"))
 
 # names with no caller in the scanned trees, and why each stays
 UNCALLED = {
-    "de_rham_complex": "dense reference complex; oracle of "
-                       "test_compute_H_matches_reference",
     "from_int": "the image of Z in W_n; oracle of x * c in test_witt and "
                 "of acceptance_8 and acceptance_9",
     "mul_dlog": "oracle of the WittConnection.nabla tests and acceptance_8",
