@@ -6,6 +6,8 @@ Usage (from the repository root):
     python3 scripts/bench_ab.py --parent HEAD~1 --number N \\
         --workloads witt-dense operator-sparse --seeds 1 3 --pairs 10
 
+``--workloads`` defaults to every workload in ``BENCHMARK.json``.
+
 Each run is ``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` started as its own process in a checkout, one run at a time,
 with ``T`` and the end-to-end metrics read from ``BENCHMARK.json``.  The
@@ -18,9 +20,12 @@ that ``setup_s`` times.  Within a workload and seed, even pairs run the parent f
 first.  The file keeps every run line under ``raw`` and, per workload, seed
 and end-to-end metric, the median and quartiles of each side, the pairs the
 change wins (in the direction ``BENCHMARK.json`` calls better), whether all
-runs were correct and how many operations failed.  It also records each
-side's ``src_lines``, the ``wc -l`` total of its ``src/pmconn/*.py``.  Each
-median is printed beside the previous BENCH file's.
+runs were correct, how many operations failed, and ``within_bound``: whether
+the change's median is worse than the parent's by no more than the metric's
+``bound`` in ``BENCHMARK.json``, a fraction of the parent's median.  It also
+records each side's ``src_lines``, the ``wc -l`` total of its
+``src/pmconn/*.py``.  Each median is printed beside the previous BENCH
+file's, with ``ok`` or ``OVER`` for the bound.
 """
 
 from __future__ import annotations
@@ -82,9 +87,9 @@ def side_stats(values):
             "runs": len(values)}
 
 
-def summarize(raw, better):
-    """One entry per (workload, seed, metric) over the paired runs; better
-    maps each metric to "lower" or "higher"."""
+def summarize(raw, metrics):
+    """One entry per (workload, seed, metric) over the paired runs; metrics
+    maps each metric name to its BENCHMARK.json entry ("better", "bound")."""
     keys = sorted({(r["workload"], r["seed"]) for r in raw})
     out = []
     for workload, seed in keys:
@@ -94,12 +99,15 @@ def summarize(raw, better):
         by = {(r["pair"], r["side"]): r["result"] for r in runs}
         correct = all(r["result"]["correct"] for r in runs)
         failed = sum(r["result"]["failed"] for r in runs)
-        for metric, direction in better.items():
+        for metric, spec in metrics.items():
+            direction, bound = spec["better"], spec["bound"]
             val = {k: res["metrics"][metric]["value"]
                    for k, res in by.items()}
             par = [val[i, "parent"] for i in pairs]
             chg = [val[i, "change"] for i in pairs]
             ps, cs = side_stats(par), side_stats(chg)
+            worse = cs["median"] - ps["median"] if direction == "lower" \
+                else ps["median"] - cs["median"]
             out.append({
                 "workload": workload, "seed": seed, "metric": metric,
                 "pairs": len(pairs),
@@ -110,6 +118,7 @@ def summarize(raw, better):
                     cs["median"] / ps["median"] - 1, 4),
                 "gap_exceeds_parent_iqr":
                     abs(cs["median"] - ps["median"]) > ps["q3"] - ps["q1"],
+                "within_bound": worse <= bound * ps["median"],
                 "all_correct": correct, "failed_ops": failed})
     return out
 
@@ -133,11 +142,12 @@ def print_medians(summary, prev_path):
                     e["change"]["median"]
     name = os.path.basename(prev_path) if prev_path else "no previous file"
     print(f"{'workload':20} {'seed':>4} {'metric':12} {'parent':>9} "
-          f"{'change':>9} {'wins':>6}  previous ({name})")
+          f"{'change':>9} {'bound':>6} {'wins':>6}  previous ({name})")
     for e in summary:
         old = prev.get((e["workload"], e["seed"], e["metric"]))
         print(f"{e['workload']:20} {e['seed']:>4} {e['metric']:12} "
               f"{e['parent']['median']:>9} {e['change']['median']:>9} "
+              f"{'ok' if e['within_bound'] else 'OVER':>6} "
               f"{e['change_wins']:>3}/{e['pairs']:<2}  "
               f"{'-' if old is None else old}")
 
@@ -177,7 +187,8 @@ def main():
                     help="the parent commit, e.g. HEAD~1")
     ap.add_argument("--number", type=int, required=True,
                     help="N of the BENCH_N.json file to write")
-    ap.add_argument("--workloads", nargs="+", required=True)
+    ap.add_argument("--workloads", nargs="+", default=None,
+                    help="default: every workload in BENCHMARK.json")
     ap.add_argument("--seeds", nargs="+", type=int, default=[1])
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--description", default="")
@@ -187,7 +198,9 @@ def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
+    if args.workloads is None:
+        args.workloads = [w["name"] for w in bench["workloads"]]
     sides = {side: tempfile.mkdtemp(prefix=f"bench-ab-{side}-")
              for side in ("parent", "change")}
     try:
@@ -195,11 +208,11 @@ def main():
         shutil.copytree(ROOT, sides["change"], dirs_exist_ok=True,
                         ignore=shutil.ignore_patterns(".git", "__pycache__"))
         lines = {side: src_lines(d) for side, d in sides.items()}
-        raw = run_pairs(args, sides, seconds, list(better))
+        raw = run_pairs(args, sides, seconds, list(metrics))
     finally:
         for d in sides.values():
             shutil.rmtree(d)
-    summary = summarize(raw, better)
+    summary = summarize(raw, metrics)
     sha = {side: next(r["record"]["src_sha256"] for r in raw
                       if r["side"] == side) for side in ("parent", "change")}
     doc = {
@@ -225,7 +238,9 @@ def main():
         "statistics": "median and quartiles over the runs' end-to-end "
                       "values, quartiles by statistics.quantiles(n=4, "
                       "method='inclusive'); change_wins counts pairs where "
-                      "the change's value is lower",
+                      "the change's value is lower; within_bound holds when "
+                      "the change's median exceeds the parent's by at most "
+                      "bound times the parent's median",
         "summary": summary,
         "raw": raw,
     }

@@ -11,10 +11,10 @@ Prints, for a chosen (p, n):
 import argparse
 
 from pmconn.arith import RingCtx
-from pmconn.laurent import LaurentPoly, parse_poly
+from pmconn.laurent import FrobLift, LaurentPoly, parse_poly
 from pmconn.connection import Connection, gauge
 from pmconn.cohomology import hom_space
-from pmconn.frobenius import essential_image_rank1
+from pmconn.frobenius import descend_rank1
 
 
 def main():
@@ -57,8 +57,8 @@ def main():
     print()
     print("is (O, nabla_t) a level raise of anything?")
     Ct = Connection.rank1(ctx, 1, 0, [parse_poly("1*t1^1", ctx, 1)])
-    rep = essential_image_rank1(Ct)
-    print(f"  in image: {rep['in_image']}")
+    rep = descend_rank1(Ct, FrobLift.pure(ctx, 1))
+    print(f"  descends: {rep['ok']}")
     print(f"  obstruction: {rep['obstruction']}")
 
 

@@ -23,8 +23,7 @@ from .cohomology import (compare_theorem25, compute_H, higgs_vanishing,
                          hom_space)
 from .dops import (DiffOp, check_taylor_cocycle, check_taylor_inverse,
                    level_change, op_apply, op_mul, tau_transition, verify_tau)
-from .frobenius import (LiftChain, descend_rank1, essential_image_rank1,
-                        level_raise, psi)
+from .frobenius import LiftChain, descend_rank1, level_raise, psi
 from .laurent import (FrobLift, LaurentPoly, frob_substitute, parse_poly,
                       format_poly)
 from .witt import (WittConnection, WittVector, drw_F, drw_d,
@@ -320,21 +319,26 @@ def case_level_raise(opts, p, n, m, d):
 
 def case_descent(opts, p, n, m, d):
     ctx = RingCtx(p, n)
-    F = FrobLift.pure(ctx, 1)
     rng = _rng(opts.seed, f"descent:{p}:{n}")
-    for trial in range(8):
-        up = Connection.rank1(ctx, 1, 1, [_rand_poly(rng, ctx, 1, 1, deg=1)])
-        down = level_raise(up, F)
+    # gauged raises gauge(level_raise(up), g), half on the 2-dimensional
+    # chart; up is closed (constants plus the dlog-derivatives of h), and g
+    # adds terms at exponents prime to p that descent must gauge away
+    for trial, dim in enumerate((1, 1, 1, 1, 2, 2, 2, 2)):
+        F = FrobLift.pure(ctx, dim)
+        h = _rand_poly(rng, ctx, dim, 2, deg=1)
+        up = Connection.rank1(ctx, dim, 1, [
+            LaurentPoly.const(ctx, dim, rng.randrange(ctx.modulus))
+            + h.log_partial(i + 1) for i in range(dim)])
+        g = LaurentPoly.one(ctx, dim) + _rand_poly(rng, ctx, dim, 2) * p
+        down = gauge(level_raise(up, F), ((g,),))
         res = descend_rank1(down, F)
         if not res["ok"]:
             return {"pass": False, "trial": trial, "why": res["obstruction"]}
-        g = res["gauge"]
-        back = gauge(down, ((g,),))
-        again = level_raise(res["connection"], F)
-        if back.theta[0][0][0] != again.theta[0][0][0]:
+        back = gauge(down, ((res["gauge"],),))
+        if back.theta != level_raise(res["connection"], F).theta:
             return {"pass": False, "trial": trial, "why": "round-trip"}
     bad = Connection.rank1(ctx, 1, 0, [LaurentPoly.var(ctx, 1, 1)])
-    res = descend_rank1(bad, F)
+    res = descend_rank1(bad, FrobLift.pure(ctx, 1))
     if res["ok"] or res["obstruction"] is None:
         return {"pass": False, "why": "missing obstruction"}
     return {"pass": True}
@@ -380,8 +384,7 @@ def case_ov_example(opts, p, n, m, d):
     if hom_space(C1m, C0m, 5):
         return {"pass": False, "why": "level-1 hom not zero"}
     Ct = Connection.rank1(ctx, 1, 0, [LaurentPoly.var(ctx, 1, 1)])
-    rep = essential_image_rank1(Ct)
-    if rep["in_image"] is not False:
+    if descend_rank1(Ct, FrobLift.pure(ctx, 1))["obstruction"] is None:
         return {"pass": False, "why": "no obstruction certificate"}
     return {"pass": True}
 
@@ -621,14 +624,14 @@ def cmd_descend(opts):
     except (OSError, ValueError, KeyError, IndexError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
-    if C.rank != 1 or C.d != 1 or C.m != 0:
-        print("descent is implemented for rank-1 level-0 connections on the "
-              "1-dimensional chart", file=sys.stderr)
-        return 2
     if C.ctx != F.ctx or C.d != F.d:
         print("connection and lift live on different charts", file=sys.stderr)
         return 2
-    res = descend_rank1(C, F)
+    try:
+        res = descend_rank1(C, F)
+    except ValueError as exc:  # rank, level, impure lift, not integrable
+        print(f"cannot descend: {exc}", file=sys.stderr)
+        return 2
     if not res["ok"]:
         _emit({"ok": False, "obstruction": _plain(res["obstruction"])},
               opts.format)

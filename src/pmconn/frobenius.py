@@ -5,6 +5,11 @@ A lift t' -> t^p + p*a pulls a level -m connection back to level -(m-1):
 the divided Frobenius on dlog forms sends dlog t'_j to
 sum_i (delta_ij t_i^p + t_i da_j/dt_i) g_j^{-1} dlog t_i with g_j the
 coordinate image, so the log-basis matrices transform by that same matrix.
+
+Descent is the quasi-inverse of one level raise on rank-1 objects in any
+dimension: it gauges a level-0 connection until its exponents are divisible
+by p, and the first monomial it cannot gauge away is the certificate that
+the input is not a level raise.
 """
 
 from __future__ import annotations
@@ -106,29 +111,7 @@ def twist_decompose(C, F):
     return out
 
 
-# -- essential image and descent ----------------------------------------------
-
-
-def essential_image_rank1(C):
-    """Modulo-p test of whether a rank-1 level-0 connection can be a
-    level-raise of anything: a gauge unit is c*t^v mod p, contributing the
-    integer v, so the coefficient f must reduce to (constant + series in
-    t^p) mod p.  A nonzero mod-p coefficient at a non-p-divisible nonzero
-    exponent in any direction is a conclusive obstruction.
-    """
-    if C.rank != 1 or C.m != 0:
-        raise ValueError("test applies to rank-1 level-0 connections")
-    p = C.ctx.p
-    for i in range(C.d):
-        f = C.theta[i][0][0]
-        for e, c in f.terms:
-            if c % p and any(x % p for x in e):
-                return {"in_image": False,
-                        "obstruction": {"direction": i + 1, "exponent": e,
-                                        "coefficient": c % p,
-                                        "kind": "mod-p-non-p-divisible-term"}}
-    return {"in_image": None, "obstruction": None}
-
+# -- descent ------------------------------------------------------------------
 
 # The most normalizing gauges descend_rank1 applies before it reports
 # no-convergence.
@@ -136,49 +119,54 @@ DESCENT_MAX_STAGES = 400
 
 
 def descend_rank1(C, F):
-    """Frobenius descent for a quasi-nilpotent rank-1 level-0 connection on
-    the 1-dimensional chart, along a pure-power lift.
+    """Frobenius descent for an integrable rank-1 level-0 connection along
+    the pure-power lift, on a chart of any dimension.
 
-    Gauge-normalizes the coefficient until it is supported on p-divisible
-    exponents (each non-divisible monomial c*t^k is removed by the unit
-    1 - c/k * t^k, which exists exactly when c is divisible by p), then
-    divides exponents by p.  Returns (C', gauge) on success, where
-    gauge(C, g) = level_raise(C', F), or a failure certificate.
+    Gauge-normalizes the coefficients f_i until every f_i is supported on
+    exponents e with p | e_i, then divides exponents by p.  A monomial c t^e
+    of f_i with e_i prime to p is removed by the unit 1 + u t^e with
+    u = -c/e_i, which exists exactly when c is divisible by p; integrability
+    (e_j c_i = e_i c_j) clears t^e from every f_j at once.  Monomials are
+    taken lowest v_p(c) first, so a unit coefficient is met before any gauge,
+    and it is the obstruction: mod p a gauge unit is c t^v, whose dlog adds
+    only constants, so no gauge of a level raise carries it.  Returns
+    (C', gauge) on success, where gauge(C, g) = level_raise(C', F), or the
+    obstruction.
     """
-    if C.d != 1 or C.rank != 1 or C.m != 0:
-        raise ValueError("descent implemented for rank 1, d = 1, level 0")
+    if C.rank != 1 or C.m != 0:
+        raise ValueError("descent implemented for rank 1, level 0")
     if not F.is_pure():
         raise ValueError("descent implemented along the pure-power lift")
-    ctx = C.ctx
-    p = ctx.p
-    f = C.theta[0][0][0]
-    g_total = LaurentPoly.one(ctx, 1)
-    stages = 0
-    while True:
-        bad = [(e[0], c) for e, c in f.terms if e[0] % p]
+    if not C.is_integrable():
+        raise ValueError("descent needs an integrable connection")
+    ctx, d, p = C.ctx, C.d, C.ctx.p
+    f = [C.theta[i][0][0] for i in range(d)]
+    g_total = LaurentPoly.one(ctx, d)
+    for _ in range(DESCENT_MAX_STAGES + 1):
+        bad = [(i, e, c) for i in range(d) for e, c in f[i].terms
+               if e[i] % p]
         if not bad:
-            break
-        e, c = min(bad, key=lambda t: (int_val_p(t[1], p), abs(t[0])))
+            new_f = [LaurentPoly.from_dict(
+                ctx, d, {tuple(x // p for x in e): c for e, c in fi.terms})
+                for fi in f]
+            return {"ok": True, "gauge": g_total, "obstruction": None,
+                    "connection": Connection.rank1(ctx, d, 1, new_f)}
+        i, e, c = min(bad, key=lambda b: (int_val_p(b[2], p),
+                                          sum(map(abs, b[1]))))
         if c % p:
             return {"ok": False, "connection": None, "gauge": None,
                     "obstruction": {
-                        "exponent": e, "coefficient": c,
+                        "direction": i + 1, "exponent": e, "coefficient": c,
                         "kind": "unit-coefficient-at-non-divisible-exponent",
                         "detail": "the normalizing gauge 1 + u t^e needs "
-                                  "u = -c/e divisible by p; the input is "
-                                  "not quasi-nilpotent"}}
-        u = (-c * pow(e, -1, ctx.modulus)) % ctx.modulus
-        g = LaurentPoly.from_dict(ctx, 1, {(0,): 1, (e,): u})
-        # level 0 gauge: f -> f + t g'/g
-        f = f + g.log_partial(1) * g.invert()
+                                  "u = -c/e_i divisible by p; the input is "
+                                  "not in the image of level raising"}}
+        u = (-c * pow(e[i], -1, ctx.modulus)) % ctx.modulus
+        g = LaurentPoly.from_dict(ctx, d, {(0,) * d: 1, e: u})
+        # level 0 gauge: f_j -> f_j + t_j d_j(g)/g
+        g_inv = g.invert()
+        f = [fj + g.log_partial(j + 1) * g_inv for j, fj in enumerate(f)]
         g_total = g_total * g
-        stages += 1
-        if stages > DESCENT_MAX_STAGES:
-            return {"ok": False, "connection": None, "gauge": None,
-                    "obstruction": {"kind": "no-convergence",
-                                    "stages": stages}}
-    new_f = LaurentPoly.from_dict(
-        ctx, 1, {(e[0] // p,): c for e, c in f.terms})
-    C_up = Connection.rank1(ctx, 1, 1, [new_f])
-    return {"ok": True, "connection": C_up, "gauge": g_total,
-            "obstruction": None}
+    return {"ok": False, "connection": None, "gauge": None,
+            "obstruction": {"kind": "no-convergence",
+                            "stages": DESCENT_MAX_STAGES + 1}}

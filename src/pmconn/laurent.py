@@ -347,79 +347,35 @@ def frob_substitute(f, F):
 
 # -- text grammar ------------------------------------------------------------
 
-_TOKEN = re.compile(r"t\d+|\d+|[*^+-]")
+_FACTOR = r"(?:\d+|t\d+(?:\^[+-]?\d+)?)"
+_TERM = rf"{_FACTOR}(?:\*{_FACTOR})*"
+_POLY = re.compile(rf"[+-]?{_TERM}(?:[+-]{_TERM})*")
 
 
 def parse_poly(text, ctx, d):
     """Parse the CLI grammar: sum of terms c*t1^e1*...*td^ed.
 
-    Whitespace is insignificant.  Coefficients and exponents are integers;
-    both may be omitted (`t1` means 1*t1^1).  Example: `2*t1^-1+3`.
+    Whitespace is insignificant.  A term is factors joined by `*`, each an
+    integer or a variable with an optional integer exponent (`t1` means
+    1*t1^1); terms are joined by `+` or `-`.  Example: `2*t1^-1+3`.
     """
     s = re.sub(r"\s+", "", text)
-    if not s:
-        raise ValueError("empty polynomial text")
-    toks = _TOKEN.findall(s)
-    if "".join(toks) != s:
-        raise ValueError(f"cannot tokenize polynomial text: {text!r}")
-    pos = 0
-
-    def peek():
-        return toks[pos] if pos < len(toks) else None
-
+    if not _POLY.fullmatch(s):
+        raise ValueError(f"cannot read polynomial text: {text!r}")
     acc = {}
-
-    def read_int():
-        nonlocal pos
-        sign = 1
-        if peek() in ("+", "-"):
-            sign = -1 if toks[pos] == "-" else 1
-            pos += 1
-        if peek() is None or not peek().isdigit():
-            raise ValueError(f"expected integer in {text!r}")
-        v = sign * int(toks[pos])
-        pos += 1
-        return v
-
-    while pos < len(toks):
-        sign = 1
-        if peek() in ("+", "-"):
-            sign = -1 if toks[pos] == "-" else 1
-            pos += 1
-        coeff = 1
+    for term in re.findall(rf"[+-]?{_TERM}", s):
+        coeff = -1 if term[0] == "-" else 1
         exps = [0] * d
-        saw_factor = False
-        expect_factor = True
-        while expect_factor:
-            tok = peek()
-            if tok is None:
-                break
-            if tok.isdigit():
-                coeff *= int(tok)
-                pos += 1
-                saw_factor = True
-            elif tok.startswith("t"):
-                idx = int(tok[1:])
-                if not 1 <= idx <= d:
-                    raise ValueError(f"variable {tok} out of range for d={d}")
-                pos += 1
-                power = 1
-                if peek() == "^":
-                    pos += 1
-                    power = read_int()
-                exps[idx - 1] += power
-                saw_factor = True
-            else:
-                raise ValueError(f"unexpected token {tok!r} in {text!r}")
-            if peek() == "*":
-                pos += 1
-                expect_factor = True
-            else:
-                expect_factor = False
-        if not saw_factor:
-            raise ValueError(f"empty term in {text!r}")
+        for factor in term.lstrip("+-").split("*"):
+            if factor[0] != "t":
+                coeff *= int(factor)
+                continue
+            var, _, power = factor[1:].partition("^")
+            if not 1 <= int(var) <= d:
+                raise ValueError(f"variable t{var} out of range for d={d}")
+            exps[int(var) - 1] += int(power or 1)
         e = tuple(exps)
-        acc[e] = acc.get(e, 0) + sign * coeff
+        acc[e] = acc.get(e, 0) + coeff
     return LaurentPoly.from_dict(ctx, d, acc)
 
 

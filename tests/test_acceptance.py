@@ -22,8 +22,7 @@ from pmconn.connection import (Connection, gauge, is_quasi_nilpotent,
 from pmconn.dops import (DiffOp, op_mul, op_apply, level_change,
                          check_taylor_cocycle, check_taylor_inverse,
                          tau_transition, verify_tau)
-from pmconn.frobenius import (level_raise, LiftChain, psi,
-                              essential_image_rank1, descend_rank1)
+from pmconn.frobenius import level_raise, LiftChain, psi, descend_rank1
 from pmconn.cohomology import (compute_H, hom_space, compare_theorem25,
                                higgs_vanishing)
 from pmconn.witt import (WittVector, nf_to_witt, drw_d, drw_F, mul_dlog,
@@ -69,9 +68,9 @@ def test_acceptance_1_torus_example_catalog():
                 assert hom_space(D1, D0, 5) == []
                 # (b) (O, nabla_t) is not a level raise of anything rank 1
                 Ct = Connection.rank1(ctx, 1, 0, [LaurentPoly.var(ctx, 1, 1)])
-                rep = essential_image_rank1(Ct)
-                assert rep["in_image"] is False
-                assert rep["obstruction"]
+                rep = descend_rank1(Ct, FrobLift.pure(ctx, 1))
+                assert rep["ok"] is False
+                assert rep["obstruction"]["exponent"] == (1,)
                 # (c) divided powers of nabla_{p^{m-1}} at level m
                 for m in (1, 2):
                     C = Connection.rank1(

@@ -265,8 +265,53 @@ def test_descend_round_trip_and_obstruction(tmp_path, capsys):
     assert json.loads(out2)["ok"] is False
     # descent of a level-1 input is a usage error
     lvl1 = _write(tmp_path, "l1.json", _trivial_conn(m=1))
-    code3, _, _ = run(capsys, "descend", lvl1)
+    code3, _, err3 = run(capsys, "descend", lvl1)
     assert code3 == 2
+    assert "rank 1, level 0" in err3
+
+
+def test_descend_on_the_plane(tmp_path, capsys):
+    # theta = 3 t1^3 t2^3 (dlog t1 + dlog t2) is the raise of 3 t1 t2; the
+    # gauge 1 + 3 t1 t2 adds 3 t1 t2 to both, which descent gauges away
+    conn = _write(tmp_path, "down.json",
+                  {"p": 3, "n": 2, "m": 0, "d": 2, "rank": 1,
+                   "basis": "dlog", "theta": [[["3*t1^3*t2^3+3*t1*t2"]],
+                                              [["3*t1^3*t2^3+3*t1*t2"]]]})
+    code, out, _ = run(capsys, "descend", conn, "--format", "json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["connection"]["theta"] == [[["3*t1^1*t2^1"]]] * 2
+    assert rep["gauge"] == "1+6*t1^1*t2^1"
+    # theta = t2 dlog t1 is not integrable: an input error
+    bad = _write(tmp_path, "bad.json",
+                 {"p": 3, "n": 2, "m": 0, "d": 2, "rank": 1,
+                  "basis": "dlog", "theta": [[["t2"]], [["0"]]]})
+    code, out, err = run(capsys, "descend", bad)
+    assert (code, out) == (2, "")
+    assert "integrable" in err
+
+
+def test_descend_rejects_an_impure_lift(tmp_path, capsys):
+    conn = _write(tmp_path, "down.json",
+                  {"p": 3, "n": 2, "m": 0, "d": 1, "rank": 1,
+                   "basis": "dlog", "theta": [[["3*t1^3"]]]})
+    lift = _write(tmp_path, "lift.json", {"p": 3, "n": 2, "d": 1, "a": ["t1"]})
+    code, out, err = run(capsys, "descend", conn, "--lift", lift)
+    assert (code, out) == (2, "")
+    assert "pure-power lift" in err
+
+
+@pytest.mark.parametrize("text", ["3t1", "2t1^2", "t1t1", "3*"])
+@pytest.mark.parametrize("cmd", ["cohomology", "raise", "descend"])
+def test_polynomial_text_without_operators_is_unreadable(tmp_path, capsys,
+                                                         cmd, text):
+    conn = _write(tmp_path, "c.json", {**_trivial_conn(m=0 if cmd != "raise"
+                                                        else 1),
+                                       "theta": [[[text]]]})
+    lift = _write(tmp_path, "l.json", {"p": 3, "n": 2, "d": 1, "a": ["0"]})
+    code, out, err = run(capsys, cmd, conn, *([lift] if cmd == "raise" else []))
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot read")
 
 
 @pytest.mark.parametrize("lift", [

@@ -87,6 +87,26 @@ def test_parse_examples():
     assert format_poly(LaurentPoly.zero(ctx, 1)) == "0"
 
 
+@pytest.mark.parametrize("text, want", [
+    ("3*t1", "3*t1^1"), ("2*t1^2", "2*t1^2"), ("t1*t1", "1*t1^2"),
+    ("3*t1*2", "6*t1^1"), ("-t1^-1 + 2", "6*t1^-1+2"),
+    ("+t2^+1*t1", "1*t1^1*t2^1"),
+    ("1-t1-t1", "1+5*t1^1"), ("t1^0*4", "4"),
+])
+def test_parse_explicit_operators(text, want):
+    ctx = RingCtx(7, 1)
+    assert format_poly(parse_poly(text, ctx, 2)) == want
+
+
+@pytest.mark.parametrize("text", [
+    "3t1", "2t1^2", "t1t1", "3*", "*3", "t1^", "t1^--1", "1--t1", "1+",
+    "t1 t2", "", "3^2", "x1", "t3",
+])
+def test_parse_rejects_text_it_would_have_to_guess(text):
+    with pytest.raises(ValueError):
+        parse_poly(text, RingCtx(7, 1), 2)
+
+
 def test_context_mismatch_guard():
     a = LaurentPoly.one(RingCtx(3, 2), 1)
     # an equal but distinct context combines; the identity short-cut is only

@@ -18,7 +18,7 @@ STDOUT_SHA256 = {
     "cohomology_sweep.py":
         "5e68204c96ab9f10a71346577eb8f3dc4bffbb2b743d2830d9a44d55c191d199",
     "torus_example.py":
-        "aaec548094b685a82437dd9680c432bf9ff0f7bf27832159ff9c2564b6e701e0",
+        "ca25a7b741b4f2f52b86fa306f1215204f34db6778bb4f0f59a0e067f5776bcf",
     "witt_demo.py":
         "dc212521b133496f292f163cf08170f4751424e77d57bc9ad9aa27dae47fad70",
 }
