@@ -305,9 +305,8 @@ def test_descend_rejects_an_impure_lift(tmp_path, capsys):
 @pytest.mark.parametrize("cmd", ["cohomology", "raise", "descend"])
 def test_polynomial_text_without_operators_is_unreadable(tmp_path, capsys,
                                                          cmd, text):
-    conn = _write(tmp_path, "c.json", {**_trivial_conn(m=0 if cmd != "raise"
-                                                        else 1),
-                                       "theta": [[[text]]]})
+    conn = _write(tmp_path, "c.json",
+                  {**_trivial_conn(m=int(cmd == "raise")), "theta": [[[text]]]})
     lift = _write(tmp_path, "l.json", {"p": 3, "n": 2, "d": 1, "a": ["0"]})
     code, out, err = run(capsys, cmd, conn, *([lift] if cmd == "raise" else []))
     assert (code, out) == (2, "")
