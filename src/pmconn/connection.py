@@ -200,10 +200,6 @@ class Connection:
         """Whether the curvature vanishes; computed once per connection."""
         return self._integrable
 
-    def max_log_degree(self):
-        return max((a.log_degree() for M in self.theta for row in M for a in row),
-                   default=0)
-
     def __str__(self):
         mats = "; ".join(
             "[" + ", ".join("[" + ", ".join(str(a) for a in row) + "]"
@@ -256,89 +252,54 @@ def dual(C):
 
 @dataclass(frozen=True)
 class QNResult:
-    status: str               # "true" | "false" | "undetermined"
-    N: int | None             # generator bound (max over basis vectors)
-    # on "false", a closed walk v, theta_i(v), ..., v of nonzero vectors
+    # on a failure, (i, row, col): an entry of psi_i^rank nonzero mod p
     certificate: tuple | None = None
 
     def __bool__(self):
-        return self.status == "true"
-
-
-def _vec_key(v):
-    return tuple(x.terms for x in v)
+        return self.certificate is None
 
 
 def is_quasi_nilpotent(C):
-    """Three-valued quasi-nilpotence test by iterating theta on generators.
+    """Whether theta^a(v) = 0 for |a| large, for every v; decided mod p.
 
-    The orbit of each basis vector e_k under theta_1, ..., theta_d is found
-    breadth first, to depth 4 n rank d (1 + max log degree of Theta).  A
-    cycle of nonzero vectors in it is a certificate of failure; an orbit
-    that dies out inside the cap gives the smallest N_k with
-    theta^a(e_k) = 0 for |a| >= N_k, and True reports N = max_k N_k;
-    anything else reports undetermined.
+    Let psi_i be the F_p[t^+-1]-linear map that theta_i induces on M/pM, in
+    the dlog basis: Theta_i mod p when m >= 1, and the p-curvature
+    theta_i^p - theta_i mod p when m = 0 (N. Katz, Publ. IHES 39, 1970).
+    theta_i keeps each p^j M, and psi_i is what theta_i (theta_i^p - theta_i
+    at m = 0) induces on each p^j M / p^(j+1) M.  So C is quasi-nilpotent
+    exactly when every psi_i^rank is zero, and then theta^a = 0 on M, in the
+    dt basis too, for |a| >= n (d (q rank - 1) + 1), with q = p at m = 0 and
+    q = 1 otherwise.  A failure carries (i, row, col): an entry of
+    psi_i^rank that is nonzero mod p.
     """
     if not C.is_integrable():
         raise ValueError("quasi-nilpotence needs an integrable connection")
-    cap = 4 * C.ctx.n * C.rank * C.d * (1 + C.max_log_degree())
-    N = 0
+    ctx1 = RingCtx(C.ctx.p, 1)
+    psis = tuple(mat_map(M, lambda f: f.reduce_to(ctx1)) for M in C.theta)
+    if C.m == 0:
+        Cp = Connection(ctx1, C.d, 0, C.rank, psis)
+        psis = tuple(_p_curvature(Cp, i) for i in range(1, C.d + 1))
+    for i, psi in enumerate(psis, 1):
+        P = psi
+        for _ in range(C.rank - 1):
+            P = mat_matmul(P, psi)
+        for row in range(C.rank):
+            for col in range(C.rank):
+                if not P[row][col].is_zero():
+                    return QNResult((i, row, col))
+    return QNResult()
+
+
+def _p_curvature(C, i):
+    """theta_i^p - theta_i as a matrix, for C at level 0 over F_p."""
+    cols = []
     for k in range(C.rank):
         e = C.basis_vector(k)
-        root = _vec_key(e)
-        found = {root: e}
-        edges = {}  # expanded node -> keys of its nonzero images
-        layer = [root]
-        for _ in range(cap):
-            nxt = []
-            for key in layer:
-                succ = edges[key] = []
-                for i in range(1, C.d + 1):
-                    w = C.theta_apply(i, found[key])
-                    if any(not x.is_zero() for x in w):
-                        wkey = _vec_key(w)
-                        succ.append(wkey)
-                        if wkey not in found:
-                            found[wkey] = w
-                            nxt.append(wkey)
-            layer = nxt
-            if not layer:
-                break
-        cycle, longest = _walk(edges, root)
-        if cycle is not None:
-            return QNResult("false", None, tuple(found[x] for x in cycle))
-        if layer:
-            return QNResult("undetermined", None)
-        N = max(N, longest + 1)
-    return QNResult("true", N)
-
-
-def _walk(edges, root):
-    """One depth-first walk from root over the expanded nodes (the keys of
-    edges).  Returns (cycle, None) for the first cycle met, its first node
-    repeated at the end, or (None, the number of edges on the longest chain
-    from root).  Every expanded node was found from root, so a cycle among
-    them is met."""
-    depth = {}  # finished node -> longest chain below it
-    path, on_path = [root], {root}
-    stack = [iter(edges[root])]
-    while stack:
-        for nb in stack[-1]:
-            if nb not in edges or nb in depth:
-                continue
-            if nb in on_path:
-                return path[path.index(nb):] + [nb], None
-            path.append(nb)
-            on_path.add(nb)
-            stack.append(iter(edges[nb]))
-            break
-        else:
-            stack.pop()
-            node = path.pop()
-            on_path.discard(node)
-            depth[node] = max((1 + depth[nb] for nb in edges[node]
-                               if nb in depth), default=0)
-    return None, depth[root]
+        v = first = C.theta_apply(i, e)
+        for _ in range(C.ctx.p - 1):
+            v = C.theta_apply(i, v)
+        cols.append(tuple(a - b for a, b in zip(v, first)))
+    return tuple(zip(*cols))
 
 
 # -- extension presentations ---------------------------------------------------

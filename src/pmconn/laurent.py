@@ -90,10 +90,6 @@ class LaurentPoly:
     def is_zero(self):
         return not self.terms
 
-    def log_degree(self):
-        """Max over terms of sum of |exponent| entries; 0 for the zero poly."""
-        return max((sum(abs(x) for x in e) for e, _ in self.terms), default=0)
-
     def _chk(self, other):
         # the identity test skips the dataclass __eq__ on the common case
         if self.d != other.d or (self.ctx is not other.ctx

@@ -1,16 +1,17 @@
 import functools
 import hashlib
+import inspect
 import random
-import sys
+import time
 
 from hypothesis import given, settings, strategies as st
 
 from pmconn.arith import RingCtx
 from pmconn.laurent import LaurentPoly, parse_poly
-from pmconn.connection import (Connection, gauge, tensor, dual,
+from pmconn import connection
+from pmconn.connection import (Connection, QNResult, gauge, tensor, dual,
                                is_quasi_nilpotent, ExtensionPresentation,
-                               check_presentation, mat_id, mat_det,
-                               _vec_key, _walk)
+                               check_presentation, mat_id, mat_det)
 
 
 def _rand_poly(rng, ctx, d, terms, deg=2):
@@ -140,21 +141,20 @@ def test_dual_and_tensor_rank1():
     assert tensor(Cf, Cg).theta[0][0][0] == f + g
 
 
-def test_quasi_nilpotence_three_values():
+def test_quasi_nilpotence_two_values():
     ctx = RingCtx(3, 2)
     # theta = p is nilpotent mod p^2 after two applications
     C = Connection.rank1(ctx, 1, 1, [LaurentPoly.const(ctx, 1, 3)])
-    assert is_quasi_nilpotent(C).status == "true"
-    # theta = 1 at level 0: the orbit of 1 is the fixed nonzero vector 1
+    assert is_quasi_nilpotent(C) == QNResult(None)
+    # (O, d + dlog t): the p-curvature is 1^p - 1 = 0, although Theta = 1
+    # is a unit, and theta_dt^2(1) = (t^-1 + d/dt)(t^-1) = 0
     C1 = Connection.rank1(ctx, 1, 0, [LaurentPoly.one(ctx, 1)])
-    res = is_quasi_nilpotent(C1)
-    assert res.status == "false"
-    assert res.certificate is not None
-    assert not res and is_quasi_nilpotent(C)
-    # theta = t at level 0: the orbit 1, t, t^2, ... never revisits, so the
-    # cap is reached without a certificate either way
+    assert is_quasi_nilpotent(C1)
+    assert C1.theta_power_apply_dt((2,), C1.basis_vector(0))[0].is_zero()
+    # theta = t at level 0: theta_dt = 1 + d/dt has p-curvature 1
     Ct = Connection.rank1(ctx, 1, 0, [parse_poly("1*t1^1", ctx, 1)])
-    assert is_quasi_nilpotent(Ct).status == "undetermined"
+    res = is_quasi_nilpotent(Ct)
+    assert not res and res.certificate == (1, 0, 0)
 
 
 def test_quasi_nilpotence_gauge_invariant():
@@ -162,25 +162,7 @@ def test_quasi_nilpotence_gauge_invariant():
     rng = random.Random(5)
     C = Connection.rank1(ctx, 1, 1, [parse_poly("3*t1^1", ctx, 1)])
     g = [[_rand_unit(rng, ctx, 1)]]
-    assert is_quasi_nilpotent(C).status == is_quasi_nilpotent(gauge(C, g)).status
-
-
-def test_longest_path_is_iterative_on_deep_chains():
-    n = 20000
-    edges = {k: [k + 1] for k in range(n)}
-    edges[n] = []
-    limit = sys.getrecursionlimit()
-    assert _walk(edges, 0) == (None, n)
-    # a cycle through every node, closed at its start
-    edges = {k: [(k + 1) % n] for k in range(n)}
-    assert _walk(edges, 0) == (list(range(n)) + [0], None)
-    assert sys.getrecursionlimit() == limit
-    # diamond with a long and a short branch
-    edges = {"a": ["b", "c"], "b": ["d"], "c": ["e"], "e": ["d"], "d": []}
-    assert _walk(edges, "a") == (None, 3)
-    # nodes that were never expanded are skipped
-    assert _walk({"a": ["b"], "b": ["a", "c"]}, "a") == (["a", "b", "a"], None)
-    assert _walk({"a": ["b", "c"], "b": []}, "a") == (None, 1)
+    assert bool(is_quasi_nilpotent(C)) == bool(is_quasi_nilpotent(gauge(C, g)))
 
 
 def _qn_poly(rng, ctx, d):
@@ -237,10 +219,20 @@ def _qn_connections(count=300):
         yield C
 
 
-# SHA-256 of repr([(status, N)]) over _qn_connections(), recorded with the
-# breadth-first search, cycle search and longest-path pass that the one
-# depth-first walk replaced; 54 true, 179 false and 67 undetermined
-QN_DIGEST = "2a7d2c31e4b57165b94b324dabec9082cfea8be21fe39eae85a5dcaa121a9c30"
+# SHA-256 of repr([certificate]) over _qn_connections(), recorded with the
+# mod-p test: 122 true (certificate None) and 178 false
+QN_DIGEST = "e90f328f43e7657862d83a32bd8b0e5cf5603281816a6a522f98e4f83be5838e"
+
+# The answers of the orbit search that the mod-p test replaced, one letter
+# per connection of _qn_connections() at level m >= 1: T true, F false and
+# ? undetermined (38, 114 and 44); "." marks m = 0, where the search walked
+# the dlog basis on generators only and so decided another notion.
+WALK_ANSWERS = (
+    "F.F?.F.T.T.TF..?F?.?TF.?.F?.F.F?.F.FF.F??.FFF?.FT?T?T.F?.FF?.TF.FFF.TFF."
+    ".?FFTFF.FF.?.T?TF.FFFFTFTF.F..FFF..?F?FF.?FF..FTFTF?TT.FT..FT.F?F...FFFF"
+    "TT.FF?F?FFF.T.FFF?T?..F?FFFFF.T.FFF.?.....FFTF.F.F..F.T?F?F.F.?FT??..TF."
+    ".FF?.F..T....FFFTF.FFF?...FTT?F.T.F.F.F.....??.T...?TF??..FTF..?FF..F.FF"
+    ".?F?.T.FF...")
 
 
 @functools.cache
@@ -248,38 +240,105 @@ def _qn_results():
     return [(C, is_quasi_nilpotent(C)) for C in _qn_connections()]
 
 
+def _dt_oracle(C, res):
+    """Whether res holds up in the dt basis.  True: theta_dt^a(e_k) = 0 for
+    every |a| = n (d (q rank - 1) + 1) and every k, with q = p at m = 0 and
+    q = 1 otherwise.  False with certificate (i, row, col): entry row of
+    theta_dt_i^(q rank)(e_col) is nonzero mod p."""
+    q = C.ctx.p if C.m == 0 else 1
+    if res:
+        N = C.ctx.n * (C.d * (q * C.rank - 1) + 1)
+        powers = [(N,)] if C.d == 1 else [(N - j, j) for j in range(N + 1)]
+        return all(x.is_zero() for k in range(C.rank) for a in powers
+                   for x in C.theta_power_apply_dt(a, C.basis_vector(k)))
+    i, row, col = res.certificate
+    a = tuple(q * C.rank if j == i else 0 for j in range(1, C.d + 1))
+    v = C.theta_power_apply_dt(a, C.basis_vector(col))
+    return any(c % C.ctx.p for _, c in v[row].terms)
+
+
+def _disagreements(qn, results=None):
+    """Indices into _qn_connections() where qn contradicts a recorded
+    determinate walk answer (or calls a walk undetermined quasi-nilpotent),
+    or fails the dt-basis oracle."""
+    results = results or ((C, qn(C)) for C in _qn_connections())
+    for k, ((C, res), walk) in enumerate(zip(results, WALK_ANSWERS)):
+        if walk != "." and bool(res) != (walk == "T"):
+            yield k
+        elif not _dt_oracle(C, res):
+            yield k
+
+
 def test_quasi_nilpotence_digest_is_pinned():
-    assert hashlib.sha256(repr([(r.status, r.N) for _, r in _qn_results()])
+    results = [r for _, r in _qn_results()]
+    assert sum(map(bool, results)) == 122
+    assert hashlib.sha256(repr([r.certificate for r in results])
                           .encode()).hexdigest() == QN_DIGEST
 
 
-def test_quasi_nilpotence_false_comes_with_a_theta_cycle():
-    false = 0
-    for C, res in _qn_results():
-        if res.status != "false":
-            assert res.certificate is None
-            continue
-        false += 1
-        cycle = res.certificate
-        assert len(cycle) >= 2 and _vec_key(cycle[0]) == _vec_key(cycle[-1])
-        assert len({_vec_key(v) for v in cycle}) == len(cycle) - 1
-        for v, w in zip(cycle, cycle[1:]):
-            assert any(not x.is_zero() for x in v)
-            assert any(_vec_key(C.theta_apply(i, v)) == _vec_key(w)
-                       for i in range(1, C.d + 1))
-    assert false == 179
+def test_walk_answers_are_recorded_at_every_level_m_at_least_1():
+    assert [w == "." for w in WALK_ANSWERS] == \
+        [C.m == 0 for C in _qn_connections()]
+    assert [WALK_ANSWERS.count(w) for w in "TF?"] == [38, 114, 44]
+
+
+def test_quasi_nilpotence_matches_the_walk_and_the_dt_basis_oracle():
+    assert list(_disagreements(is_quasi_nilpotent, _qn_results())) == []
+
+
+def _mutant(old, new):
+    """is_quasi_nilpotent with one line of its source replaced."""
+    src = inspect.getsource(connection.is_quasi_nilpotent)
+    assert src.count(old) == 1
+    ns = dict(vars(connection))
+    exec(src.replace(old, new), ns)
+    return ns["is_quasi_nilpotent"]
+
+
+def test_a_test_of_psi_to_the_rank_minus_1_fails_the_oracle():
+    qn = _mutant("range(C.rank - 1)", "range(C.rank - 2)")
+    assert next(_disagreements(qn), None) is not None
+
+
+def test_a_test_of_theta_mod_p_at_level_0_fails_the_oracle():
+    qn = _mutant("if C.m == 0:", "if False:")
+    assert next(_disagreements(qn), None) is not None
+    ctx = RingCtx(3, 2)
+    C = Connection.rank1(ctx, 1, 0, [LaurentPoly.one(ctx, 1)])
+    assert is_quasi_nilpotent(C) and not qn(C)
 
 
 def test_quasi_nilpotence_sees_a_theta_1_chain_past_the_cap():
-    # theta_1 = 12 cycles on the constants with period 20, past the cap of
-    # 16, while theta_2 = 5 and then theta_1 close the cycle 5, 10, 20, 15
-    # at depth 5.  A depth-first discovery capped by path length reaches
-    # those four first at the bottom of the theta_1 chain, where they are
-    # not expanded, and reports undetermined.
+    # theta_1 = 12 cycles on the constants with period 20 and theta_2 = 5
+    # is 0 mod 5; psi_1 = 12 = 2 mod 5 is the certificate, however long
+    # the chain
     ctx = RingCtx(5, 2)
     C = Connection.rank1(ctx, 2, 1, [LaurentPoly.const(ctx, 2, 12),
                                      LaurentPoly.const(ctx, 2, 5)])
-    assert is_quasi_nilpotent(C).status == "false"
+    assert is_quasi_nilpotent(C).certificate == (1, 0, 0)
+
+
+def test_quasi_nilpotence_is_fast_on_non_constant_theta_at_d_2():
+    # the orbit search took 6 s to give up on this input
+    ctx = RingCtx(5, 3)
+    C = Connection.rank1(ctx, 2, 2, [parse_poly(s, ctx, 2) for s in
+                                     ("6+56*t1^2*t2^2", "43+56*t1^2*t2^2")])
+    assert C.is_integrable()
+    t0 = time.perf_counter()
+    res = is_quasi_nilpotent(C)
+    assert time.perf_counter() - t0 < 0.01
+    assert res.certificate == (1, 0, 0)
+
+
+def test_a_unit_constant_at_level_0_can_be_quasi_nilpotent():
+    # theta = 96 = 1 mod 5: psi = 1 - 1 = 0, and the falling factorial
+    # 96 (96 - 1) ... (96 - k + 1) kills theta_dt^k(e) for large k
+    ctx = RingCtx(5, 3)
+    C = Connection.rank1(ctx, 1, 0, [LaurentPoly.const(ctx, 1, 96)])
+    assert is_quasi_nilpotent(C)
+    e = C.basis_vector(0)
+    # n (d (p rank - 1) + 1) = 15
+    assert C.theta_power_apply_dt((15,), e)[0].is_zero()
 
 
 def test_check_presentation_classifications():
