@@ -447,14 +447,22 @@ def case_witt_compare(opts, p, n, m, d):
             return {"pass": False, "object": name,
                     "components": [c for c in rep["components"]
                                    if not (c["h0_ok"] and c["h1_ok"])]}
-    # agreement with the classical rule through [t]
+    # agreement with the classical connection of f through [t]: the raise
+    # follows the rank-1 rule, and the integral clusters carry f's de Rham
+    # complex, so their H^0 is compute_H's on the same window
     ctx = RingCtx(p, n)
     f = LaurentPoly.from_dict(ctx, 1, {(1,): pm, (0,): pm})
-    wf = integral_to_witt(f, n)
-    raised = witt_level_raise(WittConnection(m, wf))
+    C = WittConnection(m, integral_to_witt(f, n))
     want = integral_to_witt(frob_substitute(f, FrobLift.pure(ctx, 1)), n)
-    if raised.f.comps != want.comps:
+    if witt_level_raise(C).f.comps != want.comps:
         return {"pass": False, "object": "integral-embedding"}
+    h0 = sorted(x for c in witt_compare(C, 2)["components"]
+                if not any("/" in w for w in c["weights"]) for x in c["h0"])
+    H = compute_H(Connection.rank1(ctx, 1, m, [f]), 0, 2, stability=False)
+    classical = sorted(x for e in H.entries for x in e["divisors"])
+    if h0 != classical:
+        return {"pass": False, "object": "integral-embedding", "h0": h0,
+                "classical": classical}
     return {"pass": True}
 
 

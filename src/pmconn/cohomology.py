@@ -5,13 +5,14 @@ In the log basis nabla sends the weight w to the weights w + u, for u an
 exponent of the connection matrices or 0.  Two window weights are linked
 when their images meet, w + u = w2 + u2, so the windowed complex is block
 diagonal over the linked components; constant matrices leave each weight
-alone.  One routine builds each component's block, with every weight it
-reaches as target, and runs a solve once per translation class of
-components, keyed by its shape and p^m w mod p^n.  The blocks come from a
-plan of the connection's terms, built once per call and degree.  compute_H
-solves with homology_divisors: homology groups are finite p-groups,
-reported as p-exponents of elementary divisors, and exact on components
-away from the window boundary.  hom_space solves with kernel_generators:
+alone.  One routine builds each component's block with
+linalg.windowed_block from nabla's images, with a row for every form they
+reach, and runs a solve once per translation class of components, keyed by
+its shape and p^m w mod p^n.  The images come from a plan of the
+connection's terms, built once per call and degree.  compute_H solves with
+homology_divisors: homology groups are finite p-groups, reported as
+p-exponents of elementary divisors, and exact on components away from the
+window boundary.  hom_space solves with kernel_generators:
 a horizontal map g with Theta1 g + p^m t dg = g Theta2 is a degree-0
 cocycle of C1 (x) C2^dual, and the gauge search reads hom_space.
 """
@@ -28,7 +29,8 @@ from .connection import (Connection, check_presentation, dual, mat_add,
                          mat_det, mat_id, mat_scale, tensor)
 from .frobenius import level_raise, twist_decompose
 from .laurent import LaurentPoly
-from .linalg import components, homology_divisors, kernel_generators, snf_int
+from .linalg import (components, homology_divisors, kernel_generators,
+                     snf_int, windowed_block)
 
 
 @dataclass
@@ -99,46 +101,37 @@ def _boundary_plan(C, q):
     return plan
 
 
-def _boundary_matrix(C, plan, basis_in, basis_out):
-    """Integer matrix of nabla_q from basis_in to basis_out, in the log
-    basis, as sparse columns {row: entry}, one per element of basis_in,
-    walked from the degree-q plan (an entry where terms cancel stays, as
-    0).  Also returns, per column, whether any image term fell outside
-    basis_out (window leakage)."""
-    row_of = {b: k for k, b in enumerate(basis_out)}.get
+def _nabla_images(C, plan, basis):
+    """nabla of each form (w, j, S) of basis, in the log basis, as a dict
+    {(w2, b, S2): entry}, walked from the degree-q plan of C.  A form that
+    terms reach and then cancel stays, with entry 0."""
     pm = C.p_to_m()
-    cols = [{} for _ in basis_in]
-    leaks = [False] * len(basis_in)
-    for col, (w, j, S) in enumerate(basis_in):
+    out = []
+    for w, j, S in basis:
         terms, diag = plan[j, S]
-        image = cols[col]
+        image = {}
         get = image.get
         for u, b, S2, c in terms:
-            r = row_of((tuple(map(add, w, u)), b, S2))
-            if r is None:
-                leaks[col] = True
-            else:
-                image[r] = get(r, 0) + c
+            key = (tuple(map(add, w, u)), b, S2)
+            image[key] = get(key, 0) + c
         for axis, jj, S2, sign in diag:
             c = pm * w[axis]
             if c:
-                r = row_of((w, jj, S2))
-                if r is None:
-                    leaks[col] = True
-                else:
-                    image[r] = get(r, 0) + sign * c
-    return cols, leaks
+                key = (w, jj, S2)
+                image[key] = get(key, 0) + sign * c
+        out.append(image)
+    return out
 
 
 def _component_solves(C, i, D, solve):
     """Each weight component of the window [-D, D]^d, in the order of their
-    least weights, with solve(A, B, r) on its degree-i block: A the sparse
-    columns of nabla_(i-1) into the component's i-forms (the columns that
-    leak out of it dropped), B those of nabla_i from them onto the r
-    (i+1)-forms they reach.  The i-forms are _form_basis(comp, C.rank, C.d,
-    i), weight-major.
+    least weights, with solve(A, B, out) on its degree-i block from
+    linalg.windowed_block: A the sparse columns of nabla_(i-1) into the
+    component's i-forms (the columns that leak out of it dropped), B those
+    of nabla_i from them onto the (i+1)-forms they reach, listed in out.
+    The i-forms are _form_basis(comp, C.rank, C.d, i), weight-major.
 
-    A translate of a component has the same blocks mod p^n: the bases and
+    A translate of a component has the same blocks mod p^n: the forms and
     the leaking columns move with it, theta's coefficients do not depend on
     w, and the diagonal p^m w_i mod p^n is fixed by the key.  So solve runs
     once per translation class, and translates share its result.  The memo
@@ -146,7 +139,6 @@ def _component_solves(C, i, D, solve):
     with a call at a wider window, and a shared memo would compare each
     interior component with itself.
     """
-    shifts = _theta_shifts(C)
     pm = C.p_to_m()
     plan = _boundary_plan(C, i)
     plan_src = _boundary_plan(C, i - 1) if i else None
@@ -157,17 +149,10 @@ def _component_solves(C, i, D, solve):
                tuple(pm * x % C.ctx.modulus for x in w0))
         if key not in solved:
             mid = _form_basis(comp, C.rank, C.d, i)
-            # every weight the component reaches, so that the kernel at the
-            # window is computed without truncation loss
-            ext = sorted({tuple(map(add, w, u)) for w in comp for u in shifts})
-            out_basis = _form_basis(ext, C.rank, C.d, i + 1)
-            B, _ = _boundary_matrix(C, plan, mid, out_basis)
-            A = []
-            if i:
-                src = _form_basis(comp, C.rank, C.d, i - 1)
-                A_full, leaks = _boundary_matrix(C, plan_src, src, mid)
-                A = [col for col, leak in zip(A_full, leaks) if not leak]
-            solved[key] = solve(A, B, len(out_basis))
+            src = _form_basis(comp, C.rank, C.d, i - 1) if i else []
+            solved[key] = solve(*windowed_block(
+                mid, _nabla_images(C, plan, mid),
+                _nabla_images(C, plan_src, src)))
         yield comp, solved[key]
 
 
@@ -188,8 +173,8 @@ def compute_H(C, i, D, stability=True):
     n = C.ctx.n
     p = C.ctx.p
 
-    def divisors(A, B, r):
-        return homology_divisors(A, B, [n] * len(B), [n] * r, p, n)
+    def divisors(A, B, out):
+        return homology_divisors(A, B, [n] * len(B), [n] * len(out), p, n)
 
     entries = [{"w": comp[0], "weights": comp, "divisors": list(divs)}
                for comp, divs in _component_solves(C, i, D, divisors) if divs]
@@ -231,7 +216,7 @@ def hom_space(C1, C2, D):
     H = tensor(C1, dual(C2))
     ctx, d, r2 = H.ctx, H.d, C2.rank
 
-    def kernel(A, B, r):
+    def kernel(A, B, out):
         # the rows of B that hold an entry; the others constrain nothing
         rows = {}
         for k, col in enumerate(B):

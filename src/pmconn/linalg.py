@@ -1,6 +1,6 @@
 """Matrix utilities over Z/p^N on sparse rows and columns: a Smith normal
-form, kernel generators, homology of finite p-group complexes, and connected
-components.
+form, kernel generators, homology of finite p-group complexes, the blocks of
+windowed complexes, and connected components.
 
 Matrices come in as lists of dicts, rows ``{column: entry}`` for ``snf_int``
 and ``kernel_generators`` and columns ``{row: entry}`` for the maps of a
@@ -19,6 +19,8 @@ entries never grow past p^{N+1}.  Elementary divisors are reported as lists
 of p-exponents.  Neither the kernel nor homology needs the divisor chain,
 only the p-valuations of a diagonal form, so the Smith form skips the
 divisibility fix-up, and homology skips the transforms as well.
+windowed_block builds a block of a windowed complex, de Rham or Witt, from
+images {target: entry}, with a row for every target reached.
 """
 
 from __future__ import annotations
@@ -199,6 +201,26 @@ def homology_divisors(A, B, orders_mid, orders_out, p, cap):
     _, D, _ = snf_int(S, len(rels), p ** (max(orders_mid) + 1),
                       transforms=False)
     return diagonal_p_exponents(D[:b], p, cap)
+
+
+def windowed_block(mid, images, src_images):
+    """The block of a windowed complex at the middle generators mid, from
+    images given as dicts {target: entry}: images[k] is the image of mid[k],
+    and src_images those of the generators one degree below.
+
+    Returns (A, B, targets) as homology_divisors reads them.  A holds the
+    source columns that land inside mid, over mid's positions; a column
+    with a target outside mid leaks out of the window and is dropped.  B
+    has a row for each target reached, in the window or past it, in sorted
+    order, so no image is cut; targets lists them for their orders.
+    """
+    pos = {x: k for k, x in enumerate(mid)}
+    A = [{pos[x]: c for x, c in image.items()} for image in src_images
+         if image.keys() <= pos.keys()]
+    targets = sorted({x for image in images for x in image})
+    row = {x: k for k, x in enumerate(targets)}
+    B = [{row[x]: c for x, c in image.items()} for image in images]
+    return A, B, targets
 
 
 def components(items, links):

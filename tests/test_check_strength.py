@@ -7,7 +7,7 @@ about the code the defect breaks.
 import inspect
 import json
 
-from pmconn import cli, frobenius
+from pmconn import cli, frobenius, witt
 from pmconn.connection import Connection
 
 
@@ -41,3 +41,12 @@ def test_level_raise_fails_with_a_raise_that_drops_the_lift(capsys,
     monkeypatch.setattr(cli, "level_raise", raise_without_lift)
     monkeypatch.setattr(frobenius, "level_raise", raise_without_lift)
     assert _failures(capsys, "level-raise")
+
+
+def test_witt_compare_fails_with_a_nabla_that_drops_its_coefficient(
+        capsys, monkeypatch):
+    def nabla_without_f(self, g):
+        return witt._d(g, self.p, self.n) * self.p ** self.m
+    assert _failures(capsys, "witt-compare") == []
+    monkeypatch.setattr(witt.WittConnection, "nabla", nabla_without_f)
+    assert _failures(capsys, "witt-compare")

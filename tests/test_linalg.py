@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pmconn.linalg import (snf_int, kernel_generators,
                            diagonal_p_exponents, homology_divisors,
-                           components)
+                           components, windowed_block)
 
 
 def _mat_mul(A, B):
@@ -278,6 +278,19 @@ def test_components_keep_item_order():
     links = [("c", "a"), ("e", "d"), ("d", "e")]
     assert components("abcde", links) == [["a", "c"], ["b"], ["d", "e"]]
     assert components([], []) == []
+
+
+def test_windowed_block_keeps_every_reached_row():
+    # mid = [0, 1] over Z/9: nabla of 1 reaches 2, past the window.  B keeps
+    # that row, so 1 is not horizontal; the source column that reaches 2
+    # leaks out and is dropped from A
+    A, B, targets = windowed_block([0, 1], [{1: 3}, {2: 3}],
+                                   [{0: 1, 1: 1}, {1: 1, 2: 1}])
+    assert (A, B, targets) == ([{0: 1, 1: 1}], [{0: 3}, {1: 3}], [1, 2])
+    assert homology_divisors([], B, [2, 2], [2, 2], 3, 2) == [1, 1]
+    # cut to the window, the image of 1 would vanish: a false Z/9
+    assert homology_divisors([], [{0: 3}, {}], [2, 2], [2], 3, 2) == [1, 2]
+    assert windowed_block([], [], []) == ([], [], [])
 
 
 def test_homology_divisors_empty_middle():
