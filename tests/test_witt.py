@@ -346,10 +346,7 @@ def test_window_generator_ghost_is_v_of_teichmuller():
 # window generators in coordinates of their own, as an oracle for the shared
 # code.  The reports were recorded from witt_compare on linalg's windowed
 # block builder, which keeps every reached row, joins clusters through
-# targets past the window and gives each generator its own order; compared
-# with the earlier complex, which cut images to the window and gave each
-# raised generator its source's order, 54 of the 108 reports changed and no
-# cluster did.
+# targets past the window and gives each generator its own order.
 ONE_FORMS_SHA256 = \
     "f7ddb1a03e3deed348b58024c7a0733329e3f1ecaaf42ad3eb154344125743c4"
 COMPARE_SHA256 = \
