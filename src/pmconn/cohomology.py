@@ -7,12 +7,15 @@ when their images meet, w + u = w2 + u2, so the windowed complex is block
 diagonal over the linked components; constant matrices leave each weight
 alone.  One routine builds each component's block with
 linalg.windowed_block from nabla's images, with a row for every form they
-reach, and runs a solve once per translation class of components, keyed by
-its shape and p^m w mod p^n.  The images come from a plan of the
-connection's terms, built once per call and degree.  compute_H solves with
-homology_divisors: homology groups are finite p-groups, reported as
-p-exponents of elementary divisors, and exact on components away from the
-window boundary.  hom_space solves with kernel_generators:
+reach.  It builds one block per translation class of components, keyed by
+its shape and p^m w mod p^n, and runs a solve once per distinct block, in
+a memo keyed by the block's entries that the caller owns.  The images come
+from a plan of the connection's terms, built once per call and degree.
+compute_H solves with homology_divisors: homology groups are finite
+p-groups, reported as p-exponents of elementary divisors, and exact on
+components away from the window boundary.  compare_theorem25 shares one
+memo per degree across the raise, the twists and C, whose blocks repeat
+along the pure lift.  hom_space solves with kernel_generators:
 a horizontal map g with Theta1 g + p^m t dg = g Theta2 is a degree-0
 cocycle of C1 (x) C2^dual, and the gauge search reads hom_space.
 """
@@ -29,8 +32,8 @@ from .connection import (Connection, check_presentation, dual, mat_add,
                          mat_det, mat_id, mat_scale, tensor)
 from .frobenius import level_raise, twist_decompose
 from .laurent import LaurentPoly
-from .linalg import (components, homology_divisors, kernel_generators,
-                     snf_int, windowed_block)
+from .linalg import (components, freeze_columns, homology_divisors,
+                     kernel_generators, snf_int, windowed_block)
 
 
 @dataclass
@@ -123,7 +126,7 @@ def _nabla_images(C, plan, basis):
     return out
 
 
-def _component_solves(C, i, D, solve):
+def _component_solves(C, i, D, solve, blocks):
     """Each weight component of the window [-D, D]^d, in the order of their
     least weights, with solve(A, B, out) on its degree-i block from
     linalg.windowed_block: A the sparse columns of nabla_(i-1) into the
@@ -131,13 +134,17 @@ def _component_solves(C, i, D, solve):
     of nabla_i from them onto the (i+1)-forms they reach, listed in out.
     The i-forms are _form_basis(comp, C.rank, C.d, i), weight-major.
 
-    A translate of a component has the same blocks mod p^n: the forms and
-    the leaking columns move with it, theta's coefficients do not depend on
-    w, and the diagonal p^m w_i mod p^n is fixed by the key.  So solve runs
-    once per translation class, and translates share its result.  The memo
-    is local to the call: compute_H's stability pass compares its results
-    with a call at a wider window, and a shared memo would compare each
-    interior component with itself.
+    Two memos spare work.  A translate of a component has the same blocks
+    mod p^n: the forms and the leaking columns move with it, theta's
+    coefficients do not depend on w, and the diagonal p^m w_i mod p^n is
+    fixed by the key.  So a memo local to the call builds one block per
+    translation class.  blocks, the caller's dict, maps each block as solve
+    receives it, (A, B, len(out)) under linalg.freeze_columns, to solve's
+    result: an equal key is an identical input to a deterministic solve, so
+    solve runs once per distinct block and no result changes.
+    compare_theorem25 shares one such dict across a degree's calls.
+    compute_H keeps its own, so its stability pass, which compares with a
+    call at a wider window, never compares a component with itself.
     """
     pm = C.p_to_m()
     plan = _boundary_plan(C, i)
@@ -150,10 +157,33 @@ def _component_solves(C, i, D, solve):
         if key not in solved:
             mid = _form_basis(comp, C.rank, C.d, i)
             src = _form_basis(comp, C.rank, C.d, i - 1) if i else []
-            solved[key] = solve(*windowed_block(
-                mid, _nabla_images(C, plan, mid),
-                _nabla_images(C, plan_src, src)))
+            A, B, out = windowed_block(mid, _nabla_images(C, plan, mid),
+                                       _nabla_images(C, plan_src, src))
+            block = (freeze_columns(A), freeze_columns(B), len(out))
+            if block not in blocks:
+                blocks[block] = solve(A, B, out)
+            solved[key] = blocks[block]
         yield comp, solved[key]
+
+
+def _H_report(C, i, D, blocks):
+    """compute_H without its stability pass, solving through blocks, the
+    caller's memo for _component_solves.  Each entry gets its own list."""
+    if not C.is_integrable():
+        raise ValueError("cohomology needs an integrable connection")
+    if not 0 <= i <= C.d:
+        raise ValueError(f"degree {i} out of range for d = {C.d}")
+    n = C.ctx.n
+    p = C.ctx.p
+
+    def divisors(A, B, out):
+        return homology_divisors(A, B, [n] * len(B), [n] * len(out), p, n)
+
+    entries = [{"w": comp[0], "weights": comp, "divisors": list(divs)}
+               for comp, divs in _component_solves(C, i, D, divisors, blocks)
+               if divs]
+    free_rank = sum(1 for e in entries for x in e["divisors"] if x == n)
+    return CohomologyReport(i, D, entries, free_rank, True)
 
 
 def compute_H(C, i, D, stability=True):
@@ -166,30 +196,16 @@ def compute_H(C, i, D, stability=True):
     theta an interior component has the same block at D + 2.  The D + 2
     pass stays because dropping it read +20% peak_rss_mb on the
     cohomology-coupled benchmark (ROADMAP 1a)."""
-    if not C.is_integrable():
-        raise ValueError("cohomology needs an integrable connection")
-    if not 0 <= i <= C.d:
-        raise ValueError(f"degree {i} out of range for d = {C.d}")
-    n = C.ctx.n
-    p = C.ctx.p
-
-    def divisors(A, B, out):
-        return homology_divisors(A, B, [n] * len(B), [n] * len(out), p, n)
-
-    entries = [{"w": comp[0], "weights": comp, "divisors": list(divs)}
-               for comp, divs in _component_solves(C, i, D, divisors) if divs]
-    free_rank = sum(1 for e in entries for x in e["divisors"] if x == n)
-    stable = True
+    rep = _H_report(C, i, D, {})
     if stability:
         reach = max(sum(map(abs, u)) for u in _theta_shifts(C))
-        bigger = compute_H(C, i, D + 2, stability=False)
-        big = {tuple(e["w"]): e["divisors"] for e in bigger.entries}
-        for e in entries:
+        big = compute_H(C, i, D + 2, stability=False).by_weight()
+        for e in rep.entries:
             if max(abs(x) for w in e["weights"] for x in w) + reach > D:
                 continue  # component touches the window boundary
             if big.get(tuple(e["w"])) != e["divisors"]:
-                stable = False
-    return CohomologyReport(i, D, entries, free_rank, stable)
+                rep.stable = False
+    return rep
 
 
 # -- Hom spaces and the gauge search -------------------------------------------
@@ -225,7 +241,7 @@ def hom_space(C1, C2, D):
         return kernel_generators(list(rows.values()), len(B), ctx.p, ctx.n)
 
     out = []
-    for comp, gens in _component_solves(H, 0, D, kernel):
+    for comp, gens in _component_solves(H, 0, D, kernel, {}):
         for vec, e in gens:
             g = [[{} for _ in range(r2)] for _ in range(C1.rank)]
             for k, x in enumerate(vec):
@@ -350,6 +366,11 @@ def compare_theorem25(C, F, presentation, D):
     Here theta is constant, so the raise keeps it, and p^(m-1)(p w + a) =
     p^m w + p^(m-1) a: (a) and (h0) compare equal blocks mod p^n, and only
     (b) and (c) can fail on such input.
+
+    So one memo of solved blocks (_component_solves) serves a degree's
+    cohomology of LR, of every twist and of C, and is dropped after it.  A
+    wrong raise or twist changes its blocks, misses the memo and is still
+    compared.
     """
     rep = check_presentation(presentation)
     if rep.classification == "invalid":
@@ -371,11 +392,12 @@ def compare_theorem25(C, F, presentation, D):
     # H_LR at u does not depend on the window: a wider one only adds work.
     W = p * D + p - 1
     for i in range(d + 1):
-        H_LR = compute_H(LR, i, W, stability=False).by_weight()
+        blocks = {}
+        H_LR = _H_report(LR, i, W, blocks).by_weight()
         findings = {"decomposition": True, "bound": True, "h0": True,
                     "violations": []}
         for a, Ct in twists.items():
-            H_t = compute_H(Ct, i, D, stability=False).by_weight()
+            H_t = _H_report(Ct, i, D, blocks).by_weight()
             bound = min(4 * ell * (m - 1) * (i + 1), n)
             for w in _window_exponents(d, D):
                 u = tuple(p * x + y for x, y in zip(w, a))
@@ -392,7 +414,7 @@ def compare_theorem25(C, F, presentation, D):
                         {"kind": "bound", "i": i, "a": list(a),
                          "w": list(w), "divisors": rhs, "bound": bound})
         if i == 0:
-            H_C = compute_H(C, 0, D, stability=False).by_weight()
+            H_C = _H_report(C, 0, D, blocks).by_weight()
             for w in _window_exponents(d, D):
                 u = tuple(p * x for x in w)
                 if H_C.get(w, []) != H_LR.get(u, []):

@@ -20,7 +20,8 @@ of p-exponents.  Neither the kernel nor homology needs the divisor chain,
 only the p-valuations of a diagonal form, so the Smith form skips the
 divisibility fix-up, and homology skips the transforms as well.
 windowed_block builds a block of a windowed complex, de Rham or Witt, from
-images {target: entry}, with a row for every target reached.
+images {target: entry}, with a row for every target reached, and
+freeze_columns turns its sparse columns into a key for a memo of solves.
 """
 
 from __future__ import annotations
@@ -221,6 +222,13 @@ def windowed_block(mid, images, src_images):
     row = {x: k for k, x in enumerate(targets)}
     B = [{row[x]: c for x, c in image.items()} for image in images]
     return A, B, targets
+
+
+def freeze_columns(cols):
+    """A hashable key for sparse columns: per column, its (index, entry)
+    items in sorted order.  Two lists of columns get equal keys exactly when
+    they hold the same entries at the same places."""
+    return tuple(tuple(sorted(col.items())) for col in cols)
 
 
 def components(items, links):

@@ -44,8 +44,8 @@ from functools import cached_property, lru_cache
 
 from .arith import RingCtx, int_val_p
 from .laurent import LaurentPoly
-from .linalg import (components, diagonal_p_exponents, homology_divisors,
-                     snf_int, windowed_block)
+from .linalg import (components, diagonal_p_exponents, freeze_columns,
+                     homology_divisors, snf_int, windowed_block)
 
 
 class NotNilpotent(ValueError):
@@ -409,7 +409,12 @@ def witt_compare(C, D):
     images meet past the window are one.  linalg.windowed_block builds each
     cluster's block and keeps every reached target as a row: a generator
     whose image leaves the window is not horizontal, and H^1 is the
-    cluster's one-forms modulo the images that stay inside it.  H^0 must
+    cluster's one-forms modulo the images that stay inside it.  Clusters
+    repeat, so the call keeps one memo of solves, keyed by each solve's
+    input under linalg.freeze_columns: H^0 by the block's B and the orders
+    of its generators and targets, H^1 by its A and the generators' orders.
+    Each distinct block is solved once, and every report gets lists of its
+    own.  H^0 must
     agree exactly on purely integral clusters; clusters with fractional
     weights may differ by at most one power of p per fractional generator
     (the V-level drop shifts one unit of torsion).  H^1 total lengths must
@@ -437,6 +442,14 @@ def witt_compare(C, D):
         sides.append((gens, images))
     report = {"p": p, "n": n, "m": m, "window": D, "nilpotent": True,
               "components": [], "pass": True}
+    solved = {}
+
+    def divisors(A, B, ords, out):
+        key = (freeze_columns(A), freeze_columns(B), tuple(ords), tuple(out))
+        if key not in solved:
+            solved[key] = homology_divisors(A, B, ords, out, p, n)
+        return list(solved[key])
+
     for members in components(range(len(window)), links):
         h = []
         for gens, images in sides:
@@ -444,9 +457,9 @@ def witt_compare(C, D):
             cols = [images[k] for k in members]
             A, B, targets = windowed_block(mid, cols, cols)
             ords = [n - _level(e, p, n) for e in mid]
-            h += [homology_divisors([], B, ords, [n - _level(e, p, n)
-                                                  for e in targets], p, n),
-                  homology_divisors(A, [{}] * len(mid), ords, [], p, n)]
+            h += [divisors([], B, ords, [n - _level(e, p, n)
+                                         for e in targets]),
+                  divisors(A, [{}] * len(mid), ords, [])]
         h0a, h1a, h0b, h1b = h
         fg = sum(1 for k in members if _level(window[k], p, n))
         ok0 = abs(sum(h0a) - sum(h0b)) <= fg if fg else h0a == h0b

@@ -7,8 +7,9 @@ about the code the defect breaks.
 import inspect
 import json
 
-from pmconn import cli, frobenius, witt
+from pmconn import cli, cohomology, frobenius, witt
 from pmconn.connection import Connection
+from pmconn.laurent import LaurentPoly
 
 
 def _failures(capsys, suite):
@@ -50,3 +51,36 @@ def test_witt_compare_fails_with_a_nabla_that_drops_its_coefficient(
     assert _failures(capsys, "witt-compare") == []
     monkeypatch.setattr(witt.WittConnection, "nabla", nabla_without_f)
     assert _failures(capsys, "witt-compare")
+
+
+def _failed_checks(failure):
+    """The theorem25 checks that are false in a failing case's report."""
+    return {k for degree in failure["got"]["report"].values()
+            for k in ("decomposition", "bound", "h0") if not degree[k]}
+
+
+def test_theorem25_fails_with_a_twist_without_its_shift(capsys, monkeypatch):
+    def twists_without_shift(C, F):
+        return {a: C for a in frobenius.twist_decompose(C, F)}
+    assert _failures(capsys, "theorem25") == []
+    monkeypatch.setattr(cohomology, "twist_decompose", twists_without_shift)
+    failures = _failures(capsys, "theorem25")
+    assert len(failures) == 6
+    assert all("decomposition" in _failed_checks(f) for f in failures)
+
+
+def test_theorem25_and_level_raise_fail_with_a_raise_to_zero(capsys,
+                                                             monkeypatch):
+    def raise_to_zero(C, F):
+        zero = (LaurentPoly.zero(C.ctx, C.d),) * C.rank
+        return Connection(C.ctx, C.d, C.m - 1, C.rank,
+                          ((zero,) * C.rank,) * C.d)
+    for module in (cli, cohomology, frobenius):
+        monkeypatch.setattr(module, "level_raise", raise_to_zero)
+    failures = _failures(capsys, "theorem25")
+    assert len(failures) == 6
+    assert all({"decomposition", "h0"} <= _failed_checks(f)
+               for f in failures)
+    failures = _failures(capsys, "level-raise")
+    assert len(failures) == 15
+    assert all(f["got"]["law"] == "rank1-rule" for f in failures)
