@@ -5,17 +5,17 @@ In the log basis nabla sends the weight w to the weights w + u, for u an
 exponent of the connection matrices or 0.  Two window weights are linked
 when their images meet, w + u = w2 + u2, so the windowed complex is block
 diagonal over the linked components; constant matrices leave each weight
-alone.  One routine builds each component's block with
-linalg.windowed_block from nabla's images, with a row for every form they
-reach.  It builds one block per translation class of components, keyed by
-its shape and p^m w mod p^n, and runs a solve once per distinct block, in
-a memo keyed by the block's entries that the caller owns.  The images come
+alone.  One routine builds each component's block, over a given list of
+weights, with linalg.windowed_block from nabla's images, with a row for
+every form they reach.  It builds and solves one block per translation
+class of components, keyed by its shape and p^m w mod p^n.  The images come
 from a plan of the connection's terms, built once per call and degree.
 compute_H solves with homology_divisors: homology groups are finite
 p-groups, reported as p-exponents of elementary divisors, and exact on
-components away from the window boundary.  compare_theorem25 shares one
-memo per degree across the raise, the twists and C, whose blocks repeat
-along the pure lift.  hom_space solves with kernel_generators:
+components away from the window boundary.  compare_theorem25 solves
+through one linalg.solve_once per degree, shared by the raise, the twists
+and C, whose blocks repeat along the pure lift, and gives the raise only
+the weights it reads.  hom_space solves with kernel_generators:
 a horizontal map g with Theta1 g + p^m t dg = g Theta2 is a degree-0
 cocycle of C1 (x) C2^dual, and the gauge search reads hom_space.
 """
@@ -32,8 +32,8 @@ from .connection import (Connection, check_presentation, dual, mat_add,
                          mat_det, mat_id, mat_scale, tensor)
 from .frobenius import level_raise, twist_decompose
 from .laurent import LaurentPoly
-from .linalg import (components, freeze_columns, homology_divisors,
-                     kernel_generators, snf_int, windowed_block)
+from .linalg import (components, homology_divisors, kernel_generators,
+                     snf_int, solve_once, windowed_block)
 
 
 @dataclass
@@ -66,13 +66,12 @@ def _window_exponents(d, D):
     return list(itertools.product(range(-D, D + 1), repeat=d))
 
 
-def weight_components(C, D):
-    """Connected components of the window weights, two weights joined when
+def weight_components(C, weights):
+    """Connected components of the list of weights, two weights joined when
     nabla sends both to a common weight (w + u = w2 + u2 for exponent shifts
-    u, u2 of the connection matrices or 0), inside the window or past it:
-    each weight is linked to its images.  The windowed complex is then block
-    diagonal over the components."""
-    weights = _window_exponents(C.d, D)
+    u, u2 of the connection matrices or 0), among the weights or past them:
+    each weight is linked to its images.  The complex restricted to the
+    weights is then block diagonal over the components."""
     shifts = [u for u in _theta_shifts(C) if any(u)]
     return components(weights, ((w, tuple(map(add, w, u)))
                                 for w in weights for u in shifts))
@@ -126,64 +125,57 @@ def _nabla_images(C, plan, basis):
     return out
 
 
-def _component_solves(C, i, D, solve, blocks):
-    """Each weight component of the window [-D, D]^d, in the order of their
-    least weights, with solve(A, B, out) on its degree-i block from
+def _component_solves(C, i, weights, solve):
+    """Each component of weights (weight_components), in the order of their
+    first members, with solve(A, B, out) on its degree-i block from
     linalg.windowed_block: A the sparse columns of nabla_(i-1) into the
     component's i-forms (the columns that leak out of it dropped), B those
     of nabla_i from them onto the (i+1)-forms they reach, listed in out.
     The i-forms are _form_basis(comp, C.rank, C.d, i), weight-major.
 
-    Two memos spare work.  A translate of a component has the same blocks
-    mod p^n: the forms and the leaking columns move with it, theta's
-    coefficients do not depend on w, and the diagonal p^m w_i mod p^n is
-    fixed by the key.  So a memo local to the call builds one block per
-    translation class.  blocks, the caller's dict, maps each block as solve
-    receives it, (A, B, len(out)) under linalg.freeze_columns, to solve's
-    result: an equal key is an identical input to a deterministic solve, so
-    solve runs once per distinct block and no result changes.
-    compare_theorem25 shares one such dict across a degree's calls.
-    compute_H keeps its own, so its stability pass, which compares with a
-    call at a wider window, never compares a component with itself.
+    A translate of a component has the same blocks mod p^n: the forms and
+    the leaking columns move with it, theta's coefficients do not depend on
+    w, and the diagonal p^m w_i mod p^n is fixed by the key.  So one block
+    is built and solved per translation class, and its translates share the
+    result.
     """
     pm = C.p_to_m()
     plan = _boundary_plan(C, i)
     plan_src = _boundary_plan(C, i - 1) if i else None
     solved = {}
-    for comp in weight_components(C, D):
+    for comp in weight_components(C, weights):
         w0 = comp[0]
         key = (tuple(tuple(map(sub, w, w0)) for w in comp),
                tuple(pm * x % C.ctx.modulus for x in w0))
         if key not in solved:
             mid = _form_basis(comp, C.rank, C.d, i)
             src = _form_basis(comp, C.rank, C.d, i - 1) if i else []
-            A, B, out = windowed_block(mid, _nabla_images(C, plan, mid),
-                                       _nabla_images(C, plan_src, src))
-            block = (freeze_columns(A), freeze_columns(B), len(out))
-            if block not in blocks:
-                blocks[block] = solve(A, B, out)
-            solved[key] = blocks[block]
+            solved[key] = solve(*windowed_block(
+                mid, _nabla_images(C, plan, mid),
+                _nabla_images(C, plan_src, src)))
         yield comp, solved[key]
 
 
-def _H_report(C, i, D, blocks):
-    """compute_H without its stability pass, solving through blocks, the
-    caller's memo for _component_solves.  Each entry gets its own list."""
+def _homology(ctx):
+    """homology_divisors over ctx, looked up at each call."""
+    return lambda *block: homology_divisors(*block, ctx.p, ctx.n)
+
+
+def _H_entries(C, i, weights, solve):
+    """compute_H's entries over the components of weights, each block solved
+    by solve(A, B, orders_mid, orders_out).  Each entry gets its own list."""
     if not C.is_integrable():
         raise ValueError("cohomology needs an integrable connection")
     if not 0 <= i <= C.d:
         raise ValueError(f"degree {i} out of range for d = {C.d}")
     n = C.ctx.n
-    p = C.ctx.p
 
     def divisors(A, B, out):
-        return homology_divisors(A, B, [n] * len(B), [n] * len(out), p, n)
+        return solve(A, B, [n] * len(B), [n] * len(out))
 
-    entries = [{"w": comp[0], "weights": comp, "divisors": list(divs)}
-               for comp, divs in _component_solves(C, i, D, divisors, blocks)
-               if divs]
-    free_rank = sum(1 for e in entries for x in e["divisors"] if x == n)
-    return CohomologyReport(i, D, entries, free_rank, True)
+    return [{"w": comp[0], "weights": comp, "divisors": list(divs)}
+            for comp, divs in _component_solves(C, i, weights, divisors)
+            if divs]
 
 
 def compute_H(C, i, D, stability=True):
@@ -196,7 +188,9 @@ def compute_H(C, i, D, stability=True):
     theta an interior component has the same block at D + 2.  The D + 2
     pass stays because dropping it read +20% peak_rss_mb on the
     cohomology-coupled benchmark (ROADMAP 1a)."""
-    rep = _H_report(C, i, D, {})
+    entries = _H_entries(C, i, _window_exponents(C.d, D), _homology(C.ctx))
+    free_rank = sum(1 for e in entries for x in e["divisors"] if x == C.ctx.n)
+    rep = CohomologyReport(i, D, entries, free_rank, True)
     if stability:
         reach = max(sum(map(abs, u)) for u in _theta_shifts(C))
         big = compute_H(C, i, D + 2, stability=False).by_weight()
@@ -241,7 +235,8 @@ def hom_space(C1, C2, D):
         return kernel_generators(list(rows.values()), len(B), ctx.p, ctx.n)
 
     out = []
-    for comp, gens in _component_solves(H, 0, D, kernel, {}):
+    for comp, gens in _component_solves(H, 0, _window_exponents(d, D),
+                                        kernel):
         for vec, e in gens:
             g = [[{} for _ in range(r2)] for _ in range(C1.rank)]
             for k, x in enumerate(vec):
@@ -343,13 +338,6 @@ def _unit_in_span(vectors, p, modulus):
 # -- Theorem-25-style comparison -------------------------------------------------
 
 
-def _require_weight_preserving(C):
-    if len(_theta_shifts(C)) > 1:
-        raise ValueError(
-            "the comparison is implemented for weight-preserving "
-            "(constant-matrix) connections")
-
-
 def compare_theorem25(C, F, presentation, D):
     """Desk-scale comparison of the cohomology of C (level m, nilpotent of
     length l) with its level-raise along the pure-power lift F.
@@ -367,39 +355,43 @@ def compare_theorem25(C, F, presentation, D):
     p^m w + p^(m-1) a: (a) and (h0) compare equal blocks mod p^n, and only
     (b) and (c) can fail on such input.
 
-    So one memo of solved blocks (_component_solves) serves a degree's
-    cohomology of LR, of every twist and of C, and is dropped after it.  A
-    wrong raise or twist changes its blocks, misses the memo and is still
-    compared.
+    So one linalg.solve_once serves a degree's cohomology of LR, of every
+    twist and of C, and is dropped after it; LR is solved only at the
+    weights p*w + a that the checks read.  A wrong raise or twist changes
+    its blocks, misses the memo and is still compared.
     """
     rep = check_presentation(presentation)
     if rep.classification == "invalid":
         raise ValueError(f"invalid nilpotence presentation: {rep.reason}")
-    _require_weight_preserving(C)
+    if len(_theta_shifts(C)) > 1:
+        raise ValueError("the comparison is implemented for weight-preserving "
+                         "(constant-matrix) connections")
     if not F.is_pure():
         raise ValueError("comparison along the pure-power lift only")
     p, n, d, m = C.ctx.p, C.ctx.n, C.d, C.m
     ell = len(presentation.ranks)
     LR = level_raise(C, F)
     twists = twist_decompose(C, F)
-    result = {"p": p, "n": n, "m": m, "l": ell, "window": D,
-              "degrees": {}, "pass": True}
-    result["zero_twist_is_original"] = twists[(0,) * d].theta == C.theta
-    if not result["zero_twist_is_original"]:
-        result["pass"] = False
-    # H_LR is read only at u = p*w + a, inside [-p*D, p*D + p - 1]^d.  LR
-    # keeps C's constant matrices, so each weight is its own component and
-    # H_LR at u does not depend on the window: a wider one only adds work.
-    W = p * D + p - 1
+    zero = twists[(0,) * d].theta == C.theta
+    result = {"p": p, "n": n, "m": m, "l": ell, "window": D, "degrees": {},
+              "zero_twist_is_original": zero, "pass": zero}
+    window = _window_exponents(d, D)
+    raised = [tuple(p * x + y for x, y in zip(w, a))
+              for a in twists for w in window]
     for i in range(d + 1):
-        blocks = {}
-        H_LR = _H_report(LR, i, W, blocks).by_weight()
+        solve = solve_once(_homology(C.ctx))
+
+        def H(Cx, weights):
+            return {e["w"]: e["divisors"]
+                    for e in _H_entries(Cx, i, weights, solve)}
+
+        H_LR = H(LR, raised)
         findings = {"decomposition": True, "bound": True, "h0": True,
                     "violations": []}
         for a, Ct in twists.items():
-            H_t = _H_report(Ct, i, D, blocks).by_weight()
+            H_t = H(Ct, window)
             bound = min(4 * ell * (m - 1) * (i + 1), n)
-            for w in _window_exponents(d, D):
+            for w in window:
                 u = tuple(p * x + y for x, y in zip(w, a))
                 lhs = H_LR.get(u, [])
                 rhs = H_t.get(w, [])
@@ -414,14 +406,13 @@ def compare_theorem25(C, F, presentation, D):
                         {"kind": "bound", "i": i, "a": list(a),
                          "w": list(w), "divisors": rhs, "bound": bound})
         if i == 0:
-            H_C = _H_report(C, 0, D, blocks).by_weight()
-            for w in _window_exponents(d, D):
-                u = tuple(p * x for x in w)
-                if H_C.get(w, []) != H_LR.get(u, []):
+            H_C = H(C, window)
+            for w in window:
+                c, lr = H_C.get(w, []), H_LR.get(tuple(p * x for x in w), [])
+                if c != lr:
                     findings["h0"] = False
                     findings["violations"].append(
-                        {"kind": "h0", "w": list(w),
-                         "c": H_C.get(w, []), "lr": H_LR.get(u, [])})
+                        {"kind": "h0", "w": list(w), "c": c, "lr": lr})
         if not (findings["decomposition"] and findings["bound"]
                 and findings["h0"]):
             result["pass"] = False

@@ -21,7 +21,7 @@ only the p-valuations of a diagonal form, so the Smith form skips the
 divisibility fix-up, and homology skips the transforms as well.
 windowed_block builds a block of a windowed complex, de Rham or Witt, from
 images {target: entry}, with a row for every target reached, and
-freeze_columns turns its sparse columns into a key for a memo of solves.
+solve_once, the one memo of solves, solves repeated blocks once.
 """
 
 from __future__ import annotations
@@ -224,11 +224,21 @@ def windowed_block(mid, images, src_images):
     return A, B, targets
 
 
-def freeze_columns(cols):
-    """A hashable key for sparse columns: per column, its (index, entry)
-    items in sorted order.  Two lists of columns get equal keys exactly when
-    they hold the same entries at the same places."""
-    return tuple(tuple(sorted(col.items())) for col in cols)
+def solve_once(solve):
+    """solve(A, B, orders_mid, orders_out) on sparse columns, run once per
+    distinct input: a call with the same entries at the same places and the
+    same orders as an earlier one reads its result, as a list of its own."""
+    solved = {}
+
+    def once(A, B, orders_mid, orders_out):
+        key = (tuple(tuple(sorted(col.items())) for col in A),
+               tuple(tuple(sorted(col.items())) for col in B),
+               tuple(orders_mid), tuple(orders_out))
+        if key not in solved:
+            solved[key] = solve(A, B, orders_mid, orders_out)
+        return list(solved[key])
+
+    return once
 
 
 def components(items, links):

@@ -26,7 +26,8 @@ nabla takes x as its top ghost w(x) and reads the code of p^m dx + x f
 dlog[t] off w(x) and w(x) w(f); a window generator V^r([t^j]) enters as its
 code p^r t^(j p^(n-1-r)), never as a vector.  witt_compare builds each
 side's windowed complex with linalg.windowed_block, as cohomology does,
-each generator of its own order p^(n-r).
+each generator of its own order p^(n-r), and solves the repeated blocks
+through linalg.solve_once.
 
 A vector is immutable, so its ghost components mod p^n are computed once: on
 first use, or for the result of an operation by the inversion that built it,
@@ -44,8 +45,8 @@ from functools import cached_property, lru_cache
 
 from .arith import RingCtx, int_val_p
 from .laurent import LaurentPoly
-from .linalg import (components, diagonal_p_exponents, freeze_columns,
-                     homology_divisors, snf_int, windowed_block)
+from .linalg import (components, diagonal_p_exponents, homology_divisors,
+                     snf_int, solve_once, windowed_block)
 
 
 class NotNilpotent(ValueError):
@@ -410,18 +411,16 @@ def witt_compare(C, D):
     cluster's block and keeps every reached target as a row: a generator
     whose image leaves the window is not horizontal, and H^1 is the
     cluster's one-forms modulo the images that stay inside it.  Clusters
-    repeat, so the call keeps one memo of solves, keyed by each solve's
-    input under linalg.freeze_columns: H^0 by the block's B and the orders
-    of its generators and targets, H^1 by its A and the generators' orders.
-    Each distinct block is solved once, and every report gets lists of its
-    own.  H^0 must
-    agree exactly on purely integral clusters; clusters with fractional
-    weights may differ by at most one power of p per fractional generator
-    (the V-level drop shifts one unit of torsion).  H^1 total lengths must
-    agree up to 14(m-1) + frac_gens + 1.  The raise is also certified as a
-    chain map through F at truncation n-1 on window generators: F(nabla x) =
-    nabla'(F x), with F x entering nabla' as w_{n-1}(x) mod p^{n-1}, since
-    w_{n-2}(F x) = w_{n-1}(x).
+    repeat, so the call solves through one linalg.solve_once: H^0 from the
+    block's B and the orders of its generators and targets, H^1 from its A
+    and the generators' orders.  H^0 must agree exactly on purely integral
+    clusters; clusters with fractional weights may differ by at most one
+    power of p per fractional generator (the V-level drop shifts one unit
+    of torsion).  H^1 total lengths must agree up to 14(m-1) + frac_gens
+    + 1.  The raise is also certified as a chain map through F at
+    truncation n-1 on window generators: F(nabla x) = nabla'(F x), with
+    F x entering nabla' as w_{n-1}(x) mod p^{n-1}, since w_{n-2}(F x) =
+    w_{n-1}(x).
     """
     if C.m < 1:
         raise ValueError("comparison needs level >= 1")
@@ -442,14 +441,8 @@ def witt_compare(C, D):
         sides.append((gens, images))
     report = {"p": p, "n": n, "m": m, "window": D, "nilpotent": True,
               "components": [], "pass": True}
-    solved = {}
-
-    def divisors(A, B, ords, out):
-        key = (freeze_columns(A), freeze_columns(B), tuple(ords), tuple(out))
-        if key not in solved:
-            solved[key] = homology_divisors(A, B, ords, out, p, n)
-        return list(solved[key])
-
+    divisors = solve_once(
+        lambda A, B, mid, out: homology_divisors(A, B, mid, out, p, n))
     for members in components(range(len(window)), links):
         h = []
         for gens, images in sides:

@@ -18,12 +18,17 @@ from pmconn.cohomology import (compute_H, weight_components,
                                _form_basis, _nabla_images, _theta_shifts,
                                _window_exponents)
 from pmconn.frobenius import level_raise, twist_decompose
-from pmconn.linalg import freeze_columns, homology_divisors
+from pmconn.linalg import homology_divisors
 
 
 def _dense(columns, nrows):
     """The dense rows of a matrix given by sparse columns {row: entry}."""
     return [[col.get(i, 0) for col in columns] for i in range(nrows)]
+
+
+def _frozen(columns):
+    """A hashable copy of sparse columns, equal for equal entries."""
+    return tuple(tuple(sorted(col.items())) for col in columns)
 
 
 def _sparse(M, ncols):
@@ -285,7 +290,7 @@ def test_components_linked_by_shared_images():
     C1 = conn([["1+2*t1^2", "1+2*t1^3"], ["2+2*t1^2+5*t1^3", "2+t1^2+t1^3"]])
     C2 = conn([["0", "0"], ["5*t1^2+t1^3", "0"]])
     H = tensor(C1, dual(C2))
-    assert weight_components(H, 1) == [[(-1,), (0,), (1,)]]
+    assert weight_components(H, _window_exponents(1, 1)) == [[(-1,), (0,), (1,)]]
     gens = hom_space(C1, C2, 1)
     assert [e for _, e in gens] == [1]
     assert _intertwines(C1, C2, gens[0][0])
@@ -365,7 +370,7 @@ def test_theorem25_blocks_agree_on_weight_preserving_input():
 def test_weight_components_split_by_theta_support():
     ctx = RingCtx(3, 2)
     C = Connection.trivial(ctx, 1, 0)
-    comps = weight_components(C, 2)
+    comps = weight_components(C, _window_exponents(1, 2))
     # no coupling: five singleton components
     assert sorted(c[0] for c in comps) == [(-2,), (-1,), (0,), (1,), (2,)]
     assert all(len(c) == 1 for c in comps)
@@ -407,7 +412,7 @@ def _compute_H_reference(C, i, D, stability=True):
     shifts = _theta_shifts(C) | {(0,) * C.d}
     reach = max(sum(abs(x) for x in u) for u in shifts)
     entries = []
-    for comp in weight_components(C, D):
+    for comp in weight_components(C, _window_exponents(C.d, D)):
         mid = _form_basis(comp, C.rank, C.d, i)
         ext = sorted({tuple(a + b for a, b in zip(w, u))
                       for w in comp for u in shifts})
@@ -599,19 +604,19 @@ def test_compare_theorem25_d2_is_pinned(params, e, digest):
 
 def test_compare_theorem25_solves_each_block_once(monkeypatch):
     # Along the pure lift the raise's block at p w + a is twist a's block at
-    # w, and twist 0 is C, so one memo per degree serves them all.  Solved
-    # one call at a time, the first pinned point makes 2,959 calls on these
-    # 1,587 blocks.
+    # w, and twist 0 is C, so one memo per degree serves them all, and the
+    # raise is solved only at the weights read: at the first pinned point,
+    # 3 degrees times 9 twists times the 49 window weights.
     from pmconn import cohomology
     real = cohomology.homology_divisors
     calls = []
 
     def counted(A, B, orders_mid, orders_out, p, cap):
-        calls.append((freeze_columns(A), freeze_columns(B),
+        calls.append((_frozen(A), _frozen(B),
                       tuple(orders_mid), tuple(orders_out), p, cap))
         return real(A, B, orders_mid, orders_out, p, cap)
 
     monkeypatch.setattr(cohomology, "homology_divisors", counted)
     params, e, digest = THEOREM25_SHA256[0]
     assert _theorem25_d2_digest(params, e) == digest
-    assert len(calls) == len(set(calls)) == 1587
+    assert len(calls) == len(set(calls)) == 3 * 9 * 49 == 1323

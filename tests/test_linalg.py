@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pmconn.linalg import (snf_int, kernel_generators,
                            diagonal_p_exponents, homology_divisors,
-                           components, windowed_block)
+                           components, solve_once, windowed_block)
 
 
 def _mat_mul(A, B):
@@ -291,6 +291,29 @@ def test_windowed_block_keeps_every_reached_row():
     # cut to the window, the image of 1 would vanish: a false Z/9
     assert homology_divisors([], [{0: 3}, {}], [2, 2], [2], 3, 2) == [1, 2]
     assert windowed_block([], [], []) == ([], [], [])
+
+
+def test_solve_once_solves_each_distinct_input_once():
+    calls = []
+
+    def solve(A, B, orders_mid, orders_out):
+        calls.append((A, B, orders_mid, orders_out))
+        return homology_divisors(A, B, orders_mid, orders_out, 3, 2)
+
+    once = solve_once(solve)
+    A, B = [{0: 3, 1: 3}], [{0: 3}, {1: 3}]
+    assert once(A, B, [2, 2], [2, 2]) == [1]
+    # the same entries at the same places, in another key order
+    assert once([{1: 3, 0: 3}], [{0: 3}, {1: 3}], [2, 2], [2, 2]) == [1]
+    assert len(calls) == 1
+    # the same columns with other orders are other inputs
+    assert once(A, B, [2, 2], [1, 2]) == [2]
+    assert once(A, B, [1, 2], [2, 2]) == []
+    assert len(calls) == 3
+    # a caller that changes its list leaves the next caller's alone
+    once(A, B, [2, 2], [2, 2]).append(99)
+    assert once(A, B, [2, 2], [2, 2]) == [1]
+    assert len(calls) == 3
 
 
 def test_homology_divisors_empty_middle():
