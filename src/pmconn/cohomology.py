@@ -261,6 +261,8 @@ def verify_pullback_iso(C_up, C_down, F, D):
     if C_up.rank != C_down.rank:
         raise ValueError("ranks differ")
     LR = level_raise(C_up, F)
+    if LR.m != C_down.m:
+        raise ValueError("hom spaces need equal levels")
     r = LR.rank
     ctx, d = LR.ctx, LR.d
     if LR.theta == C_down.theta:

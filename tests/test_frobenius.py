@@ -259,6 +259,14 @@ def test_verify_pullback_iso_positive():
     assert rep["found"]
 
 
+def test_verify_pullback_iso_needs_equal_levels():
+    # the raise of a level-1 connection has level 0: equal theta at another
+    # level is no pullback isomorphism, as hom_space would say
+    T = Connection.trivial(RingCtx(3, 2), 1, 1)
+    with pytest.raises(ValueError, match="equal levels"):
+        verify_pullback_iso(T, T, FrobLift.pure(T.ctx, 1), 2)
+
+
 def test_verify_pullback_iso_rank1_span_search():
     # the target differs from the level-raise by a non-monomial gauge unit,
     # so the witness comes from the mod-p span of the intertwiners
