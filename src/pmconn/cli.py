@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 from .arith import RingCtx, is_prime
 from .connection import (Connection, ExtensionPresentation, gauge,
-                         is_quasi_nilpotent)
+                         is_quasi_nilpotent, mat_map, mat_scale)
 from .cohomology import (compare_theorem25, compute_H, higgs_vanishing,
                          hom_space)
 from .dops import (DiffOp, check_taylor_cocycle, check_taylor_inverse,
@@ -43,20 +43,19 @@ def connection_from_json(obj):
     basis = obj.get("basis", "dlog")
     if basis not in ("dlog", "dt"):
         raise ValueError(f"unknown basis {basis!r}")
-    theta = []
-    for i in range(d):
-        rows = obj["theta"][i]
-        M = []
-        for r in range(rank):
-            row = []
-            for c in range(rank):
-                f = parse_poly(rows[r][c], ctx, d)
-                if basis == "dt":
-                    f = f * LaurentPoly.var(ctx, d, i + 1)
-                row.append(f)
-            M.append(tuple(row))
-        theta.append(tuple(M))
-    return Connection(ctx, d, m, rank, tuple(theta))
+
+    def shape(x):  # the nesting of the lists in x
+        return [shape(y) for y in x] if isinstance(x, list) else None
+
+    if shape(obj["theta"]) != [[[None] * rank] * rank] * d:
+        raise ValueError(f"theta is not a list of {d} {rank}-by-{rank} "
+                         "matrices")
+    theta = tuple(mat_map(M, lambda s: parse_poly(s, ctx, d))
+                  for M in obj["theta"])
+    if basis == "dt":  # theta_i dt_i = theta_i t_i dlog t_i
+        theta = tuple(mat_scale(M, LaurentPoly.var(ctx, d, i + 1))
+                      for i, M in enumerate(theta))
+    return Connection(ctx, d, m, rank, theta)
 
 
 def connection_to_json(C):

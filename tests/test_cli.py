@@ -338,6 +338,23 @@ def test_connection_json_round_trip():
     assert connection_from_json(back).theta == C.theta
 
 
+@pytest.mark.parametrize("theta", [
+    [[["3*t1", "5"], ["1", "1"]], [["7"]]],  # 2-by-2, then a second matrix
+    [[["3*t1"]], [["7"]]],  # one matrix too many
+    [[["3*t1", "5"]]],  # a row past rank
+    [[["3*t1"], ["5"]]],  # a second row
+    [],  # no matrix
+    [["3*t1"]],  # a row where a matrix should be
+], ids=["wide-and-extra", "extra-matrix", "extra-entry", "extra-row",
+        "missing-matrix", "flat"])
+def test_cohomology_rejects_theta_of_another_shape(tmp_path, capsys, theta):
+    f = _write(tmp_path, "conn.json", {"p": 3, "n": 2, "m": 1, "d": 1,
+                                       "rank": 1, "theta": theta})
+    code, out, err = run(capsys, "cohomology", f)
+    assert (code, out) == (2, "")
+    assert "cannot read connection file" in err
+
+
 def test_dt_basis_is_converted():
     obj = {"p": 3, "n": 2, "m": 0, "d": 1, "rank": 1, "basis": "dt",
            "theta": [[["1"]]]}
