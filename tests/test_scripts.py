@@ -32,3 +32,13 @@ def test_script_output_is_stable(script, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         STDOUT_SHA256[script], f"{script} printed something else"
+
+
+@pytest.mark.parametrize("script", sorted(STDOUT_SHA256) + ["bench_ab.py"])
+def test_script_takes_help(script, capsys, monkeypatch):
+    path = os.path.join(SCRIPTS, script)
+    monkeypatch.setattr("sys.argv", [path, "--help"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(path, run_name="__main__")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")
