@@ -574,7 +574,7 @@ def _emit(report, fmt):
 def cmd_cohomology(opts):
     try:
         C = connection_from_json(_load_json(opts.file))
-    except (OSError, ValueError, KeyError, IndexError) as exc:
+    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
         print(f"cannot read connection file: {exc}", file=sys.stderr)
         return 2
     if opts.window < 0:
@@ -608,7 +608,7 @@ def cmd_raise(opts):
     try:
         C = connection_from_json(_load_json(opts.file))
         F = lift_from_json(_load_json(opts.lift))
-    except (OSError, ValueError, KeyError, IndexError) as exc:
+    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
     if C.m == 0:
@@ -628,7 +628,7 @@ def cmd_descend(opts):
         C = connection_from_json(_load_json(opts.file))
         F = lift_from_json(_load_json(opts.lift)) if opts.lift else \
             FrobLift.pure(C.ctx, C.d)
-    except (OSError, ValueError, KeyError, IndexError) as exc:
+    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
     if C.ctx != F.ctx or C.d != F.d:

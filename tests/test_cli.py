@@ -338,18 +338,26 @@ def test_connection_json_round_trip():
     assert connection_from_json(back).theta == C.theta
 
 
-@pytest.mark.parametrize("theta", [
-    [[["3*t1", "5"], ["1", "1"]], [["7"]]],  # 2-by-2, then a second matrix
-    [[["3*t1"]], [["7"]]],  # one matrix too many
-    [[["3*t1", "5"]]],  # a row past rank
-    [[["3*t1"], ["5"]]],  # a second row
-    [],  # no matrix
-    [["3*t1"]],  # a row where a matrix should be
+def _rank1(theta, **fields):
+    return {"p": 3, "n": 2, "m": 1, "d": 1, "rank": 1, "theta": theta,
+            **fields}
+
+
+@pytest.mark.parametrize("obj", [
+    _rank1([[["3*t1", "5"], ["1", "1"]], [["7"]]]),  # 2-by-2, then another
+    _rank1([[["3*t1"]], [["7"]]]),  # one matrix too many
+    _rank1([[["3*t1", "5"]]]),  # an entry past rank
+    _rank1([[["3*t1"], ["5"]]]),  # a row past rank
+    _rank1([]),  # no matrix
+    _rank1([["3*t1"]]),  # a row where a matrix should be
+    _rank1([[[3]]]),  # a number where a string should be
+    _rank1([[["3*t1"]]], d=None),  # no dimension
+    [1, 2],  # not an object
 ], ids=["wide-and-extra", "extra-matrix", "extra-entry", "extra-row",
-        "missing-matrix", "flat"])
-def test_cohomology_rejects_theta_of_another_shape(tmp_path, capsys, theta):
-    f = _write(tmp_path, "conn.json", {"p": 3, "n": 2, "m": 1, "d": 1,
-                                       "rank": 1, "theta": theta})
+        "missing-matrix", "flat", "number-entry", "null-d", "not-an-object"])
+def test_cohomology_rejects_a_malformed_connection_file(tmp_path, capsys,
+                                                        obj):
+    f = _write(tmp_path, "conn.json", obj)
     code, out, err = run(capsys, "cohomology", f)
     assert (code, out) == (2, "")
     assert "cannot read connection file" in err
