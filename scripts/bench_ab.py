@@ -20,12 +20,16 @@ that ``setup_s`` times.  Within a workload and seed, even pairs run the parent f
 first.  The file keeps every run line under ``raw`` and, per workload, seed
 and end-to-end metric, the median and quartiles of each side, the pairs the
 change wins (in the direction ``BENCHMARK.json`` calls better), whether all
-runs were correct, how many operations failed, and ``within_bound``: whether
+runs were correct, how many operations failed, ``within_bound``: whether
 the change's median is worse than the parent's by no more than the metric's
-``bound`` in ``BENCHMARK.json``, a fraction of the parent's median.  It also
-records each side's ``src_lines``, the ``wc -l`` total of its
-``src/pmconn/*.py``.  Each median is printed beside the previous BENCH
-file's, with ``ok`` or ``OVER`` for the bound.
+``bound`` in ``BENCHMARK.json``, a fraction of the parent's median, and
+``unresolved``: the parent's own quartile spread is wider than that bound
+and not every change run beats every parent run, so the runs cannot tell
+the change from noise.  It also records each side's ``src_lines``, the
+``wc -l`` total of its ``src/pmconn/*.py``, and ``change_dirty``: whether
+the copied working tree differed from ``change_commit``.  Each median is
+printed beside the previous BENCH file's, with ``ok``, ``OVER`` or
+``unresolved`` for the bound.
 """
 
 from __future__ import annotations
@@ -60,6 +64,13 @@ def run_once(checkout, workload, seed, seconds):
 def git_commit(rev):
     return subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def tree_dirty():
+    """Whether the working tree differs from HEAD, untracked files included."""
+    return bool(subprocess.run(["git", "status", "--porcelain"], cwd=ROOT,
+                               check=True, capture_output=True,
+                               text=True).stdout.strip())
 
 
 def export(rev, dest):
@@ -108,6 +119,8 @@ def summarize(raw, metrics):
             ps, cs = side_stats(par), side_stats(chg)
             worse = cs["median"] - ps["median"] if direction == "lower" \
                 else ps["median"] - cs["median"]
+            beats_every_run = max(chg) < min(par) if direction == "lower" \
+                else min(chg) > max(par)
             out.append({
                 "workload": workload, "seed": seed, "metric": metric,
                 "pairs": len(pairs),
@@ -119,6 +132,8 @@ def summarize(raw, metrics):
                 "gap_exceeds_parent_iqr":
                     abs(cs["median"] - ps["median"]) > ps["q3"] - ps["q1"],
                 "within_bound": worse <= bound * ps["median"],
+                "unresolved": ps["q3"] - ps["q1"] > bound * ps["median"]
+                and not beats_every_run,
                 "all_correct": correct, "failed_ops": failed})
     return out
 
@@ -142,12 +157,14 @@ def print_medians(summary, prev_path):
                     e["change"]["median"]
     name = os.path.basename(prev_path) if prev_path else "no previous file"
     print(f"{'workload':20} {'seed':>4} {'metric':12} {'parent':>9} "
-          f"{'change':>9} {'bound':>6} {'wins':>6}  previous ({name})")
+          f"{'change':>9} {'bound':>10} {'wins':>6}  previous ({name})")
     for e in summary:
         old = prev.get((e["workload"], e["seed"], e["metric"]))
+        verdict = "OVER" if not e["within_bound"] else \
+            "unresolved" if e["unresolved"] else "ok"
         print(f"{e['workload']:20} {e['seed']:>4} {e['metric']:12} "
               f"{e['parent']['median']:>9} {e['change']['median']:>9} "
-              f"{'ok' if e['within_bound'] else 'OVER':>6} "
+              f"{verdict:>10} "
               f"{e['change_wins']:>3}/{e['pairs']:<2}  "
               f"{'-' if old is None else old}")
 
@@ -201,6 +218,7 @@ def main():
     metrics = {m["name"]: m for m in bench["end_to_end"]}
     if args.workloads is None:
         args.workloads = [w["name"] for w in bench["workloads"]]
+    dirty = tree_dirty()
     sides = {side: tempfile.mkdtemp(prefix=f"bench-ab-{side}-")
              for side in ("parent", "change")}
     try:
@@ -221,6 +239,7 @@ def main():
                    f"--seconds {seconds:g} --trace 0",
         "parent_commit": git_commit(args.parent),
         "change_commit": git_commit("HEAD"),
+        "change_dirty": dirty,
         "src_sha256": sha,
         "src_lines": lines,
         "interpreter": f"{platform.python_implementation()} "
@@ -229,7 +248,8 @@ def main():
         "host": platform.machine(),
         "checkouts": "the parent ran from a git archive export of "
                      "parent_commit, the change from a copy of the working "
-                     "tree at change_commit without .git and __pycache__; "
+                     "tree at change_commit without .git and __pycache__, "
+                     "with uncommitted changes where change_dirty is true; "
                      "src_sha256 identifies each side's src/pmconn",
         "run_order": f"one run at a time: workloads {args.workloads}, each "
                      f"at seeds {args.seeds}, {args.pairs} pairs each; even "
@@ -240,7 +260,10 @@ def main():
                       "method='inclusive'); change_wins counts pairs where "
                       "the change's value is lower; within_bound holds when "
                       "the change's median exceeds the parent's by at most "
-                      "bound times the parent's median",
+                      "bound times the parent's median; unresolved holds "
+                      "when the parent's q3 - q1 exceeds bound times its "
+                      "median and not every change run beats every parent "
+                      "run",
         "summary": summary,
         "raw": raw,
     }

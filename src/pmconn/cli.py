@@ -69,8 +69,11 @@ def connection_to_json(C):
 def lift_from_json(obj):
     p, n, d = int(obj["p"]), int(obj["n"]), int(obj["d"])
     ctx = RingCtx(p, n)
-    a = tuple(parse_poly(s, ctx, d) for s in obj["a"])
-    return FrobLift(ctx, d, a)
+    a = obj["a"]
+    if not (isinstance(a, list) and len(a) == d
+            and all(isinstance(s, str) for s in a)):
+        raise ValueError(f"a is not a list of {d} polynomials")
+    return FrobLift(ctx, d, tuple(parse_poly(s, ctx, d) for s in a))
 
 
 def _load_json(path):
@@ -604,19 +607,30 @@ def cmd_cohomology(opts):
     return 0
 
 
-def cmd_raise(opts):
+def _connection_and_lift(path, lift_path):
+    """The connection file at path and the lift file at lift_path (the pure
+    lift when lift_path is None), or None after reporting why they cannot be
+    used together."""
     try:
-        C = connection_from_json(_load_json(opts.file))
-        F = lift_from_json(_load_json(opts.lift))
+        C = connection_from_json(_load_json(path))
+        F = lift_from_json(_load_json(lift_path)) if lift_path else \
+            FrobLift.pure(C.ctx, C.d)
     except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
+        return None
+    if C.ctx != F.ctx or C.d != F.d:
+        print("connection and lift live on different charts", file=sys.stderr)
+        return None
+    return C, F
+
+
+def cmd_raise(opts):
+    if (read := _connection_and_lift(opts.file, opts.lift)) is None:
         return 2
+    C, F = read
     if C.m == 0:
         print("connection is already at level 0; nothing to raise",
               file=sys.stderr)
-        return 2
-    if C.ctx != F.ctx or C.d != F.d:
-        print("connection and lift live on different charts", file=sys.stderr)
         return 2
     C2 = level_raise(C, F)
     _emit(connection_to_json(C2), opts.format)
@@ -624,16 +638,9 @@ def cmd_raise(opts):
 
 
 def cmd_descend(opts):
-    try:
-        C = connection_from_json(_load_json(opts.file))
-        F = lift_from_json(_load_json(opts.lift)) if opts.lift else \
-            FrobLift.pure(C.ctx, C.d)
-    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
+    if (read := _connection_and_lift(opts.file, opts.lift)) is None:
         return 2
-    if C.ctx != F.ctx or C.d != F.d:
-        print("connection and lift live on different charts", file=sys.stderr)
-        return 2
+    C, F = read
     try:
         res = descend_rank1(C, F)
     except ValueError as exc:  # rank, level, impure lift, not integrable

@@ -371,7 +371,7 @@ def compare_theorem25(C, F, presentation, D):
     if not F.is_pure():
         raise ValueError("comparison along the pure-power lift only")
     p, n, d, m = C.ctx.p, C.ctx.n, C.d, C.m
-    ell = len(presentation.ranks)
+    ell = rep.length
     LR = level_raise(C, F)
     twists = twist_decompose(C, F)
     zero = twists[(0,) * d].theta == C.theta

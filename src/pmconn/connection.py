@@ -380,6 +380,5 @@ def check_presentation(P):
         else:
             return PresentationReport("invalid", None,
                                       f"unknown layer kind {P.kinds[k]!r}")
-    if all_trivial:
-        return PresentationReport("nilpotent", sum(P.ranks))
-    return PresentationReport("f-nilpotent", len(P.ranks))
+    return PresentationReport("nilpotent" if all_trivial else "f-nilpotent",
+                              len(P.ranks))

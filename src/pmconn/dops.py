@@ -5,6 +5,7 @@ Operators are kept in normal form: a dict from multi-indices l to Laurent
 coefficients, meaning sum of c_l * D^<l> with coefficients on the left.
 The single rewriting rule D^<k> f = sum_{k'+k''=k} C(k,k') D^<k'>(f) D^<k''>
 makes products canonical.  The Taylor checks and the transition series
+read theta^k(v) from one walk over the multi-indices k (theta_layers) and
 take the divided powers (tau/p^m)^[k] one coefficient at a time.
 """
 
@@ -20,28 +21,6 @@ from .arith import (RingCtx, factorial_val, int_val_p, multi_binom_int,
 from .connection import gauge, mat_det
 from .frobenius import level_raise
 from .laurent import ContextMismatch, FrobLift, LaurentPoly
-
-
-def _zero_idx(d):
-    return (0,) * d
-
-
-def multi_indices(d, degree):
-    """All multi-indices in d variables with |l| = degree."""
-    if d == 1:
-        return [(degree,)]
-    out = []
-    for first in range(degree + 1):
-        for rest in multi_indices(d - 1, degree - first):
-            out.append((first,) + rest)
-    return out
-
-
-def multi_indices_upto(d, bound):
-    out = []
-    for s in range(bound + 1):
-        out.extend(multi_indices(d, s))
-    return out
 
 
 @dataclass(frozen=True)
@@ -167,18 +146,33 @@ def level_change(P, m_new):
 # -- Taylor / stratification --------------------------------------------------
 
 
+def theta_layers(C, vecs):
+    """Yield, for s = 0, 1, ..., the layer {k: [theta^k(v) for v in vecs]}
+    over |k| = s, in the dt basis.  Entry k is theta_i of entry k - e_i,
+    where i is the first nonzero axis of k: the order in which
+    theta_power_apply_dt composes, so each entry equals its value.  Raising
+    k - e_i only at axes up to its own first nonzero one reaches each k of
+    the next layer exactly once."""
+    d = C.d
+    layer = {(0,) * d: list(vecs)}
+    while True:
+        yield layer
+        nxt = {}
+        for k, vs in layer.items():
+            first = next((ax for ax in range(d) if k[ax]), d - 1)
+            for i in range(first + 1):
+                nxt[k[:i] + (k[i] + 1,) + k[i + 1:]] = [
+                    C.theta_apply_dt(i + 1, v) for v in vs]
+        layer = nxt
+
+
 def theta_table(C, v, K):
-    """{k: theta^k(v)} in the dt basis, for |k| <= K.  Entry k is theta_i of
-    entry k - e_i, where i is the first nonzero axis of k: the order in which
-    theta_power_apply_dt composes, so each entry equals its value."""
+    """{k: theta^k(v)} in the dt basis, for |k| <= K: the first K + 1
+    layers of theta_layers."""
     if not C.is_integrable():
         raise ValueError("theta powers are only well-defined when integrable")
-    table = {_zero_idx(C.d): tuple(v)}
-    for k in multi_indices_upto(C.d, K)[1:]:
-        i = next(ax for ax in range(C.d) if k[ax])
-        prev = k[:i] + (k[i] - 1,) + k[i + 1:]
-        table[k] = C.theta_apply_dt(i + 1, table[prev])
-    return table
+    return {k: vs[0] for layer in itertools.islice(
+        theta_layers(C, [tuple(v)]), K + 1) for k, vs in layer.items()}
 
 
 def check_taylor_cocycle(C, e, K):
@@ -285,9 +279,7 @@ def tau_transition(C, f, f_prime):
     basis = [C.basis_vector(j) for j in range(C.rank)]
     T = [[LaurentPoly.zero(ctx, d) for _ in range(C.rank)]
          for _ in range(C.rank)]
-    values = {(0,) * d: basis}
-    s = 0
-    while True:
+    for s, values in enumerate(theta_layers(C, basis)):
         alive = False
         for k, vecs in values.items():
             if all(x.is_zero() for v in vecs for x in v):
@@ -310,16 +302,9 @@ def tau_transition(C, f, f_prime):
             s_next = s + 1
             if h_val * s_next - (s_next - 1) // (p - 1) >= n:
                 break
-        s += 1
-        if s > TAU_MAX_DEGREE:
+        if s >= TAU_MAX_DEGREE:
             raise ArithmeticError(
                 "transition series did not terminate within the bound")
-        new = {}
-        for k in multi_indices(d, s):
-            i = next(ax for ax in range(d) if k[ax])
-            prev = tuple(kk - (1 if ax == i else 0) for ax, kk in enumerate(k))
-            new[k] = [C.theta_apply_dt(i + 1, v) for v in values[prev]]
-        values = new
     return T
 
 

@@ -7,7 +7,7 @@ about the code the defect breaks.
 import inspect
 import json
 
-from pmconn import cli, cohomology, frobenius, witt
+from pmconn import cli, cohomology, dops, frobenius, witt
 from pmconn.connection import Connection
 from pmconn.laurent import LaurentPoly
 
@@ -32,6 +32,35 @@ def test_descent_fails_with_a_wrong_sign_gauge(capsys, monkeypatch):
     assert _failures(capsys, "descent") == []
     monkeypatch.setattr(cli, "descend_rank1", _wrong_sign_descent())
     assert _failures(capsys, "descent")
+
+
+def test_taylor_cocycle_fails_with_a_walk_off_by_one(capsys, monkeypatch):
+    walk = dops.theta_layers
+
+    def walk_off_by_one(C, vecs):
+        """theta_layers whose entry k != 0 holds theta^(k + e_1)(v)."""
+        for s, layer in enumerate(walk(C, vecs)):
+            yield {k: [C.theta_apply_dt(1, v) for v in vs] if s else vs
+                   for k, vs in layer.items()}
+    assert _failures(capsys, "taylor-cocycle") == []
+    monkeypatch.setattr(dops, "theta_layers", walk_off_by_one)
+    failures = _failures(capsys, "taylor-cocycle")
+    assert len(failures) == 10
+    assert all(f["got"]["law"] == "cocycle" for f in failures)
+
+
+def test_witt_presentation_orders_fail_with_a_zero_verschiebung(
+        capsys, monkeypatch):
+    rep = witt.fractional_presentation_orders(3, 3, 1, 4)
+    assert rep["verified"] and rep["orders"] == rep["predicted"] == [2]
+    monkeypatch.setattr(witt.WittVector, "verschiebung",
+                        lambda self: witt.WittVector.zero(self.p, self.n))
+    rep = witt.fractional_presentation_orders(3, 3, 1, 4)
+    # every generator vanishes, so the chain p g_k = g_(k+1) still holds:
+    # only the orders read off the Witt arithmetic can see the defect
+    assert rep["verified"]
+    assert rep["orders"] != rep["predicted"]
+    assert _failures(capsys, "witt-identities")
 
 
 def test_level_raise_fails_with_a_raise_that_drops_the_lift(capsys,

@@ -329,6 +329,22 @@ def test_descend_rejects_lift_on_another_chart(tmp_path, capsys, lift):
     assert "connection and lift live on different charts" in err
 
 
+@pytest.mark.parametrize("a", ["12", [1, 2], ["0"], None],
+                         ids=["string", "numbers", "too-short", "null"])
+@pytest.mark.parametrize("cmd", ["raise", "descend"])
+def test_lift_whose_a_is_not_d_polynomials_is_unreadable(tmp_path, capsys,
+                                                         cmd, a):
+    # a string once read as one polynomial per character: "12" gave a = (1, 2)
+    conn = _write(tmp_path, "c.json",
+                  {"p": 3, "n": 2, "m": int(cmd == "raise"), "d": 2,
+                   "rank": 1, "basis": "dlog", "theta": [[["0"]], [["0"]]]})
+    lift = _write(tmp_path, "l.json", {"p": 3, "n": 2, "d": 2, "a": a})
+    code, out, err = run(capsys, cmd, conn,
+                         *([lift] if cmd == "raise" else ["--lift", lift]))
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot read input")
+
+
 def test_connection_json_round_trip():
     obj = {"p": 5, "n": 3, "m": 2, "d": 2, "rank": 2, "basis": "dlog",
            "theta": [[["1*t1^1*t2^-1", "0"], ["3", "0"]],

@@ -353,6 +353,11 @@ def test_check_presentation_classifications():
     rep = check_presentation(P2)
     assert rep.classification == "nilpotent"
     assert rep.length == 2
+    # zero theta of rank 2 as one trivial layer: (O, p^m d)^2 has length 1
+    C2z = Connection(ctx, 1, m, 2, ([[z, z], [z, z]],))
+    rep = check_presentation(ExtensionPresentation(C2z, (2,), ("trivial",),
+                                                   {}))
+    assert (rep.classification, rep.length) == ("nilpotent", 1)
     # a layer whose claimed constants are not horizontal
     C3 = Connection.rank1(ctx, 1, m, [one])
     P3 = ExtensionPresentation(C3, (1,), ("trivial",), {})

@@ -11,10 +11,9 @@ from pmconn.arith import (RingCtx, factorial_val, multi_binom_int,
 from pmconn.laurent import LaurentPoly, FrobLift, parse_poly
 from pmconn.connection import Connection
 from pmconn.dops import (DiffOp, op_apply, op_mul, level_change,
-                         multi_indices, multi_indices_upto,
                          check_taylor_cocycle, check_taylor_inverse,
-                         tau_transition, verify_tau, theta_table,
-                         _divided_power)
+                         tau_transition, verify_tau, theta_layers,
+                         theta_table, _divided_power)
 
 
 def _rand_poly(rng, ctx, d, terms, deg=2):
@@ -45,9 +44,42 @@ grid = st.tuples(st.sampled_from([2, 3]),
                  st.integers(min_value=0, max_value=10 ** 6))
 
 
-def test_multi_index_enumeration():
-    assert list(multi_indices(2, 2)) == [(0, 2), (1, 1), (2, 0)]
-    assert len(list(multi_indices_upto(2, 2))) == 6
+def _indices_upto(d, K):
+    """The multi-indices k in d variables with |k| <= K, by brute force."""
+    return [k for k in itertools.product(range(K + 1), repeat=d)
+            if sum(k) <= K]
+
+
+class _PathRecorder:
+    """A stand-in connection whose theta_i appends i to the vector, so an
+    entry of the walk spells the axes applied to reach it, in order."""
+
+    def __init__(self, d):
+        self.d = d
+        self.calls = 0
+
+    def theta_apply_dt(self, i, v):
+        self.calls += 1
+        return v + (i,)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_theta_walk_reaches_each_index_once(d):
+    K = 5
+    C = _PathRecorder(d)
+    seen = []
+    for s, layer in zip(range(K + 1), theta_layers(C, [()])):
+        assert sorted(layer) == [k for k in _indices_upto(d, K)
+                                 if sum(k) == s]
+        for k, (path,) in layer.items():
+            # theta_d first, theta_1 last: theta_power_apply_dt's order
+            assert path == tuple(i for i in range(d, 0, -1)
+                                 for _ in range(k[i - 1]))
+        seen.extend(layer)
+    assert sorted(seen) == sorted(_indices_upto(d, K))
+    # one theta application per index of positive degree: none is reached
+    # twice
+    assert C.calls == len(seen) - 1
 
 
 @given(grid)
@@ -200,8 +232,8 @@ def test_theta_table_matches_theta_powers(p, n, m):
         for v in [C.basis_vector(j) for j in range(C.rank)] + [
                 tuple(_rand_poly(rng, ctx, C.d, 3) for _ in range(C.rank))]:
             table = theta_table(C, v, K)
-            assert sorted(table) == sorted(multi_indices_upto(C.d, K))
-            for k in multi_indices_upto(C.d, K):
+            assert sorted(table) == _indices_upto(C.d, K)
+            for k in table:
                 assert table[k] == C.theta_power_apply_dt(k, v)
                 nonzero += sum(k) > 0 and any(not x.is_zero()
                                               for x in table[k])
@@ -319,6 +351,25 @@ def test_tau_composition_law():
     comp = mat_matmul(T12, T23)
     assert all((a - b).is_zero()
                for ra, rb in zip(comp, T13) for a, b in zip(ra, rb))
+
+
+@pytest.mark.parametrize("p, n, m", [(2, 2, 1), (2, 3, 1), (2, 3, 2),
+                                     (3, 2, 1), (3, 3, 2), (5, 2, 1)])
+def test_tau_gauges_between_pullbacks_on_the_plane(p, n, m):
+    # d = 2, rank 2, Theta_i = [[0, t_i d_i g], [0, 0]]: integrable for any
+    # g, and its theta powers do not vanish along either axis, so the series
+    # reads both axes of the walk
+    ctx, ctx_ext = RingCtx(p, n), RingCtx(p, n + m)
+    rng = random.Random(f"tau-plane:{p}:{n}:{m}")
+    z = LaurentPoly.zero(ctx, 2)
+    for _ in range(3):
+        g = _rand_poly(rng, ctx, 2, 3)
+        C = Connection(ctx, 2, m, 2, tuple(((z, g.log_partial(i)), (z, z))
+                                           for i in (1, 2)))
+        f1, f2 = (FrobLift(ctx_ext, 2, tuple(
+            _rand_poly(rng, ctx_ext, 2, 2, deg=1) * p ** (n - 1)
+            for _ in range(2))) for _ in range(2))
+        assert verify_tau(C, f1, f2, tau_transition(C, f1, f2))
 
 
 def _gamma_int_reference(h, q, p, n):

@@ -42,3 +42,40 @@ def test_script_takes_help(script, capsys, monkeypatch):
         runpy.run_path(path, run_name="__main__")
     assert exit_info.value.code == 0
     assert capsys.readouterr().out.startswith("usage:")
+
+
+def _runs(workload, parent, change, failed=0):
+    """Synthetic bench_ab run lines: pair i has the values parent[i] and
+    change[i] of one metric, wall_s."""
+    raw = []
+    for pair, values in enumerate(zip(parent, change)):
+        for side, value in zip(("parent", "change"), values):
+            raw.append({"pair": pair, "side": side, "workload": workload,
+                        "seed": 1, "result": {
+                            "correct": True, "failed": failed,
+                            "metrics": {"wall_s": {"value": value}}}})
+    return raw
+
+
+def test_bench_ab_summarize_marks_bound_spread_and_wins():
+    summarize = runpy.run_path(os.path.join(SCRIPTS, "bench_ab.py"))[
+        "summarize"]
+    raw = (
+        # a tight parent and a change 20% slower: over the bound, resolved
+        _runs("slower", [1.0, 1.01, 0.99, 1.0], [1.2, 1.21, 1.19, 1.2])
+        # a parent spread of about 40% and overlapping runs: unresolved
+        + _runs("noisy", [1.0, 1.4, 0.8, 1.2], [1.1, 0.9, 1.3, 1.0])
+        # the same spread, but every change run below every parent run
+        + _runs("faster", [1.0, 1.4, 0.8, 1.2], [0.5, 0.6, 0.55, 0.7],
+                failed=1))
+    got = {e["workload"]: e for e in summarize(
+        raw, {"wall_s": {"better": "lower", "bound": 0.1}})}
+    slower, noisy, faster = got["slower"], got["noisy"], got["faster"]
+    assert (slower["within_bound"], slower["unresolved"],
+            slower["change_wins"], slower["pairs"]) == (False, False, 0, 4)
+    assert slower["median_change_frac"] == 0.2
+    assert (noisy["within_bound"], noisy["unresolved"]) == (True, True)
+    assert (faster["within_bound"], faster["unresolved"],
+            faster["change_wins"]) == (True, False, 4)
+    assert faster["parent"]["median"] == 1.1
+    assert (faster["failed_ops"], faster["all_correct"]) == (8, True)
