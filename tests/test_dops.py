@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from pmconn.arith import (RingCtx, factorial_val, multi_binom_int,
                           multi_factorial)
 from pmconn.laurent import LaurentPoly, FrobLift, parse_poly
+from pmconn import dops
 from pmconn.connection import Connection
 from pmconn.dops import (DiffOp, op_apply, op_mul, level_change,
                          check_taylor_cocycle, check_taylor_inverse,
@@ -371,6 +372,20 @@ def test_tau_gauges_between_pullbacks_on_the_plane(p, n, m):
             for _ in range(2))) for _ in range(2))
         assert verify_tau(C, f1, f2, tau_transition(C, f1, f2))
 
+
+def test_tau_gives_up_past_its_degree_bound(monkeypatch):
+    # p = 2 and h = 2 t has valuation 1: no certified stop, so the series
+    # runs until the theta powers of nabla_2 vanish mod 4, after degree 1
+    p, n, m = 2, 2, 1
+    ctx, ctx_ext = RingCtx(p, n), RingCtx(p, n + m)
+    C = Connection.rank1(ctx, 1, m, [LaurentPoly.const(ctx, 1, p ** m)])
+    f1 = FrobLift(ctx_ext, 1, (LaurentPoly.var(ctx_ext, 1, 1) * 2,))
+    f2 = FrobLift.pure(ctx_ext, 1)
+    monkeypatch.setattr(dops, "TAU_MAX_DEGREE", 1)
+    with pytest.raises(ArithmeticError):
+        tau_transition(C, f1, f2)
+    monkeypatch.setattr(dops, "TAU_MAX_DEGREE", 2)
+    assert verify_tau(C, f1, f2, tau_transition(C, f1, f2))
 
 def _gamma_int_reference(h, q, p, n):
     """gamma_q(h) on the exact integer lift of h: the integer power h^q,
