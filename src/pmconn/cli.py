@@ -37,8 +37,16 @@ DEFAULT_WINDOW = 8
 # -- file formats ---------------------------------------------------------------
 
 
+def _ints(obj, *keys):
+    """obj[k] for each key, each a JSON integer: a string, a float or a
+    boolean is refused, not coerced."""
+    if bad := [k for k in keys if type(obj[k]) is not int]:
+        raise ValueError(f"{bad[0]} is not an integer: {obj[bad[0]]!r}")
+    return [obj[k] for k in keys]
+
+
 def connection_from_json(obj):
-    p, n, m, d, rank = (int(obj[k]) for k in ("p", "n", "m", "d", "rank"))
+    p, n, m, d, rank = _ints(obj, "p", "n", "m", "d", "rank")
     ctx = RingCtx(p, n)
     basis = obj.get("basis", "dlog")
     if basis not in ("dlog", "dt"):
@@ -67,7 +75,7 @@ def connection_to_json(C):
 
 
 def lift_from_json(obj):
-    p, n, d = int(obj["p"]), int(obj["n"]), int(obj["d"])
+    p, n, d = _ints(obj, "p", "n", "d")
     ctx = RingCtx(p, n)
     a = obj["a"]
     if not (isinstance(a, list) and len(a) == d

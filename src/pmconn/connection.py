@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .arith import RingCtx
-from .laurent import LaurentPoly, ContextMismatch
+from .laurent import ContextMismatch, LaurentPoly, dot
 
 
 # -- matrix helpers over the Laurent ring ------------------------------------
@@ -35,29 +35,14 @@ def mat_scale(A, c):
     return tuple(tuple(a * c for a in ra) for ra in A)
 
 def mat_matmul(A, B):
-    rows = len(A)
-    inner = len(B)
-    cols = len(B[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = A[i][0] * B[0][j]
-            for k in range(1, inner):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(tuple(dot(row, col) for col in zip(*B)) for row in A)
 
 def mat_apply(A, v):
-    return tuple(
-        _dot(row, v) for row in A)
+    return tuple(dot(row, v) for row in A)
 
-def _dot(row, v):
-    acc = row[0] * v[0]
-    for a, x in zip(row[1:], v[1:]):
-        acc = acc + a * x
-    return acc
+def mat_kron(A, B):
+    """The Kronecker product: entry (a*rB + b, c*cB + e) is A[a][c] B[b][e]."""
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in A for rb in B)
 
 def mat_map(A, fn):
     return tuple(tuple(fn(a) for a in row) for row in A)
@@ -65,41 +50,30 @@ def mat_map(A, fn):
 def mat_is_zero(A):
     return all(a.is_zero() for row in A for a in row)
 
+def _minor(A, i, j):
+    """A without row i and column j."""
+    return tuple(tuple(x for k, x in enumerate(row) if k != j)
+                 for k, row in enumerate(A) if k != i)
+
+def _cofactor(A, i, j):
+    """(-1)^(i+j) times the determinant of A without row i and column j."""
+    c = mat_det(_minor(A, i, j))
+    return -c if (i + j) % 2 else c
+
 def mat_det(A):
-    r = len(A)
-    if r == 1:
+    """Laplace expansion along the first row: one dot per determinant."""
+    if len(A) == 1:
         return A[0][0]
-    acc = None
-    for j in range(r):
-        minor = tuple(tuple(row[k] for k in range(r) if k != j) for row in A[1:])
-        term = A[0][j] * mat_det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    return dot(A[0], [_cofactor(A, 0, j) for j in range(len(A))])
 
 def mat_inverse(A):
     """Inverse over the Laurent ring; requires the determinant to be a unit."""
     r = len(A)
-    det = mat_det(A)
-    det_inv = det.invert()
     if r == 1:
-        return ((det_inv,),)
-    cof = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            minor = tuple(
-                tuple(A[ii][jj] for jj in range(r) if jj != j)
-                for ii in range(r) if ii != i)
-            c = mat_det(minor)
-            if (i + j) % 2:
-                c = -c
-            row.append(c)
-        cof.append(row)
-    # adjugate = transpose of cofactor matrix
-    return tuple(
-        tuple(cof[j][i] * det_inv for j in range(r)) for i in range(r))
+        return ((A[0][0].invert(),),)
+    cof = [[_cofactor(A, i, j) for j in range(r)] for i in range(r)]
+    # the adjugate (the transposed cofactors) over the determinant
+    return mat_scale(tuple(zip(*cof)), dot(A[0], cof[0]).invert())
 
 
 # -- the connection type ------------------------------------------------------
@@ -221,31 +195,19 @@ def gauge(C, g):
 
 
 def tensor(C1, C2):
+    """Theta_i (x) 1 + 1 (x) Theta'_i; basis index a*r2 + b is e_a (x) e'_b."""
     if (C1.ctx, C1.d, C1.m) != (C2.ctx, C2.d, C2.m):
         raise ContextMismatch("tensor needs equal ctx, d and level")
-    r1, r2 = C1.rank, C2.rank
-    r = r1 * r2
-    thetas = []
-    for i in range(C1.d):
-        M = [[LaurentPoly.zero(C1.ctx, C1.d) for _ in range(r)] for _ in range(r)]
-        T1, T2 = C1.theta[i], C2.theta[i]
-        for a in range(r1):
-            for b in range(r2):
-                row = a * r2 + b
-                for c in range(r1):
-                    M[row][c * r2 + b] = M[row][c * r2 + b] + T1[a][c]
-                for cdx in range(r2):
-                    M[row][a * r2 + cdx] = M[row][a * r2 + cdx] + T2[b][cdx]
-        thetas.append(tuple(tuple(row) for row in M))
-    return Connection(C1.ctx, C1.d, C1.m, r, tuple(thetas))
+    id1, id2 = (mat_id(C1.ctx, C1.d, C.rank) for C in (C1, C2))
+    return Connection(C1.ctx, C1.d, C1.m, C1.rank * C2.rank, tuple(
+        mat_add(mat_kron(T1, id2), mat_kron(id1, T2))
+        for T1, T2 in zip(C1.theta, C2.theta)))
 
 
 def dual(C):
-    new = []
-    for M in C.theta:
-        new.append(tuple(tuple(-M[j][i] for j in range(C.rank))
-                         for i in range(C.rank)))
-    return Connection(C.ctx, C.d, C.m, C.rank, tuple(new))
+    """-Theta_i^T on the dual basis."""
+    return Connection(C.ctx, C.d, C.m, C.rank, tuple(
+        mat_scale(tuple(zip(*M)), -1) for M in C.theta))
 
 
 # -- quasi-nilpotence ---------------------------------------------------------

@@ -4,9 +4,13 @@ transition matrices.
 Operators are kept in normal form: a dict from multi-indices l to Laurent
 coefficients, meaning sum of c_l * D^<l> with coefficients on the left.
 The single rewriting rule D^<k> f = sum_{k'+k''=k} C(k,k') D^<k'>(f) D^<k''>
-makes products canonical.  The Taylor checks and the transition series
-read theta^k(v) from one walk over the multi-indices k (theta_layers) and
-take the divided powers (tau/p^m)^[k] one coefficient at a time.
+makes products canonical.  op_apply and op_mul take D^<l'> of the right
+factor's monomials and multiply the left coefficients onto them with
+laurent.mul_into, reducing each output coefficient once.  The Taylor checks
+and the transition series read theta^k(v) from one walk over the
+multi-indices k (theta_layers) and take the divided powers (tau/p^m)^[k]
+one coefficient at a time; tau_transition reduces each entry of its matrix
+once with laurent.dot.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .arith import (RingCtx, factorial_val, int_val_p, multi_binom_int,
                     multi_factorial, pd_product_coeff)
 from .connection import gauge, mat_det
 from .frobenius import level_raise
-from .laurent import ContextMismatch, FrobLift, LaurentPoly
+from .laurent import ContextMismatch, FrobLift, LaurentPoly, dot, mul_into
 
 
 @dataclass(frozen=True)
@@ -91,10 +95,7 @@ def op_apply(P, f):
         raise ContextMismatch("operator and argument in different rings")
     acc = {}
     for l, c in P.terms:
-        for e2, c2 in _action(l, f.terms, P.m, f.ctx):
-            for e1, c1 in c.terms:
-                e = tuple(map(add, e1, e2))
-                acc[e] = acc.get(e, 0) + c1 * c2
+        mul_into(acc, c.terms, _action(l, f.terms, P.m, f.ctx))
     return LaurentPoly._canon(f.ctx, f.d, acc)
 
 
@@ -110,7 +111,7 @@ def op_mul(P, Q):
         = sum_{l' <= l} C(l,l') c t^e D^<l'>(c2 t^e2) D^<l-l'+k>."""
     P._chk(Q)
     ctx, mod = P.ctx, P.ctx.modulus
-    acts = {}  # l' -> [(k, e2 - l', coefficient)] over Q's monomials
+    acts = {}  # l' -> [(k, D^<l'> on the terms of Q's coefficient at k)]
     acc = {}  # output index -> {exponent: int}
     for l, c in P.terms:
         for lp in _sub_indices(l):
@@ -119,16 +120,13 @@ def op_mul(P, Q):
                 continue
             act = acts.get(lp)
             if act is None:
-                act = acts[lp] = [(k, e2, c2) for k, q in Q.terms
-                                  for e2, c2 in _action(lp, q.terms, P.m, ctx)]
+                act = acts[lp] = [
+                    (k, a) for k, q in Q.terms
+                    if (a := _action(lp, q.terms, P.m, ctx))]
             rest = tuple(map(sub, l, lp))
-            for k, e2, c2 in act:
-                idx = tuple(map(add, rest, k))
-                out = acc.setdefault(idx, {})
-                cb = c2 * binom
-                for e1, c1 in c.terms:
-                    e = tuple(map(add, e1, e2))
-                    out[e] = out.get(e, 0) + c1 * cb
+            for k, a in act:
+                mul_into(acc.setdefault(tuple(map(add, rest, k)), {}),
+                         c.terms, a, binom)
     return DiffOp.from_dict(ctx, P.d, P.m, {
         idx: LaurentPoly._canon(ctx, P.d, out) for idx, out in acc.items()})
 
@@ -277,8 +275,8 @@ def tau_transition(C, f, f_prime):
                 for h in hs)
     images_n = [g.reduce_to(ctx) for g in f_prime.images()]
     basis = [C.basis_vector(j) for j in range(C.rank)]
-    T = [[LaurentPoly.zero(ctx, d) for _ in range(C.rank)]
-         for _ in range(C.rank)]
+    # the pairs (h^[k], f'-substitution of theta^k(e_j)[b]) of each T[b][j]
+    pairs = [[[] for _ in range(C.rank)] for _ in range(C.rank)]
     for s, values in enumerate(theta_layers(C, basis)):
         alive = False
         for k, vecs in values.items():
@@ -293,7 +291,8 @@ def tau_transition(C, f, f_prime):
             for j, v in enumerate(vecs):
                 for b in range(C.rank):
                     if not v[b].is_zero():
-                        T[b][j] = T[b][j] + hk * v[b].substitute(images_n)
+                        pairs[b][j].append(
+                            (hk, v[b].substitute(images_n)))
         # certified stopping: all degree-s operator values vanished, or the
         # valuation of every later divided power already exceeds n
         if not alive:
@@ -305,7 +304,8 @@ def tau_transition(C, f, f_prime):
         if s >= TAU_MAX_DEGREE:
             raise ArithmeticError(
                 "transition series did not terminate within the bound")
-    return T
+    zero = LaurentPoly.zero(ctx, d)
+    return [[dot(*zip(*ps)) if ps else zero for ps in row] for row in pairs]
 
 
 def verify_tau(C, f, f_prime, T):

@@ -14,11 +14,12 @@ the input is not a level raise.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .arith import int_val_p
-from .connection import Connection
-from .laurent import ContextMismatch, LaurentPoly, frob_substitute
+from .connection import Connection, mat_add, mat_id, mat_map, mat_scale
+from .laurent import ContextMismatch, LaurentPoly, dot
 
 
 def level_raise(C, F):
@@ -34,20 +35,13 @@ def level_raise(C, F):
     M = [[(LaurentPoly.var(C.ctx, d, i + 1, C.ctx.p) if i == j
            else LaurentPoly.zero(C.ctx, d)) + F.a[j].log_partial(i + 1)
           for i in range(d)] for j in range(d)]
-    theta_sub = [
-        [[frob_substitute(C.theta[j][a][b], F) for b in range(r)]
-         for a in range(r)] for j in range(d)]
+    theta_sub = [mat_map(T, lambda f: f.substitute(g)) for T in C.theta]
     new_theta = []
     for i in range(d):
-        acc = [[LaurentPoly.zero(C.ctx, d) for _ in range(r)] for _ in range(r)]
-        for j in range(d):
-            scale = M[j][i] * g_inv[j]
-            if scale.is_zero():
-                continue
-            for a in range(r):
-                for b in range(r):
-                    acc[a][b] = acc[a][b] + theta_sub[j][a][b] * scale
-        new_theta.append(tuple(tuple(row) for row in acc))
+        scales = [M[j][i] * g_inv[j] for j in range(d)]
+        new_theta.append(tuple(
+            tuple(dot([T[a][b] for T in theta_sub], scales) for b in range(r))
+            for a in range(r)))
     return Connection(C.ctx, d, C.m - 1, r, tuple(new_theta))
 
 
@@ -90,24 +84,16 @@ def twist_decompose(C, F):
         raise ValueError("twists appear only when a level step is available")
     if not F.is_pure():
         raise ValueError("monomial decomposition requires a pure-power lift")
-    p, d, r = C.ctx.p, C.d, C.rank
-    scale = C.ctx.p ** (C.m - 1)
+    p, d = C.ctx.p, C.d
+    ident = mat_id(C.ctx, d, C.rank)
+    scale = p ** (C.m - 1)
     out = {}
-    for idx in range(p ** d):
-        a, rem = [], idx
-        for _ in range(d):
-            rem, ai = divmod(rem, p)
-            a.append(ai)
-        a = tuple(a)
-        theta = []
-        for i in range(d):
-            M = [list(row) for row in C.theta[i]]
-            if a[i]:
-                c = LaurentPoly.const(C.ctx, d, scale * a[i])
-                for k in range(r):
-                    M[k][k] = M[k][k] + c
-            theta.append(tuple(tuple(row) for row in M))
-        out[a] = Connection(C.ctx, d, C.m, r, tuple(theta))
+    # a[0] varies fastest, so the keys run in the order of sum a_i p^i
+    for rev in itertools.product(range(p), repeat=d):
+        a = rev[::-1]
+        out[a] = Connection(C.ctx, d, C.m, C.rank, tuple(
+            mat_add(T, mat_scale(ident, scale * ai))
+            for T, ai in zip(C.theta, a)))
     return out
 
 

@@ -6,6 +6,12 @@ nonzero coefficients stored as canonical integers in [0, p^n).  The dlog
 basis convention for 1-forms lives in the connection module; here we provide
 the two derivations (ordinary and logarithmic), unit inversion by a finite
 geometric series, and substitution along a Frobenius lift t_i -> t_i^p + p a_i.
+
+Every product of polynomials goes through one multiply-accumulate kernel:
+mul_into adds the term-pair products of two term lists into an exact integer
+dict, and dot reduces a whole sum of products x * y once, sending the large
+pairs through the packed (Kronecker) kernel.  The product operator, the
+operator ring and the matrix layer are built on these two.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from operator import add
 
 from .arith import RingCtx
 
@@ -125,10 +132,7 @@ class LaurentPoly:
             if terms is not None:
                 return LaurentPoly(self.ctx, self.d, terms)
         acc = {}
-        for e1, c1 in a:
-            for e2, c2 in b:
-                e = tuple(x + y for x, y in zip(e1, e2))
-                acc[e] = acc.get(e, 0) + c1 * c2
+        mul_into(acc, a, b)
         return LaurentPoly._canon(self.ctx, self.d, acc)
 
     __rmul__ = __mul__
@@ -244,6 +248,41 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self.ctx.p}^{self.ctx.n}, {self})"
+
+
+def mul_into(acc, a, b, scale=1):
+    """Add scale * c1 * c2 at exponent e1 + e2 into acc, a dict from
+    exponents to exact ints, for every term (e1, c1) of a and (e2, c2) of b.
+    a and b are sequences of (exponent tuple, int) pairs of one arity; the
+    caller reduces acc once, when it is complete."""
+    for e2, c2 in b:
+        c2 *= scale
+        for e1, c1 in a:
+            e = tuple(map(add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def dot(xs, ys):
+    """sum of x * y over the pairs of xs and ys, reduced mod p^n once.
+
+    All operands must live in the ring of xs[0], which must exist.  A pair
+    with more than _PACKED_MIN_PAIRS term pairs tries the packed kernel, as
+    x * y would; the others go through mul_into."""
+    first = xs[0]
+    ctx, d = first.ctx, first.d
+    acc = {}
+    for x, y in zip(xs, ys, strict=True):
+        first._chk(x)
+        first._chk(y)
+        a, b = x.terms, y.terms
+        if len(a) * len(b) > _PACKED_MIN_PAIRS:
+            terms = _packed_mul(a, b, d, ctx.modulus)
+            if terms is not None:
+                for e, c in terms:
+                    acc[e] = acc.get(e, 0) + c
+                continue
+        mul_into(acc, a, b)
+    return LaurentPoly._canon(ctx, d, acc)
 
 
 # Products with more term pairs than this try the packed kernel; below it the

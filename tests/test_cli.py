@@ -345,6 +345,44 @@ def test_lift_whose_a_is_not_d_polynomials_is_unreadable(tmp_path, capsys,
     assert err.startswith("cannot read input")
 
 
+@pytest.mark.parametrize("fields", [
+    {"p": "3", "n": 2.9, "m": True},
+    {"p": "3"}, {"n": 2.9}, {"n": 2.0}, {"m": True}, {"d": True},
+    {"rank": 1.0}, {"rank": None},
+], ids=["string-float-bool", "p-string", "n-float", "n-float-integral",
+        "m-bool", "d-bool", "rank-float", "rank-null"])
+def test_connection_fields_that_are_not_json_integers_are_unreadable(
+        tmp_path, capsys, fields):
+    # int() once read {"p": "3", "n": 2.9, "m": true} as p = 3, n = 2, m = 1
+    obj = {"p": 3, "n": 2, "m": 0, "d": 1, "rank": 1, "theta": [[["3*t1"]]]}
+    assert run(capsys, "cohomology", _write(tmp_path, "c.json", obj))[0] == 0
+    f = _write(tmp_path, "bad.json", {**obj, **fields})
+    code, out, err = run(capsys, "cohomology", f)
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot read connection file")
+
+
+@pytest.mark.parametrize("fields", [
+    {"n": 2.5, "d": True}, {"p": "3"}, {"n": 2.5}, {"d": True},
+], ids=["float-bool", "p-string", "n-float", "d-bool"])
+@pytest.mark.parametrize("cmd", ["raise", "descend"])
+def test_lift_fields_that_are_not_json_integers_are_unreadable(
+        tmp_path, capsys, cmd, fields):
+    # int() once read {"n": 2.5, "d": true} as n = 2, d = 1, the chart of
+    # the connection, so the command answered
+    conn = _write(tmp_path, "c.json",
+                  {"p": 3, "n": 2, "m": int(cmd == "raise"), "d": 1,
+                   "rank": 1, "basis": "dlog", "theta": [[["3*t1^3"]]]})
+    lift = {"p": 3, "n": 2, "d": 1, "a": ["0"]}
+    flag = [] if cmd == "raise" else ["--lift"]
+    assert run(capsys, cmd, conn, *flag,
+               _write(tmp_path, "l.json", lift))[0] == 0
+    code, out, err = run(capsys, cmd, conn, *flag,
+                         _write(tmp_path, "bad.json", {**lift, **fields}))
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot read input")
+
+
 def test_connection_json_round_trip():
     obj = {"p": 5, "n": 3, "m": 2, "d": 2, "rank": 2, "basis": "dlog",
            "theta": [[["1*t1^1*t2^-1", "0"], ["3", "0"]],

@@ -1,6 +1,8 @@
 import functools
 import hashlib
 import inspect
+import itertools
+import math
 import random
 import timeit
 
@@ -11,7 +13,8 @@ from pmconn.laurent import LaurentPoly, parse_poly
 from pmconn import connection
 from pmconn.connection import (Connection, QNResult, gauge, tensor, dual,
                                is_quasi_nilpotent, ExtensionPresentation,
-                               check_presentation, mat_id, mat_det)
+                               check_presentation, mat_id, mat_det,
+                               mat_inverse, mat_matmul)
 
 
 def _rand_poly(rng, ctx, d, terms, deg=2):
@@ -139,6 +142,67 @@ def test_dual_and_tensor_rank1():
     Cg = Connection.rank1(ctx, 1, 1, [g])
     assert dual(dual(Cf)).theta == Cf.theta
     assert tensor(Cf, Cg).theta[0][0][0] == f + g
+
+
+def _rand_matrix(rng, ctx, d, r, terms=2):
+    return tuple(tuple(_rand_poly(rng, ctx, d, terms) for _ in range(r))
+                 for _ in range(r))
+
+
+def test_tensor_and_dual_conventions_at_rank_2_on_the_plane():
+    # hom_space reads g[a][b] from slot a*r2 + b of C1 (x) C2^dual, so the
+    # tensor's index order and the dual's sign and transpose are pinned here
+    rng = random.Random(5)
+    ctx, d = RingCtx(3, 2), 2
+    C1, C2 = (Connection(ctx, d, 1, 2, tuple(
+        _rand_matrix(rng, ctx, d, 2) for _ in range(d))) for _ in range(2))
+    zero = LaurentPoly.zero(ctx, d)
+    H = tensor(C1, C2)
+    for i in range(d):
+        T1, T2 = C1.theta[i], C2.theta[i]
+        for a, b, c, e in itertools.product(range(2), repeat=4):
+            want = (T1[a][c] if b == e else zero) + \
+                (T2[b][e] if a == c else zero)
+            assert H.theta[i][a * 2 + b][c * 2 + e] == want
+        assert dual(C1).theta[i] == tuple(
+            tuple(-T1[b][a] for b in range(2)) for a in range(2))
+
+
+def _leibniz_det(A):
+    """The determinant as a sum over permutations, with + and * alone."""
+    r = len(A)
+    total = LaurentPoly.zero(A[0][0].ctx, A[0][0].d)
+    for perm in itertools.permutations(range(r)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(r) for j in range(i + 1, r))
+        term = math.prod((A[i][perm[i]] for i in range(r)),
+                         start=LaurentPoly.one(total.ctx, total.d))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def test_rank_3_unimodular_matrices_invert():
+    # A = L U with unit diagonals (units c t^e (1 + p f) and 1 + p f), so
+    # det A is their product and A is invertible over the Laurent ring
+    rng = random.Random(9)
+    for trial in range(12):
+        ctx = RingCtx(rng.choice([2, 3, 5]), rng.randint(1, 3))
+        d, r = 1 + trial % 2, 3
+        zero = LaurentPoly.zero(ctx, d)
+        L = [[_rand_unit(rng, ctx, d) if i == j else
+              _rand_poly(rng, ctx, d, 2) if i > j else zero
+              for j in range(r)] for i in range(r)]
+        U = [[_rand_poly(rng, ctx, d, 1) * ctx.p + LaurentPoly.one(ctx, d)
+              if i == j else _rand_poly(rng, ctx, d, 2) if i < j else zero
+              for j in range(r)] for i in range(r)]
+        A = mat_matmul(L, U)
+        det = mat_det(A)
+        assert det == _leibniz_det(A)
+        assert det == math.prod((L[i][i] * U[i][i] for i in range(r)),
+                                start=LaurentPoly.one(ctx, d))
+        inv = mat_inverse(A)
+        assert mat_matmul(A, inv) == mat_id(ctx, d, r)
+        assert mat_matmul(inv, A) == mat_id(ctx, d, r)
 
 
 def test_quasi_nilpotence_two_values():

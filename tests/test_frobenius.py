@@ -1,15 +1,17 @@
 import hashlib
+import inspect
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pmconn import cohomology, frobenius
 from pmconn.arith import RingCtx
 from pmconn.laurent import (LaurentPoly, FrobLift, frob_substitute,
                             format_poly, parse_poly)
 from pmconn.connection import (Connection, gauge, is_quasi_nilpotent,
-                               mat_matmul, mat_inverse)
+                               mat_det, mat_matmul, mat_inverse)
 from pmconn.frobenius import (level_raise, LiftChain, psi, twist_decompose,
                               descend_rank1)
 from pmconn.cohomology import hom_space, verify_pullback_iso, _unit_in_span
@@ -88,6 +90,99 @@ def test_twist_decompose_covers_all_residues():
     for a, Ca in tw.items():
         assert Ca.rank == C.rank
         assert Ca.m == m  # summands stay at level m, shifted by p^{m-1} a
+
+
+def test_twist_keys_run_with_a0_fastest():
+    p, n, m, d = 3, 3, 2, 2
+    ctx = RingCtx(p, n)
+    rng = random.Random(4)
+    C = Connection(ctx, d, m, 2, tuple(
+        tuple(tuple(_rand_poly(rng, ctx, d, 2) for _ in range(2))
+              for _ in range(2)) for _ in range(d)))
+    tw = twist_decompose(C, FrobLift.pure(ctx, d))
+    assert list(tw) == [(a0, a1) for a1 in range(p) for a0 in range(p)]
+    for a, Ca in tw.items():
+        for i in range(d):
+            shift = LaurentPoly.const(ctx, d, p ** (m - 1) * a[i])
+            assert Ca.theta[i] == tuple(
+                tuple(x + shift if r == c else x for c, x in enumerate(row))
+                for r, row in enumerate(C.theta[i]))
+
+
+def _rewritten(module, name, old, new):
+    """module.name with the one occurrence of old in its source made new."""
+    src = inspect.getsource(getattr(module, name))
+    assert src.count(old) == 1
+    ns = dict(vars(module))
+    exec(src.replace(old, new), ns)
+    return ns[name]
+
+
+def _plane_objects():
+    """Seeded integrable level-1 objects on the plane with impure lifts: rank
+    1 with theta_i = p (c_i + t_i d_i h), and rank 2 gauged from a diagonal
+    pair of those by a unipotent [[1, u], [0, 1]]."""
+    rng = random.Random(8)
+    d = 2
+    for k in range(24):
+        ctx = RingCtx(rng.choice([2, 3, 5]), rng.choice([2, 3]))
+        p = ctx.p
+
+        def field():
+            h = _rand_poly(rng, ctx, d, 2, 1)
+            return [(h.log_partial(i) + LaurentPoly.const(
+                ctx, d, rng.randrange(ctx.modulus))) * p for i in (1, 2)]
+        C = Connection.rank1(ctx, d, 1, field())
+        if k % 2:
+            f, g = field(), field()
+            z, one = LaurentPoly.zero(ctx, d), LaurentPoly.one(ctx, d)
+            D = Connection(ctx, d, 1, 2, tuple(
+                ((fi, z), (z, gi)) for fi, gi in zip(f, g)))
+            C = gauge(D, ((one, _rand_poly(rng, ctx, d, 2, 1)), (z, one)))
+        F = FrobLift(ctx, d, tuple(_rand_poly(rng, ctx, d, 2, 1)
+                                   for _ in range(d)))
+        assert C.is_integrable() and not F.is_pure()
+        yield C, F
+
+
+def _raise_by_formula(C, F):
+    """Theta'_i = sum_j F*(Theta_j) (t_i^p delta_ij + t_i da_j/dt_i) g_j^-1,
+    entry by entry with + and *."""
+    ctx, d, r = C.ctx, C.d, C.rank
+    g = F.images()
+    theta = []
+    for i in range(d):
+        M = [[LaurentPoly.zero(ctx, d)] * r for _ in range(r)]
+        for j in range(d):
+            s = F.a[j].log_partial(i + 1)
+            if i == j:
+                s = s + LaurentPoly.var(ctx, d, i + 1, ctx.p)
+            s = s * g[j].invert()
+            for a, b in itertools.product(range(r), repeat=2):
+                M[a][b] = M[a][b] + frob_substitute(C.theta[j][a][b], F) * s
+        theta.append(M)
+    return Connection(ctx, d, C.m - 1, r, theta)
+
+
+def _ranks_of_raises_that_lose_integrability(raise_fn):
+    return [C.rank for C, F in _plane_objects()
+            if not raise_fn(C, F).is_integrable()]
+
+
+def test_raises_along_impure_lifts_on_the_plane_stay_integrable():
+    for C, F in _plane_objects():
+        assert level_raise(C, F).theta == _raise_by_formula(C, F).theta
+    assert _ranks_of_raises_that_lose_integrability(level_raise) == []
+
+
+def test_a_raise_without_its_cross_terms_loses_integrability():
+    # M[j][i] keeps t_i da_j/dt_i only when i = j
+    without_cross_terms = _rewritten(
+        frobenius, "level_raise", "+ F.a[j].log_partial(i + 1)",
+        "+ (F.a[j].log_partial(i + 1) if i == j\n"
+        "                 else LaurentPoly.zero(C.ctx, d))")
+    lost = _ranks_of_raises_that_lose_integrability(without_cross_terms)
+    assert len(lost) >= 12 and set(lost) == {1, 2}
 
 
 def test_hom_space_detects_gauge_pairs():
@@ -305,6 +400,33 @@ def test_verify_pullback_iso_rank2_combines_generators(D):
     rep = verify_pullback_iso(up, down, F, D)
     assert rep["found"] is True
     assert gauge(LR, rep["witness"]).theta == down.theta
+
+
+def test_verify_pullback_iso_needs_a_combination_of_generators_on_the_plane():
+    # down is the raise of diag(3, 6) gauged by diag(t1, t2^-1): every
+    # intertwiner generator is singular, and only their sum is a gauge
+    ctx, d = RingCtx(3, 2), 2
+    F = FrobLift.pure(ctx, d)
+    z = LaurentPoly.zero(ctx, d)
+    three, six = (LaurentPoly.const(ctx, d, c) for c in (3, 6))
+    up = Connection(ctx, d, 1, 2, (((three, z), (z, six)),) * d)
+    LR = level_raise(up, F)
+    down = gauge(LR, ((LaurentPoly.var(ctx, d, 1), z),
+                      (z, LaurentPoly.var(ctx, d, 2, -1))))
+    units = [g for g, e in hom_space(LR, down, 1) if e == ctx.n]
+    assert len(units) >= 2
+    assert not any(mat_det(g).is_unit() for g in units)
+    rep = verify_pullback_iso(up, down, F, 1)
+    assert rep["found"] is True
+    assert gauge(LR, rep["witness"]).theta == down.theta
+    one_at_a_time = _rewritten(
+        cohomology, "verify_pullback_iso",
+        "itertools.product(range(ctx.p), repeat=len(units))",
+        "(tuple(c * (i == k) for i in range(len(units)))\n"
+        "                   for k in range(len(units)) for c in range(ctx.p))")
+    rep = one_at_a_time(up, down, F, 1)
+    assert rep["found"] is False
+    assert rep["obstruction"]["kind"] == "no-invertible-candidate"
 
 
 def test_verify_pullback_iso_rank2_verdicts():

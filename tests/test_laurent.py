@@ -4,10 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pmconn import laurent
 from pmconn.arith import RingCtx
 from pmconn.laurent import (LaurentPoly, FrobLift, frob_substitute,
                             parse_poly, format_poly, ContextMismatch,
-                            NotAUnit, _packed_mul, _PACKED_MIN_PAIRS)
+                            NotAUnit, _packed_mul, _PACKED_MIN_PAIRS, dot,
+                            mul_into)
 from pmconn.dops import DiffOp, op_apply
 
 ctxs = st.builds(RingCtx,
@@ -287,3 +289,99 @@ def test_power_matches_repeated_multiplication(d, text, k):
     for _ in range(k):  # every bit of k is set
         acc = schoolbook(acc, g)
     assert g ** k == acc
+
+
+# -- the multiply-accumulate kernel against a term-pair reference ------------
+
+
+def term_pair_sum(pairs, ctx, d, scale=1):
+    """sum of scale * x * y over pairs, one term pair at a time."""
+    acc = {}
+    for x, y in pairs:
+        for e1, c1 in x.terms:
+            for e2, c2 in y.terms:
+                e = tuple(a + b for a, b in zip(e1, e2))
+                acc[e] = (acc.get(e, 0) + scale * c1 * c2) % ctx.modulus
+    return LaurentPoly.from_dict(ctx, d, acc)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_dot_and_mul_into_match_the_term_pair_reference(d, monkeypatch):
+    calls = []
+
+    def counted(a, b, d, mod):
+        calls.append(len(a) * len(b))
+        out = _packed_mul(a, b, d, mod)
+        assert out is not None  # the dense boxes below always pack
+        return out
+    monkeypatch.setattr(laurent, "_packed_mul", counted)
+    rng = random.Random(40 + d)
+    # a dense operand fills a box of 10 (d = 1) or 12 (d = 2) exponents, so
+    # a dense pair has more than _PACKED_MIN_PAIRS term pairs
+    box = list(itertools.product(range(-5, 5)) if d == 1
+               else itertools.product(range(-1, 2), range(-2, 2)))
+    sides = {"packed": 0, "pair loop": 0, "zero": 0, "mixed": 0}
+    for _ in range(60):
+        ctx = RingCtx(rng.choice([2, 3, 5]), rng.randint(1, 4))
+
+        def small():
+            return random_poly(rng, ctx, d, rng.randint(1, 3), 3)
+
+        def dense():
+            return LaurentPoly.from_dict(ctx, d, {
+                e: rng.randrange(1, ctx.modulus) for e in box})
+
+        def pair():
+            kind = rng.choice(["packed", "pair loop", "pair loop", "zero"])
+            if kind == "packed":
+                return dense(), dense()
+            x, y = small(), rng.choice([small, dense])()
+            if kind == "zero":
+                x = LaurentPoly.zero(ctx, d)
+            return (x, y) if rng.randrange(2) else (y, x)
+        pairs = [pair() for _ in range(rng.randint(1, 4))]
+        big = [len(x.terms) * len(y.terms) > _PACKED_MIN_PAIRS
+               for x, y in pairs]
+        del calls[:]
+        xs, ys = (list(z) for z in zip(*pairs))
+        assert dot(xs, ys) == term_pair_sum(pairs, ctx, d)
+        assert len(calls) == sum(big)
+        assert all(n > _PACKED_MIN_PAIRS for n in calls)
+        sides["packed"] += sum(big)
+        sides["pair loop"] += len(big) - sum(big)
+        sides["zero"] += sum(not (x.terms and y.terms) for x, y in pairs)
+        sides["mixed"] += any(big) and not all(big)
+        scale = rng.randrange(-ctx.modulus, ctx.modulus)
+        acc = {}
+        for x, y in pairs:
+            mul_into(acc, x.terms, y.terms, scale)
+        assert LaurentPoly.from_dict(ctx, d, acc) == \
+            term_pair_sum(pairs, ctx, d, scale)
+    assert min(sides.values()) >= 10, sides
+
+
+def test_dot_of_zero_operands_and_the_empty_product():
+    ctx = RingCtx(3, 2)
+    zero, f = LaurentPoly.zero(ctx, 2), parse_poly("1+t1*t2^-1", ctx, 2)
+    assert dot([zero, f], [f, zero]).is_zero()
+    assert dot([f, f * 8], [f, f]).is_zero()  # f^2 + 8 f^2 = 9 f^2 = 0
+    acc = {}
+    mul_into(acc, f.terms, ())
+    mul_into(acc, (), f.terms)
+    assert acc == {}
+
+
+def test_dot_refuses_mixed_rings_and_unequal_lengths():
+    ctx = RingCtx(3, 2)
+    f = LaurentPoly.one(ctx, 1)
+    for other in (LaurentPoly.one(RingCtx(3, 3), 1),
+                  LaurentPoly.one(RingCtx(5, 2), 1),
+                  LaurentPoly.one(ctx, 2)):
+        with pytest.raises(ContextMismatch):
+            dot([f], [other])
+        with pytest.raises(ContextMismatch):
+            dot([f, other], [f, f])
+        with pytest.raises(ContextMismatch):
+            dot([f, f], [f, other])
+    with pytest.raises(ValueError):
+        dot([f, f], [f])
