@@ -30,6 +30,10 @@ the change from noise.  It also records each side's ``src_lines``, the
 the copied working tree differed from ``change_commit``.  Each median is
 printed beside the previous BENCH file's, with ``ok``, ``OVER`` or
 ``unresolved`` for the bound.
+
+A run that exits non-zero stops the script before any file is written: it
+prints the side, workload, seed, pair, exit code and the last lines of the
+run's stderr, removes both checkouts and exits with status 1.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# lines of a failed run's stderr printed before the script exits
+STDERR_TAIL = 20
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -186,8 +192,16 @@ def run_pairs(args, sides, seconds, metrics):
                 order = ("parent", "change") if pair % 2 == 0 else \
                     ("change", "parent")
                 for side in order:
-                    record, result = run_once(sides[side], workload, seed,
-                                              seconds)
+                    try:
+                        record, result = run_once(sides[side], workload,
+                                                  seed, seconds)
+                    except subprocess.CalledProcessError as err:
+                        tail = err.stderr.strip().splitlines()[-STDERR_TAIL:]
+                        print(f"{side} run failed: workload {workload} seed "
+                              f"{seed} pair {pair}, exit code "
+                              f"{err.returncode}; last lines of its stderr:",
+                              *tail, sep="\n", file=sys.stderr)
+                        sys.exit(1)
                     raw.append({"pair": pair, "side": side,
                                 "workload": workload, "seed": seed,
                                 "trace": 0, "record": record,

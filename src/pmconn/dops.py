@@ -1,16 +1,18 @@
 """Negative-level differential operators, Taylor series and two-lift
 transition matrices.
 
-Operators are kept in normal form: a dict from multi-indices l to Laurent
-coefficients, meaning sum of c_l * D^<l> with coefficients on the left.
+Operators are kept in normal form: pairs (l, c_l) sorted by multi-index,
+nonzero Laurent coefficients only, meaning sum of c_l * D^<l> with
+coefficients on the left.
 The single rewriting rule D^<k> f = sum_{k'+k''=k} C(k,k') D^<k'>(f) D^<k''>
 makes products canonical.  op_apply and op_mul take D^<l'> of the right
-factor's monomials and multiply the left coefficients onto them with
+factor's monomials, skipping every l' whose factor l'! p^(m|l'|) vanishes
+mod p^n, and multiply the left coefficients onto them with
 laurent.mul_into, reducing each output coefficient once.  The Taylor checks
 and the transition series read theta^k(v) from one walk over the
 multi-indices k (theta_layers) and take the divided powers (tau/p^m)^[k]
 one coefficient at a time; tau_transition reduces each entry of its matrix
-once with laurent.dot.
+once with laurent.dot and, like theta_table, needs an integrable connection.
 """
 
 from __future__ import annotations
@@ -74,14 +76,15 @@ class DiffOp:
         return self + (-other)
 
 
-def _action(l, terms, m, ctx):
-    """D^<l> at level -m on the monomials c t^e of terms, by
-    D^<l>(t^e) = l! C(e,l) p^{m|l|} t^{e-l}: the (e - l, coefficient mod p^n)
+def _scale(l, m, ctx):
+    """l! p^(m|l|) mod p^n: the factor D^<l> puts on every monomial."""
+    return multi_factorial(l) * ctx.p ** (m * sum(l)) % ctx.modulus
+
+
+def _action(l, scale, terms, mod):
+    """D^<l>(t^e) = l! C(e,l) p^{m|l|} t^{e-l} on the monomials c t^e of
+    terms, with scale = _scale(l, m, ctx): the (e - l, coefficient mod p^n)
     pairs, zeros dropped, in the order of terms."""
-    mod = ctx.modulus
-    scale = multi_factorial(l) * ctx.p ** (m * sum(l)) % mod
-    if not scale:
-        return []
     out = []
     for e, c in terms:
         coeff = c * scale * multi_binom_int(e, l) % mod
@@ -95,14 +98,14 @@ def op_apply(P, f):
         raise ContextMismatch("operator and argument in different rings")
     acc = {}
     for l, c in P.terms:
-        mul_into(acc, c.terms, _action(l, f.terms, P.m, f.ctx))
+        if scale := _scale(l, P.m, f.ctx):
+            mul_into(acc, c.terms, _action(l, scale, f.terms, f.ctx.modulus))
     return LaurentPoly._canon(f.ctx, f.d, acc)
 
 
 def _sub_indices(l):
     """All multi-indices l' <= l componentwise."""
-    ranges = [range(x + 1) for x in l]
-    return list(itertools.product(*ranges))
+    return list(itertools.product(*(range(x + 1) for x in l)))
 
 
 def op_mul(P, Q):
@@ -115,20 +118,24 @@ def op_mul(P, Q):
     acc = {}  # output index -> {exponent: int}
     for l, c in P.terms:
         for lp in _sub_indices(l):
+            act = acts.get(lp)
+            if act is None:
+                scale = _scale(lp, P.m, ctx)
+                act = acts[lp] = [
+                    (k, a) for k, q in Q.terms
+                    if scale and (a := _action(lp, scale, q.terms, mod))]
+            if not act:
+                continue
             binom = math.prod(map(math.comb, l, lp)) % mod
             if not binom:
                 continue
-            act = acts.get(lp)
-            if act is None:
-                act = acts[lp] = [
-                    (k, a) for k, q in Q.terms
-                    if (a := _action(lp, q.terms, P.m, ctx))]
             rest = tuple(map(sub, l, lp))
             for k, a in act:
                 mul_into(acc.setdefault(tuple(map(add, rest, k)), {}),
                          c.terms, a, binom)
-    return DiffOp.from_dict(ctx, P.d, P.m, {
-        idx: LaurentPoly._canon(ctx, P.d, out) for idx, out in acc.items()})
+    terms = ((idx, LaurentPoly._canon(ctx, P.d, out))
+             for idx, out in sorted(acc.items()))
+    return DiffOp(ctx, P.d, P.m, tuple(t for t in terms if t[1].terms))
 
 
 def level_change(P, m_new):
@@ -193,20 +200,17 @@ def check_taylor_inverse(C, e, K):
     composed with the series itself must give back e at order 0 and zero in
     every higher PD degree.
 
-    As written this cannot return False: for k != 0 the sum over a <= k is
-    theta^k(e) prod_i (1 - 1)^{k_i} = 0 whatever theta^k(e) is, and at
-    k = 0 it compares e with itself.  A check that can fail reads
-    theta^{k-a}(theta^a e) from per-a tables (ROADMAP item 2)."""
-    zero_vec = tuple(LaurentPoly.zero(C.ctx, C.d) for _ in range(C.rank))
+    Degree k is theta^k(e) times the scalar sum_{a <= k} (-1)^{|a|} C(k, a)
+    = prod_i (1 - 1)^{k_i}.  So this cannot return False: the scalar is 0
+    for k != 0 whatever theta^k(e) is, and at k = 0 it compares e with
+    itself.  A check that can fail reads theta^{k-a}(theta^a e) from per-a
+    tables (ROADMAP item 2)."""
+    zero = LaurentPoly.zero(C.ctx, C.d)
     for k, v in theta_table(C, e, K).items():
-        total = list(zero_vec)
-        for a in _sub_indices(k):
-            b = tuple(x - y for x, y in zip(k, a))
-            sign = -1 if sum(a) % 2 else 1
-            c = sign * pd_product_coeff(a, b, C.ctx)
-            total = [tt + vv * c for tt, vv in zip(total, v)]
-        target = list(e) if sum(k) == 0 else list(zero_vec)
-        if any(not (x - y).is_zero() for x, y in zip(total, target)):
+        scalar = sum((-1) ** sum(a) * pd_product_coeff(
+            a, tuple(map(sub, k, a)), C.ctx) for a in _sub_indices(k))
+        target = [zero] * C.rank if any(k) else e
+        if any(x * scalar != y for x, y in zip(v, target)):
             return False
     return True
 
@@ -257,6 +261,8 @@ def tau_transition(C, f, f_prime):
         if F.ctx != ctx_ext or F.d != d:
             raise ContextMismatch(
                 f"lifts must be given at truncation p^{n + m}")
+    if not C.is_integrable():
+        raise ValueError("theta powers are only well-defined when integrable")
     # h = (f*(t) - f'*(t)) / p^m on canonical integer lifts, reduced mod p^n
     pm = p ** m
     pn = p ** n

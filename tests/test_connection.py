@@ -6,10 +6,11 @@ import math
 import random
 import timeit
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmconn.arith import RingCtx
-from pmconn.laurent import LaurentPoly, parse_poly
+from pmconn.laurent import LaurentPoly, dot, parse_poly
 from pmconn import connection
 from pmconn.connection import (Connection, QNResult, gauge, tensor, dual,
                                is_quasi_nilpotent, ExtensionPresentation,
@@ -132,6 +133,78 @@ def test_theta_apply_dt_is_t_inverse_times_theta_apply(args):
             old = tuple(x * tinv for x in C.theta_apply(i, v))
             assert tuple(x.terms for x in C.theta_apply_dt(i, v)) == \
                 tuple(x.terms for x in old)
+
+
+def _theta_reference(C, i, v, dt):
+    """theta_i(v) = Theta_i v + p^m t_i d_i v in the dlog basis, or
+    t_i^-1 Theta_i v + p^m d_i v in the dt basis, entry by entry from
+    laurent.dot and the two derivations."""
+    pm = C.p_to_m()
+    tinv = LaurentPoly.var(C.ctx, C.d, i, -1)
+    return tuple(dot(row, v) * tinv + x.partial(i) * pm if dt
+                 else dot(row, v) + x.log_partial(i) * pm
+                 for row, x in zip(C.theta[i - 1], v))
+
+
+def _theta_mismatches(p, n, m, seed):
+    """(basis, d, rank, integrable, axis) of each theta step that differs
+    from _theta_reference, over rank 1 and 2, d = 1 and 2, integrable and
+    random connections, each on a random vector."""
+    ctx = RingCtx(p, n)
+    rng = random.Random(seed)
+    conns = []
+    for d in (1, 2):
+        z = LaurentPoly.zero(ctx, d)
+        g = _rand_poly(rng, ctx, d, 3)
+        conns += [
+            # exact theta_i = t_i d_i g: integrable
+            Connection.rank1(ctx, d, m, [g.log_partial(i)
+                                         for i in range(1, d + 1)]),
+            # commuting nilpotent constants: integrable
+            Connection(ctx, d, m, 2, tuple(
+                ((z, LaurentPoly.const(ctx, d, rng.randrange(ctx.modulus))),
+                 (z, z)) for _ in range(d)))]
+        conns += [Connection(ctx, d, m, r, tuple(
+            _rand_matrix(rng, ctx, d, r) for _ in range(d))) for r in (1, 2)]
+    out = []
+    for C in conns:
+        v = tuple(_rand_poly(rng, ctx, C.d, 3) for _ in range(C.rank))
+        for i in range(1, C.d + 1):
+            for dt, step in ((False, C.theta_apply), (True, C.theta_apply_dt)):
+                if step(i, v) != _theta_reference(C, i, v, dt):
+                    out.append(("dt" if dt else "dlog", C.d, C.rank,
+                                C.is_integrable(), i))
+    return out
+
+
+@given(cases)
+@settings(max_examples=40, deadline=None)
+def test_theta_steps_match_a_reference(args):
+    p, n, m, seed = args
+    # m < n, so that p^m != 0 mod p^n and the derivative term is alive
+    assert _theta_mismatches(p, n, m % n, seed) == []
+
+
+def test_theta_steps_refuse_axis_zero():
+    ctx = RingCtx(3, 2)
+    C = Connection.rank1(ctx, 2, 1, [LaurentPoly.one(ctx, 2)] * 2)
+    for step in (C.theta_apply, C.theta_apply_dt):
+        with pytest.raises(ValueError, match="out of range"):
+            step(0, C.basis_vector(0))
+
+
+def test_theta_reference_sees_a_step_without_its_derivative_term(
+        monkeypatch):
+    assert _theta_mismatches(3, 3, 1, 0) == []
+    monkeypatch.setattr(Connection, "_theta_step",
+                        lambda self, M, axis, drop, v:
+                        tuple(dot(row, v) for row in M))
+    found = _theta_mismatches(3, 3, 1, 0)
+    assert {basis for basis, *_ in found} == {"dlog", "dt"}
+    # every shape, integrable or not (at d = 1 every connection is)
+    assert {(d, rank, integrable) for _, d, rank, integrable, _ in found} \
+        == {(1, 1, True), (1, 2, True), (2, 1, True), (2, 2, True),
+            (2, 1, False), (2, 2, False)}
 
 
 def test_dual_and_tensor_rank1():

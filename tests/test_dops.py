@@ -39,6 +39,11 @@ def _rand_op(rng, ctx, d, m, order):
 OPERATOR_DIGEST = (
     "82889f00da7fbb69d935bc3b06eede0e12db8e5c6cda40513a1c89cd918ddf08")
 
+# recorded before tau_transition checked integrability and before theta
+# steps were fused into one accumulation
+TAU_DIGEST = (
+    "f9ecd199816807c42db38f710d51c798911e0a071474a7edae099bb3ca8a2546")
+
 grid = st.tuples(st.sampled_from([2, 3]),
                  st.integers(min_value=1, max_value=3),
                  st.integers(min_value=0, max_value=2),
@@ -142,6 +147,7 @@ def test_op_mul_matches_reference(args, d):
     P = _rand_op_terms(rng, ctx, d, m, 3, 3)
     Q = _rand_op_terms(rng, ctx, d, m, 3, 3)
     assert op_mul(P, Q).terms == _op_mul_reference(P, Q).terms
+    _assert_normal_form(op_mul(P, Q), P)
     f = _rand_poly(rng, ctx, d, 3)
     for l in itertools.product(range(4), repeat=d):
         assert op_apply(DiffOp.partial(ctx, d, m, l), f) == \
@@ -176,6 +182,38 @@ def test_op_apply_and_level_change_match_reference(args, d):
     for m_new in range(m + 1):
         assert level_change(P, m_new).terms == \
             _level_change_reference(P, m_new).terms
+
+
+@pytest.mark.parametrize("p, n, m", [(2, 2, 2), (3, 1, 1), (2, 1, 3),
+                                     (3, 2, 2)])
+def test_op_mul_and_op_apply_in_closed_form_where_actions_vanish(p, n, m):
+    # m >= n: p^(m|l|) = 0 mod p^n for every l != 0, so D^<l> commutes with
+    # every coefficient, P Q = sum c_l c_k D^<l+k> and P(f) = c_0 f
+    ctx = RingCtx(p, n)
+    rng = random.Random(f"closed-form:{p}:{n}:{m}")
+    for d in (1, 2):
+        zero = LaurentPoly.zero(ctx, d)
+        for _ in range(20):
+            P = _rand_op_terms(rng, ctx, d, m, 3, 3)
+            Q = _rand_op_terms(rng, ctx, d, m, 3, 3)
+            f = _rand_poly(rng, ctx, d, 3)
+            want = {}
+            for (l, c), (k, c2) in itertools.product(P.terms, Q.terms):
+                idx = tuple(a + b for a, b in zip(l, k))
+                want[idx] = want.get(idx, zero) + c * c2
+            PQ = op_mul(P, Q)
+            assert PQ.terms == DiffOp.from_dict(ctx, d, m, want).terms
+            assert op_apply(P, f) == P.as_dict().get((0,) * d, zero) * f
+            _assert_normal_form(PQ, P)
+
+
+def _assert_normal_form(R, P):
+    """R's terms are sorted by index, with nonzero coefficients in P's ring."""
+    assert (R.ctx, R.d, R.m) == (P.ctx, P.d, P.m)
+    assert [l for l, _ in R.terms] == sorted({l for l, _ in R.terms})
+    for l, c in R.terms:
+        assert len(l) == P.d and not c.is_zero()
+        assert (c.ctx, c.d) == (P.ctx, P.d)
 
 
 def _integrable_catalog(rng, ctx, m):
@@ -386,6 +424,47 @@ def test_tau_gives_up_past_its_degree_bound(monkeypatch):
         tau_transition(C, f1, f2)
     monkeypatch.setattr(dops, "TAU_MAX_DEGREE", 2)
     assert verify_tau(C, f1, f2, tau_transition(C, f1, f2))
+
+
+def test_tau_refuses_a_non_integrable_connection():
+    # [Theta_1, Theta_2] = diag(1, -1) != 0, so theta^k(e) depends on the
+    # order of the walk; read anyway, the series gives [[1, 3 t1^-2], [0, 1]],
+    # which verify_tau rejects
+    p, n, m = 3, 2, 1
+    ctx, ctx_ext = RingCtx(p, n), RingCtx(p, n + m)
+    z, one = LaurentPoly.zero(ctx, 2), LaurentPoly.one(ctx, 2)
+    C = Connection(ctx, 2, m, 2, (((z, one), (z, z)), ((z, z), (one, z))))
+    f1 = FrobLift(ctx_ext, 2, (LaurentPoly.var(ctx_ext, 2, 1) * 3,
+                               LaurentPoly.zero(ctx_ext, 2)))
+    f2 = FrobLift.pure(ctx_ext, 2)
+    assert not C.is_integrable()
+    with pytest.raises(ValueError, match="integrable"):
+        tau_transition(C, f1, f2)
+
+
+def _tau_digest():
+    """SHA-256 over tau_transition matrices for 60 seeded pairs of lifts and
+    integrable connections of _integrable_catalog, at d = 1 and d = 2; each
+    matrix also passes verify_tau."""
+    h = hashlib.sha256()
+    rng = random.Random("tau-transition-digest")
+    for _ in range(60):
+        p, n = rng.choice((2, 3, 5)), rng.randint(2, 3)
+        m = rng.randint(1, n - 1)
+        ctx, ctx_ext = RingCtx(p, n), RingCtx(p, n + m)
+        C = rng.choice(_integrable_catalog(rng, ctx, m))
+        f1, f2 = (FrobLift(ctx_ext, C.d, tuple(
+            _rand_poly(rng, ctx_ext, C.d, 2, deg=1) * p ** (n - 1)
+            for _ in range(C.d))) for _ in range(2))
+        T = tau_transition(C, f1, f2)
+        assert verify_tau(C, f1, f2, T)
+        h.update(repr((C.d, [[x.terms for x in row] for row in T])).encode())
+    return h.hexdigest()
+
+
+def test_tau_digest_is_stable():
+    assert _tau_digest() == TAU_DIGEST
+
 
 def _gamma_int_reference(h, q, p, n):
     """gamma_q(h) on the exact integer lift of h: the integer power h^q,

@@ -5,6 +5,7 @@ output is compared with the value recorded for it.  A change that reorders
 generators or reformats a line shows up here, not only on a manual run.
 """
 
+import argparse
 import hashlib
 import os
 import runpy
@@ -79,3 +80,26 @@ def test_bench_ab_summarize_marks_bound_spread_and_wins():
             faster["change_wins"]) == (True, False, 4)
     assert faster["parent"]["median"] == 1.1
     assert (faster["failed_ops"], faster["all_correct"]) == (8, True)
+
+
+def test_bench_ab_reports_a_failing_run(tmp_path, capsys):
+    # a checkout whose benchmark writes to stderr and exits 3
+    os.makedirs(tmp_path / "perfbench")
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        "print('setting up', file=sys.stderr)\n"
+        "print('workload broke', file=sys.stderr)\n"
+        "sys.exit(3)\n")
+    run_pairs = runpy.run_path(os.path.join(SCRIPTS, "bench_ab.py"))[
+        "run_pairs"]
+    args = argparse.Namespace(workloads=["operator-sparse"], seeds=[7],
+                              pairs=2)
+    sides = {"parent": str(tmp_path), "change": str(tmp_path)}
+    with pytest.raises(SystemExit) as exit_info:
+        run_pairs(args, sides, 0.1, ["wall_s"])
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err.splitlines()
+    # pair 0 runs the parent first
+    assert err == ["parent run failed: workload operator-sparse seed 7 pair "
+                   "0, exit code 3; last lines of its stderr:",
+                   "setting up", "workload broke"]
