@@ -105,7 +105,8 @@ def op_apply(P, f):
 
 def _sub_indices(l):
     """All multi-indices l' <= l componentwise."""
-    return list(itertools.product(*(range(x + 1) for x in l)))
+    ranges = [range(x + 1) for x in l]
+    return list(itertools.product(*ranges))
 
 
 def op_mul(P, Q):
