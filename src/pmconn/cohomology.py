@@ -85,7 +85,10 @@ def _form_basis(weights, rank, d, q):
 def _boundary_plan(C, q):
     """Per form (j, S) of degree q, the terms of nabla on t^w e_j dlog t_S:
     (u, b, S2, c) for c t^(w+u) e_b dlog t_S2 and (axis, j, S2, sign) for
-    sign * p^m w_axis t^w e_j dlog t_S2, the only coefficients that vary."""
+    sign * p^m w_axis t^w e_j dlog t_S2, the only coefficients that vary.
+    This keeps its own copy of theta_i on exponent vectors: one plan serves
+    every weight, where Connection.theta_apply would build and reduce a
+    LaurentPoly per form and weight on the cohomology hot path."""
     plan = {}
     for j in range(C.rank):
         for S in itertools.combinations(range(1, C.d + 1), q):

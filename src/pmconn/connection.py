@@ -3,16 +3,21 @@
 A connection of level -m on a free module of rank r is stored as d matrices
 Theta_i over the Laurent ring, written against the logarithmic basis:
 
-    nabla(s) = sum_i (p^m t_i d s/d t_i + Theta_i s) dlog t_i.
+    nabla(s) = sum_i theta_i(s) dlog t_i,  theta_i = p^m t_i d/dt_i + Theta_i.
 
 m = 0 is an ordinary connection; once p^m = 0 mod p^n the object is a Higgs
 module and Theta is its Higgs field.  Everything here is exact mod p^n.
+
+Only Connection._theta_step knows this formula; all else applies theta_i.
+The curvature K_ij is the commutator [theta_i, theta_j], and a change of
+basis by g gives Theta'_i = g^-1 theta_i(g), column by column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, pairwise
 
 from .arith import RingCtx
 from .laurent import ContextMismatch, LaurentPoly, dot, mul_into
@@ -27,9 +32,6 @@ def mat_id(ctx, d, r):
 
 def mat_add(A, B):
     return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-def mat_sub(A, B):
-    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 def mat_scale(A, c):
     return tuple(tuple(a * c for a in ra) for ra in A)
@@ -115,12 +117,15 @@ class Connection:
     def p_to_m(self):
         return pow(self.ctx.p, self.m, self.ctx.modulus)
 
-    def _theta_step(self, M, axis, drop, v):
-        """M v plus p^m k_axis c t^(k - drop e_axis) for each term c t^k of
-        each entry of v, with one accumulation and one reduction per entry:
-        drop is 0 in the dlog basis and 1 in the dt basis."""
-        if not 0 <= axis < self.d:
-            raise ValueError(f"axis {axis + 1} out of range for d={self.d}")
+    def _theta_step(self, i, dt, v):
+        """theta_i(v): Theta_i v plus p^m k_i c t^(k - dt e_i) for each term
+        c t^k of each entry of v, in the dlog basis (dt = 0) or, with
+        t_i^-1 Theta_i, in the dt basis (dt = 1).  One accumulation and one
+        reduction per entry."""
+        if not 1 <= i <= self.d:
+            raise ValueError(f"axis {i} out of range for d={self.d}")
+        M = (self._theta_dt if dt else self.theta)[i - 1]
+        axis = i - 1
         pm = self.p_to_m()
         out = []
         for row, x in zip(M, v):
@@ -130,14 +135,14 @@ class Connection:
                 mul_into(acc, a.terms, y.terms)
             for e, c in x.terms:
                 if k := e[axis]:
-                    e = e[:axis] + (k - drop,) + e[axis + 1:]
+                    e = e[:axis] + (k - dt,) + e[axis + 1:]
                     acc[e] = acc.get(e, 0) + pm * k * c
             out.append(LaurentPoly._canon(self.ctx, self.d, acc))
         return tuple(out)
 
     # the operator theta_i = p^m t_i d/dt_i + Theta_i on column vectors
     def theta_apply(self, i, v):
-        return self._theta_step(self.theta[i - 1], i - 1, 0, v)
+        return self._theta_step(i, 0, v)
 
     @cached_property
     def _theta_dt(self):
@@ -148,7 +153,7 @@ class Connection:
     def theta_apply_dt(self, i, v):
         """The dt-basis operator: nabla(s) = sum_i theta_dt_i(s) dt_i, so
         theta_dt_i = t_i^{-1} theta_i = (t_i^{-1} Theta_i) + p^m d/dt_i."""
-        return self._theta_step(self._theta_dt[i - 1], i - 1, 1, v)
+        return self._theta_step(i, 1, v)
 
     def theta_power_apply_dt(self, a, v):
         if not self.is_integrable():
@@ -163,21 +168,23 @@ class Connection:
         one = LaurentPoly.one(self.ctx, self.d)
         return tuple(one if j == k else z for j in range(self.rank))
 
+    def _operator_matrix(self, op):
+        """The matrix whose column k is op(e_k)."""
+        return tuple(zip(*(op(self.basis_vector(k))
+                           for k in range(self.rank))))
+
     # integrability
     def curvature(self):
-        """K_ij = p^m t_i d_i(Theta_j) - p^m t_j d_j(Theta_i) + [Theta_i, Theta_j]
-        for i < j; empty list when d = 1."""
-        pm = self.p_to_m()
-        out = []
-        for i in range(1, self.d + 1):
-            for j in range(i + 1, self.d + 1):
-                Ti, Tj = self.theta[i - 1], self.theta[j - 1]
-                K = mat_add(
-                    mat_sub(mat_map(Tj, lambda f: f.log_partial(i) * pm),
-                            mat_map(Ti, lambda f: f.log_partial(j) * pm)),
-                    mat_sub(mat_matmul(Ti, Tj), mat_matmul(Tj, Ti)))
-                out.append(((i, j), K))
-        return out
+        """K_ij = [theta_i, theta_j] for i < j, that is
+        p^m t_i d_i(Theta_j) - p^m t_j d_j(Theta_i) + [Theta_i, Theta_j];
+        empty list when d = 1."""
+        def commutator(i, j):
+            step = self.theta_apply
+            return lambda e: tuple(a - b for a, b in zip(
+                step(i, step(j, e)), step(j, step(i, e))))
+        return [((i, j), self._operator_matrix(commutator(i, j)))
+                for i in range(1, self.d + 1)
+                for j in range(i + 1, self.d + 1)]
 
     @cached_property
     def _integrable(self):
@@ -197,14 +204,13 @@ class Connection:
 
 
 def gauge(C, g):
-    """Change of basis: Theta'_i = g^{-1}(Theta_i g + p^m t_i d_i(g))."""
+    """Change of basis to the columns of g: Theta'_i = g^{-1} theta_i(g), with
+    theta_i applied to each column of g."""
     ginv = mat_inverse(g)
-    pm = C.p_to_m()
-    new = []
-    for i in range(1, C.d + 1):
-        dg = mat_map(g, lambda f: f.log_partial(i) * pm)
-        new.append(mat_matmul(ginv, mat_add(mat_matmul(C.theta[i - 1], g), dg)))
-    return Connection(C.ctx, C.d, C.m, C.rank, tuple(new))
+    return Connection(C.ctx, C.d, C.m, C.rank, tuple(
+        mat_matmul(ginv, tuple(zip(*(C.theta_apply(i, col)
+                                     for col in zip(*g)))))
+        for i in range(1, C.d + 1)))
 
 
 def tensor(C1, C2):
@@ -267,14 +273,12 @@ def is_quasi_nilpotent(C):
 
 def _p_curvature(C, i):
     """theta_i^p - theta_i as a matrix, for C at level 0 over F_p."""
-    cols = []
-    for k in range(C.rank):
-        e = C.basis_vector(k)
+    def op(e):
         v = first = C.theta_apply(i, e)
         for _ in range(C.ctx.p - 1):
             v = C.theta_apply(i, v)
-        cols.append(tuple(a - b for a, b in zip(v, first)))
-    return tuple(zip(*cols))
+        return tuple(a - b for a, b in zip(v, first))
+    return C._operator_matrix(op)
 
 
 # -- extension presentations ---------------------------------------------------
@@ -308,15 +312,8 @@ class PresentationReport:
 
 def check_presentation(P):
     C = P.conn
-    bounds = []
-    s = 0
-    for r in P.ranks:
-        bounds.append((s, s + r))
-        s += r
-    blk = {}
-    for k, (lo, hi) in enumerate(bounds):
-        for idx in range(lo, hi):
-            blk[idx] = k
+    bounds = list(pairwise(accumulate(P.ranks, initial=0)))
+    blk = [k for k, r in enumerate(P.ranks) for _ in range(r)]
     # the filtration is by spans of leading basis vectors, so each Theta must
     # be block upper triangular
     for M in C.theta:
@@ -327,13 +324,12 @@ def check_presentation(P):
                         "invalid", None,
                         f"Theta not compatible with the filtration at "
                         f"({row},{col})")
-    pm = C.p_to_m()
     all_trivial = True
     for k, (lo, hi) in enumerate(bounds):
-        diag = [tuple(tuple(M[i][j] for j in range(lo, hi))
-                      for i in range(lo, hi)) for M in C.theta]
+        layer = Connection(C.ctx, C.d, C.m, hi - lo, tuple(
+            tuple(row[lo:hi] for row in M[lo:hi]) for M in C.theta))
         if P.kinds[k] == "trivial":
-            if not all(mat_is_zero(Dm) for Dm in diag):
+            if not all(mat_is_zero(M) for M in layer.theta):
                 return PresentationReport(
                     "invalid", None, f"layer {k} claims (O, p^m d) but has a "
                     f"nonzero graded field")
@@ -346,12 +342,12 @@ def check_presentation(P):
             if not mat_det(G).is_unit():
                 return PresentationReport(
                     "invalid", None, f"layer {k} witness does not generate")
-            for i in range(1, C.d + 1):
-                dG = mat_map(G, lambda f: f.log_partial(i) * pm)
-                if not mat_is_zero(mat_add(mat_matmul(diag[i - 1], G), dG)):
-                    return PresentationReport(
-                        "invalid", None,
-                        f"layer {k} witness generators are not horizontal")
+            # the columns of G are horizontal: the layer in their basis has
+            # Theta = 0
+            if not all(mat_is_zero(M) for M in gauge(layer, G).theta):
+                return PresentationReport(
+                    "invalid", None,
+                    f"layer {k} witness generators are not horizontal")
         else:
             return PresentationReport("invalid", None,
                                       f"unknown layer kind {P.kinds[k]!r}")

@@ -18,7 +18,8 @@ import itertools
 from dataclasses import dataclass
 
 from .arith import int_val_p
-from .connection import Connection, mat_add, mat_id, mat_map, mat_scale
+from .connection import (Connection, gauge, mat_add, mat_id, mat_map,
+                         mat_scale)
 from .laurent import ContextMismatch, LaurentPoly, dot
 
 
@@ -108,16 +109,16 @@ def descend_rank1(C, F):
     """Frobenius descent for an integrable rank-1 level-0 connection along
     the pure-power lift, on a chart of any dimension.
 
-    Gauge-normalizes the coefficients f_i until every f_i is supported on
-    exponents e with p | e_i, then divides exponents by p.  A monomial c t^e
-    of f_i with e_i prime to p is removed by the unit 1 + u t^e with
-    u = -c/e_i, which exists exactly when c is divisible by p; integrability
-    (e_j c_i = e_i c_j) clears t^e from every f_j at once.  Monomials are
-    taken lowest v_p(c) first, so a unit coefficient is met before any gauge,
-    and it is the obstruction: mod p a gauge unit is c t^v, whose dlog adds
-    only constants, so no gauge of a level raise carries it.  Returns
-    (C', gauge) on success, where gauge(C, g) = level_raise(C', F), or the
-    obstruction.
+    Gauge-normalizes the coefficients f_i = Theta_i until every f_i is
+    supported on exponents e with p | e_i, then divides exponents by p.  A
+    monomial c t^e of f_i with e_i prime to p is removed by gauge(C, g) with
+    the unit g = 1 + u t^e, u = -c/e_i, which exists exactly when c is
+    divisible by p; integrability (e_j c_i = e_i c_j) clears t^e from every
+    f_j at once.  Monomials are taken lowest v_p(c) first, so a unit
+    coefficient is met before any gauge, and it is the obstruction: mod p a
+    gauge unit is c t^v, whose dlog adds only constants, so no gauge of a
+    level raise carries it.  Returns (C', gauge) on success, where
+    gauge(C, g) = level_raise(C', F), or the obstruction.
     """
     if C.rank != 1 or C.m != 0:
         raise ValueError("descent implemented for rank 1, level 0")
@@ -126,9 +127,9 @@ def descend_rank1(C, F):
     if not C.is_integrable():
         raise ValueError("descent needs an integrable connection")
     ctx, d, p = C.ctx, C.d, C.ctx.p
-    f = [C.theta[i][0][0] for i in range(d)]
     g_total = LaurentPoly.one(ctx, d)
     for _ in range(DESCENT_MAX_STAGES + 1):
+        f = [C.theta[i][0][0] for i in range(d)]
         bad = [(i, e, c) for i in range(d) for e, c in f[i].terms
                if e[i] % p]
         if not bad:
@@ -149,9 +150,7 @@ def descend_rank1(C, F):
                                   "not in the image of level raising"}}
         u = (-c * pow(e[i], -1, ctx.modulus)) % ctx.modulus
         g = LaurentPoly.from_dict(ctx, d, {(0,) * d: 1, e: u})
-        # level 0 gauge: f_j -> f_j + t_j d_j(g)/g
-        g_inv = g.invert()
-        f = [fj + g.log_partial(j + 1) * g_inv for j, fj in enumerate(f)]
+        C = gauge(C, ((g,),))
         g_total = g_total * g
     return {"ok": False, "connection": None, "gauge": None,
             "obstruction": {"kind": "no-convergence",

@@ -9,7 +9,7 @@ import json
 
 from pmconn import cli, cohomology, dops, frobenius, witt
 from pmconn.connection import Connection
-from pmconn.laurent import LaurentPoly
+from pmconn.laurent import LaurentPoly, dot
 
 
 def _failures(capsys, suite):
@@ -113,3 +113,23 @@ def test_theorem25_and_level_raise_fail_with_a_raise_to_zero(capsys,
     failures = _failures(capsys, "level-raise")
     assert len(failures) == 15
     assert all(f["got"]["law"] == "rank1-rule" for f in failures)
+
+
+def test_tau_and_ov_example_fail_with_a_step_without_its_derivative_term(
+        capsys, monkeypatch):
+    # curvature, gauge and the witnesses' horizontality all apply the one
+    # theta step, so the gauge relation of tau and the horizontal witness of
+    # ov-example see a step that drops p^m t_i d_i
+    def step_without_derivative(self, i, dt, v):
+        return tuple(dot(row, v)
+                     for row in (self._theta_dt if dt else self.theta)[i - 1])
+    assert _failures(capsys, "tau") == []
+    assert _failures(capsys, "ov-example") == []
+    monkeypatch.setattr(Connection, "_theta_step", step_without_derivative)
+    failures = _failures(capsys, "tau")
+    assert len(failures) == 11
+    assert all(f["got"]["why"] == "gauge relation" for f in failures)
+    failures = _failures(capsys, "ov-example")
+    assert len(failures) == 6
+    assert all(f["got"] == {"why": "witness not horizontal"}
+               for f in failures)

@@ -231,6 +231,32 @@ def test_cohomology_non_integrable_exits_1(tmp_path, capsys):
     assert "curvature" in err
 
 
+def test_cohomology_curvature_report_is_pinned(tmp_path, capsys):
+    # d = 3, rank 2, non-constant theta: every pair (i, j) and every entry
+    # of its curvature is printed, in this order, with these values
+    obj = {"p": 3, "n": 2, "m": 1, "d": 3, "rank": 2, "basis": "dlog",
+           "theta": [[["1*t1^1", "1"], ["0", "2*t2^-1"]],
+                     [["0", "1*t3^1"], ["1", "0"]],
+                     [["1*t1^1*t2^1", "0"], ["2", "1*t3^-1"]]]}
+    code, out, err = run(capsys, "cohomology",
+                         _write(tmp_path, "ni3.json", obj))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "connection is not integrable; curvature:",
+        "  K[1,2][0][0] = 1",
+        "  K[1,2][0][1] = 7*t2^-1*t3^1+1*t1^1*t3^1",
+        "  K[1,2][1][0] = 2*t2^-1+8*t1^1",
+        "  K[1,2][1][1] = 6*t2^-1+8",
+        "  K[1,3][0][0] = 2+3*t1^1*t2^1",
+        "  K[1,3][0][1] = 1*t3^-1+8*t1^1*t2^1",
+        "  K[1,3][1][0] = 4*t2^-1+7*t1^1",
+        "  K[1,3][1][1] = 7",
+        "  K[2,3][0][0] = 2*t3^1+3*t1^1*t2^1",
+        "  K[2,3][0][1] = 1+6*t3^1+8*t1^1*t2^1*t3^1",
+        "  K[2,3][1][0] = 8*t3^-1+1*t1^1*t2^1",
+        "  K[2,3][1][1] = 7*t3^1"]
+
+
 def test_raise_rank1_rule_and_level_zero_rejection(tmp_path, capsys):
     conn = _write(tmp_path, "c.json",
                   {"p": 3, "n": 2, "m": 1, "d": 1, "rank": 1,

@@ -10,7 +10,7 @@ from pmconn.arith import RingCtx
 from pmconn.laurent import LaurentPoly, FrobLift, parse_poly
 from pmconn.connection import (Connection, gauge, ExtensionPresentation,
                                dual, mat_add, mat_is_zero, mat_map,
-                               mat_matmul, mat_scale, mat_sub, tensor)
+                               mat_matmul, mat_scale, tensor)
 from pmconn.cohomology import (compute_H, weight_components,
                                hom_space,
                                compare_theorem25, higgs_vanishing,
@@ -194,9 +194,9 @@ def _intertwines(C1, C2, g):
     """Theta1 g + p^m t_i dg/dlog t_i = g Theta2 on every axis, in Connection
     matrix arithmetic alone."""
     pm = C1.p_to_m()
-    return all(mat_is_zero(mat_sub(
+    return all(mat_is_zero(mat_add(
         mat_add(mat_matmul(T1, g), mat_map(g, lambda f: f.log_partial(i) * pm)),
-        mat_matmul(g, T2)))
+        mat_scale(mat_matmul(g, T2), -1)))
         for i, (T1, T2) in enumerate(zip(C1.theta, C2.theta), 1))
 
 
@@ -327,10 +327,18 @@ def test_compare_theorem25_rank2():
 
 def test_compare_theorem25_rejects_weight_mixing():
     ctx = RingCtx(3, 2)
+    z, one = LaurentPoly.zero(ctx, 1), LaurentPoly.one(ctx, 1)
+    # a valid presentation of a non-constant theta
+    C = Connection(ctx, 1, 1, 2, (((z, parse_poly("1*t1^1", ctx, 1)),
+                                   (z, z)),))
+    P = ExtensionPresentation(C, (1, 1), ("trivial", "trivial"))
+    with pytest.raises(ValueError, match="weight-preserving"):
+        compare_theorem25(C, FrobLift.pure(ctx, 1), P, 3)
+    # theta(1) = 3 t1 != 0, so the presentation is refused first
     C = Connection.rank1(ctx, 1, 1, [parse_poly("3*t1^1", ctx, 1)])
-    P = ExtensionPresentation(C, (1,), ("f-constant",),
-                              {0: [[LaurentPoly.one(ctx, 1)]]})
-    with pytest.raises(ValueError):
+    P = ExtensionPresentation(C, (1,), ("f-constant",), {0: [[one]]})
+    with pytest.raises(ValueError, match="invalid nilpotence presentation: "
+                       "layer 0 witness generators are not horizontal"):
         compare_theorem25(C, FrobLift.pure(ctx, 1), P, 3)
 
 

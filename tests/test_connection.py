@@ -14,8 +14,9 @@ from pmconn.laurent import LaurentPoly, dot, parse_poly
 from pmconn import connection
 from pmconn.connection import (Connection, QNResult, gauge, tensor, dual,
                                is_quasi_nilpotent, ExtensionPresentation,
-                               check_presentation, mat_id, mat_det,
-                               mat_inverse, mat_matmul)
+                               PresentationReport, check_presentation,
+                               mat_add, mat_id, mat_det, mat_inverse,
+                               mat_is_zero, mat_map, mat_matmul)
 
 
 def _rand_poly(rng, ctx, d, terms, deg=2):
@@ -149,7 +150,8 @@ def _theta_reference(C, i, v, dt):
 def _theta_mismatches(p, n, m, seed):
     """(basis, d, rank, integrable, axis) of each theta step that differs
     from _theta_reference, over rank 1 and 2, d = 1 and 2, integrable and
-    random connections, each on a random vector."""
+    random connections, each on a random vector.  integrable is read off
+    _curvature_reference, so it does not depend on the step."""
     ctx = RingCtx(p, n)
     rng = random.Random(seed)
     conns = []
@@ -168,12 +170,13 @@ def _theta_mismatches(p, n, m, seed):
             _rand_matrix(rng, ctx, d, r) for _ in range(d))) for r in (1, 2)]
     out = []
     for C in conns:
+        integrable = all(mat_is_zero(K) for _, K in _curvature_reference(C))
         v = tuple(_rand_poly(rng, ctx, C.d, 3) for _ in range(C.rank))
         for i in range(1, C.d + 1):
             for dt, step in ((False, C.theta_apply), (True, C.theta_apply_dt)):
                 if step(i, v) != _theta_reference(C, i, v, dt):
                     out.append(("dt" if dt else "dlog", C.d, C.rank,
-                                C.is_integrable(), i))
+                                integrable, i))
     return out
 
 
@@ -186,25 +189,136 @@ def test_theta_steps_match_a_reference(args):
 
 
 def test_theta_steps_refuse_axis_zero():
+    # and every other axis outside 1..d, before indexing Theta
     ctx = RingCtx(3, 2)
     C = Connection.rank1(ctx, 2, 1, [LaurentPoly.one(ctx, 2)] * 2)
     for step in (C.theta_apply, C.theta_apply_dt):
-        with pytest.raises(ValueError, match="out of range"):
-            step(0, C.basis_vector(0))
+        for i in (0, 3, -1):
+            with pytest.raises(ValueError,
+                               match=f"axis {i} out of range for d=2"):
+                step(i, C.basis_vector(0))
+
+
+def _step_without_derivative(self, i, dt, v):
+    """Connection._theta_step without its p^m t_i d_i term: Theta_i v."""
+    return tuple(dot(row, v)
+                 for row in (self._theta_dt if dt else self.theta)[i - 1])
 
 
 def test_theta_reference_sees_a_step_without_its_derivative_term(
         monkeypatch):
     assert _theta_mismatches(3, 3, 1, 0) == []
-    monkeypatch.setattr(Connection, "_theta_step",
-                        lambda self, M, axis, drop, v:
-                        tuple(dot(row, v) for row in M))
+    monkeypatch.setattr(Connection, "_theta_step", _step_without_derivative)
     found = _theta_mismatches(3, 3, 1, 0)
     assert {basis for basis, *_ in found} == {"dlog", "dt"}
     # every shape, integrable or not (at d = 1 every connection is)
     assert {(d, rank, integrable) for _, d, rank, integrable, _ in found} \
         == {(1, 1, True), (1, 2, True), (2, 1, True), (2, 2, True),
             (2, 1, False), (2, 2, False)}
+
+
+# -- curvature and gauge against the matrix formulas ---------------------------
+
+def _dlog_times_pm(C, M, i):
+    """p^m t_i d_i of each entry of M."""
+    pm = C.p_to_m()
+    return mat_map(M, lambda f: f.log_partial(i) * pm)
+
+
+def _curvature_reference(C):
+    """p^m t_i d_i Theta_j - p^m t_j d_j Theta_i + [Theta_i, Theta_j] for
+    i < j, in matrix arithmetic and log_partial alone."""
+    out = []
+    for i, j in itertools.combinations(range(1, C.d + 1), 2):
+        Ti, Tj = C.theta[i - 1], C.theta[j - 1]
+        plus = mat_add(_dlog_times_pm(C, Tj, i), mat_matmul(Ti, Tj))
+        minus = mat_add(_dlog_times_pm(C, Ti, j), mat_matmul(Tj, Ti))
+        out.append(((i, j), tuple(tuple(a - b for a, b in zip(ra, rb))
+                                  for ra, rb in zip(plus, minus))))
+    return out
+
+
+def _gauge_reference(C, g):
+    """g^-1 (Theta_i g + p^m t_i d_i g), one matrix per axis."""
+    return tuple(mat_matmul(mat_inverse(g), mat_add(
+        mat_matmul(T, g), _dlog_times_pm(C, g, i)))
+        for i, T in enumerate(C.theta, 1))
+
+
+def _rand_invertible(rng, ctx, d, r):
+    """L U with unit diagonals, so invertible over the Laurent ring."""
+    zero = LaurentPoly.zero(ctx, d)
+    L = [[_rand_unit(rng, ctx, d) if i == j else
+          _rand_poly(rng, ctx, d, 1) if i > j else zero
+          for j in range(r)] for i in range(r)]
+    U = [[_rand_unit(rng, ctx, d) if i == j else
+          _rand_poly(rng, ctx, d, 1) if i < j else zero
+          for j in range(r)] for i in range(r)]
+    return mat_matmul(L, U)
+
+
+def _curvature_gauge_cases(count=24):
+    """Seeded (C, g, integrable): p in {2, 3, 5}, 1 <= n <= 3, m < n,
+    d in {2, 3}, rank 1-3.  Even seeds are integrable: the connection with
+    Theta_i = a_i A + b_i + p t_i d_i(h), for one constant matrix A and one
+    polynomial h, in the basis of the columns of a random k (by
+    _gauge_reference), so that at rank >= 2 the Theta_i need not commute.
+    Odd seeds have random Theta."""
+    for seed in range(count):
+        rng = random.Random(f"curvature-gauge:{seed}")
+        ctx = RingCtx(rng.choice((2, 3, 5)), rng.randint(1, 3))
+        m = rng.randrange(ctx.n)
+        d, r = 2 + seed % 4 // 2, 1 + seed % 3
+        zero = LaurentPoly.zero(ctx, d)
+        if seed % 2 == 0:
+            A = [[LaurentPoly.const(ctx, d, rng.randrange(ctx.modulus))
+                  for _ in range(r)] for _ in range(r)]
+            h = _rand_poly(rng, ctx, d, 2)
+            theta = []
+            for i in range(1, d + 1):
+                a, b = rng.randrange(ctx.modulus), rng.randrange(ctx.modulus)
+                diag = h.log_partial(i) * ctx.p + LaurentPoly.const(ctx, d, b)
+                theta.append([[A[x][y] * a + (diag if x == y else zero)
+                               for y in range(r)] for x in range(r)])
+            theta = _gauge_reference(Connection(ctx, d, m, r, theta),
+                                     _rand_invertible(rng, ctx, d, r))
+        else:
+            theta = [_rand_matrix(rng, ctx, d, r) for _ in range(d)]
+        C = Connection(ctx, d, m, r, theta)
+        yield C, _rand_invertible(rng, ctx, d, r), seed % 2 == 0
+
+
+def _curvature_gauge_mismatches():
+    """("curvature" or "gauge", d, rank, integrable) of each case where the
+    code differs from its matrix formula."""
+    out = []
+    for C, g, integrable in _curvature_gauge_cases():
+        reference = _curvature_reference(C)
+        assert integrable <= all(mat_is_zero(K) for _, K in reference)
+        if C.curvature() != reference:
+            out.append(("curvature", C.d, C.rank, integrable))
+        if gauge(C, g).theta != _gauge_reference(C, g):
+            out.append(("gauge", C.d, C.rank, integrable))
+    return out
+
+
+def test_curvature_and_gauge_match_their_matrix_formulas():
+    cases = list(_curvature_gauge_cases())
+    assert {(C.d, C.rank, integrable) for C, _, integrable in cases} == \
+        set(itertools.product((2, 3), (1, 2, 3), (True, False)))
+    assert _curvature_gauge_mismatches() == []
+
+
+def test_matrix_formulas_see_a_step_without_its_derivative_term(
+        monkeypatch):
+    monkeypatch.setattr(Connection, "_theta_step", _step_without_derivative)
+    found = _curvature_gauge_mismatches()
+    # at rank 1 an integrable curvature reads zero either way; at rank >= 2
+    # the gauged Theta_i need not commute, and the derivative terms cancel
+    # their commutator
+    assert {kind for kind, *_ in found} == {"curvature", "gauge"}
+    assert {(kind, integrable) for kind, _, _, integrable in found} == \
+        set(itertools.product(("curvature", "gauge"), (True, False)))
 
 
 def test_dual_and_tensor_rank1():
@@ -499,3 +613,50 @@ def test_check_presentation_classifications():
     C3 = Connection.rank1(ctx, 1, m, [one])
     P3 = ExtensionPresentation(C3, (1,), ("trivial",), {})
     assert check_presentation(P3).classification == "invalid"
+    assert check_presentation(P3) == PresentationReport(
+        "invalid", None,
+        "layer 0 claims (O, p^m d) but has a nonzero graded field")
+
+
+def test_check_presentation_verdicts_and_reasons_are_pinned():
+    ctx, d, m = RingCtx(3, 3), 2, 1
+    z, one = LaurentPoly.zero(ctx, d), LaurentPoly.one(ctx, d)
+    t1, t2 = (LaurentPoly.var(ctx, d, i) for i in (1, 2))
+    # (O, p^m d)^2 in the basis of the columns of h: its horizontal
+    # generators are the columns of h^-1
+    h = ((one + t1 * 3, t2), (z, one))
+    C = Connection(ctx, d, m, 2, _gauge_reference(
+        Connection(ctx, d, m, 2, (((z, z), (z, z)),) * d), h))
+    assert C.is_integrable() and not all(mat_is_zero(M) for M in C.theta)
+
+    def verdict(conn, ranks, kinds, witnesses):
+        return check_presentation(
+            ExtensionPresentation(conn, ranks, kinds, witnesses))
+
+    assert verdict(C, (2,), ("f-constant",), {0: mat_inverse(h)}) == \
+        PresentationReport("f-nilpotent", 1)
+    assert verdict(C, (2,), ("f-constant",), {0: h}) == PresentationReport(
+        "invalid", None, "layer 0 witness generators are not horizontal")
+    assert verdict(C, (2,), ("f-constant",), {0: mat_map(
+        mat_inverse(h), lambda f: f * 3)}) == PresentationReport(
+        "invalid", None, "layer 0 witness does not generate")
+    assert verdict(C, (2,), ("f-constant",), {}) == PresentationReport(
+        "invalid", None, "layer 0 lacks a constant-witness matrix")
+    assert verdict(C, (2,), ("constant",), {}) == PresentationReport(
+        "invalid", None, "unknown layer kind 'constant'")
+    # an f-constant layer under a trivial one: u^-1 is horizontal for
+    # Theta_i = u^-1 p t_i d_i(u), and the layers are read off the diagonal
+    u = one + t1 * t2 * 3
+    D = Connection(ctx, d, m, 2, tuple(
+        ((u.invert() * u.log_partial(i) * 3, t1), (z, z)) for i in (1, 2)))
+    assert verdict(D, (1, 1), ("f-constant", "trivial"),
+                   {0: ((u.invert(),),)}) == \
+        PresentationReport("f-nilpotent", 2)
+    assert verdict(D, (1, 1), ("f-constant", "trivial"),
+                   {0: ((u,),)}) == PresentationReport(
+        "invalid", None, "layer 0 witness generators are not horizontal")
+    # Theta_1 sends e_0 into the span of e_1: not block upper triangular
+    E = Connection(ctx, d, m, 2, (((z, z), (one, z)), ((z, z), (z, z))))
+    assert verdict(E, (1, 1), ("trivial", "trivial"), {}) == \
+        PresentationReport("invalid", None,
+                           "Theta not compatible with the filtration at (1,0)")
